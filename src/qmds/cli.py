@@ -70,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fraction of kernel entry pairs to hide (scenario II)")
     run.add_argument("--timing", choices=("off", "wall"), default=None,
                      help="record wall time per solve (breaks byte-identity)")
-    run.add_argument("--workers", type=int, default=None,
-                     help="thread count for trial execution")
 
     conv = commands.add_parser(
         "converge", help="per-sweep error of the iterative solver")
@@ -99,7 +97,7 @@ def _apply_overrides(mapping: dict, args: argparse.Namespace) -> dict:
         "missing": "missing_fraction",
     }
     for flag in ("seed", "sigma_d", "epsilon", "trials", "tau_max",
-                 "missing", "algorithms", "timing", "workers"):
+                 "missing", "algorithms", "timing"):
         value = getattr(args, flag, None)
         if value is not None:
             mapping[renames.get(flag, flag)] = value

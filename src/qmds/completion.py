@@ -42,14 +42,13 @@ SPLIT_RANK = 2
 class CompletionConfig:
     """Iteration settings: target rank, step budget, stopping threshold.
 
-    `shrinkage` softens the truncation by subtracting a constant from the
-    retained singular values; zero keeps pure hard thresholding.
+    Each step keeps the leading `target_rank` singular triplets unchanged
+    (hard thresholding).
     """
 
     target_rank: int = REAL_KERNEL_RANK
     max_iters: int = 500
     tol: float = 1e-8
-    shrinkage: float = 0.0
 
     def __post_init__(self):
         if self.target_rank < 1:
@@ -87,8 +86,6 @@ def complete_lowrank(
     it = 0
     for it in range(1, config.max_iters + 1):
         u, s, vh = np.linalg.svd(x, full_matrices=False)
-        if config.shrinkage > 0:
-            s = np.maximum(s - config.shrinkage, 0.0)
         new_low = (u[:, :r] * s[:r]) @ vh[:r]
         new_x = np.where(mask, data, new_low)
         new_gap = float(np.linalg.norm(new_x - new_low))

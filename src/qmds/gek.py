@@ -21,9 +21,7 @@ to the bit even under noise.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,11 +37,7 @@ __all__ = [
     "quat_gek_from_measurements",
     "extract_blocks",
     "apply_mask",
-    "save_gek",
-    "load_gek",
 ]
-
-_MAGIC = b"GEK1"
 
 
 @dataclass(frozen=True)
@@ -180,44 +174,3 @@ def apply_mask(gek: "RealGek | QuatGek", mask: np.ndarray) -> "RealGek | QuatGek
     b = np.where(mask, gek.k.b, 0.0)
     return QuatGek(QuaternionMatrix(a, b), mask)
 
-
-def save_gek(path: "str | Path", gek: "RealGek | QuatGek") -> None:
-    """Write a kernel to a flat little-endian binary file.
-
-    Layout: 4-byte magic, uint32 M, uint8 domain tag (0 real, 1 quaternion),
-    uint8 mask flag, then the row-major float64 payload (1 component per
-    entry for real, 4 in w,x,y,z order for quaternion), then the packed
-    row-major mask bits when flagged.
-    """
-    quat = isinstance(gek, QuatGek)
-    header = _MAGIC + struct.pack("<IBB", gek.m, int(quat), int(gek.mask is not None))
-    if quat:
-        k = gek.k
-        payload = np.stack([k.w, k.x, k.y, k.z], axis=-1)
-    else:
-        payload = gek.k
-    blob = header + np.ascontiguousarray(payload, dtype="<f8").tobytes()
-    if gek.mask is not None:
-        blob += np.packbits(gek.mask.reshape(-1)).tobytes()
-    Path(path).write_bytes(blob)
-
-
-def load_gek(path: "str | Path") -> "RealGek | QuatGek":
-    """Read a kernel written by `save_gek`."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != _MAGIC:
-        raise ShapeMismatch("not a kernel file: bad magic")
-    m, quat, has_mask = struct.unpack("<IBB", blob[4:10])
-    comps = 4 if quat else 1
-    count = m * m * comps
-    end = 10 + 8 * count
-    payload = np.frombuffer(blob[10:end], dtype="<f8", count=count)
-    mask = None
-    if has_mask:
-        bits = np.unpackbits(np.frombuffer(blob[end:], dtype=np.uint8),
-                             count=m * m)
-        mask = bits.astype(bool).reshape(m, m)
-    if quat:
-        w, x, y, z = np.moveaxis(payload.reshape(m, m, 4), -1, 0)
-        return QuatGek(QuaternionMatrix.from_components(w, x, y, z), mask)
-    return RealGek(payload.reshape(m, m).copy(), mask)

@@ -9,9 +9,9 @@ SeedSequence((master_seed, scenario code, round(sigma*1e6), round(eps*1e6),
 trial index)), spawned into separate geometry / measurement / mask children.
 The algorithm never enters the key, so every algorithm in a cell sees the
 identical geometry and measurement set and comparisons across algorithms are
-paired. Trials may execute on a thread pool; results are reduced in key
-order, so the emitted CSV is byte-identical for a fixed config and seed.
-Wall-clock timing is off by default because its column is the one
+paired. Trials run one after another in key order and draw only from their
+own streams, so the emitted CSV is byte-identical for a fixed config and
+seed. Wall-clock timing is off by default because its column is the one
 nondeterministic quantity.
 
 A failed trial (any library error on a solvable-looking instance, e.g. a
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Sequence
@@ -138,7 +137,6 @@ class ExperimentConfig:
     tau_max: int = 1
     master_seed: int = 0
     timing: str = "off"
-    workers: int = 1
 
     def __post_init__(self) -> None:
         room = tuple(float(v) for v in self.room)
@@ -187,8 +185,6 @@ class ExperimentConfig:
             raise OutOfRange("master_seed must be nonnegative")
         if self.timing not in ("off", "wall"):
             raise OutOfRange(f"timing must be 'off' or 'wall', got {self.timing!r}")
-        if self.workers < 1:
-            raise OutOfRange("workers must be at least 1")
 
     @property
     def anchor_array(self) -> np.ndarray:
@@ -423,33 +419,18 @@ def run_grid(config: ExperimentConfig) -> list[dict[str, object]]:
     """Run every grid cell and return one aggregated row per cell.
 
     Cells iterate in (scenario, algorithm, sigma_d, epsilon) order as given
-    by the config. With workers > 1, trials run on a thread pool; results
-    are keyed and reduced in key order, so row content does not depend on
-    scheduling.
+    by the config, and each cell runs its trials in index order.
     """
     structure = structure_matrices(
         edge_set(len(config.anchors), config.n_targets)
     )
-    cells = list(
-        product(config.scenarios, config.algorithms,
-                config.sigma_d_grid, config.epsilon_grid)
-    )
-    tasks = [(cell, t) for cell in cells for t in range(config.trials)]
-
-    def run_one(task):
-        (scenario, algorithm, sigma_d, epsilon), t = task
-        return run_trial(config, scenario, algorithm, sigma_d, epsilon, t,
-                         structure=structure)
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = dict(zip(tasks, pool.map(run_one, tasks)))
-    else:
-        outcomes = {task: run_one(task) for task in tasks}
-
     rows = []
-    for cell in cells:
-        results = [outcomes[(cell, t)] for t in range(config.trials)]
+    for cell in product(config.scenarios, config.algorithms,
+                        config.sigma_d_grid, config.epsilon_grid):
+        results = [
+            run_trial(config, *cell, t, structure=structure)
+            for t in range(config.trials)
+        ]
         rows.append(_aggregate_cell(config, *cell, results))
     return rows
 

@@ -57,7 +57,6 @@ class NoiseConfig:
 
     sigma_d: float = 0.0
     epsilon_deg: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.sigma_d) or self.sigma_d < 0:
@@ -187,17 +186,12 @@ class MeasurementSet:
             d * np.sin(self.theta_x),
         )
 
-    def with_mask(self, mask: np.ndarray) -> "MeasurementSet":
-        from dataclasses import replace
-
-        return replace(self, mask=np.asarray(mask, dtype=bool))
-
 
 def synthesize(
     params: TrueParameters,
     config: NoiseConfig,
     scenario: Scenario,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> MeasurementSet:
     """Draw one noisy measurement set from exact edge parameters.
 
@@ -214,8 +208,6 @@ def synthesize(
         raise OutOfRange(f"scenario must be 'I' or 'II', got {scenario!r}")
     if np.any(params.distances <= DEGENERATE_LENGTH):
         raise DegenerateEdge("cannot synthesize measurements on zero-length edges")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
 
     d_tilde = sample_distance(params.distances, config.sigma_d, rng)
 

@@ -3,8 +3,9 @@
 Nodes are anchors (known positions) followed by targets (unknown). Every
 anchor-anchor and anchor-target pair is measurable; target-target pairs are
 not. Edges are indexed anchor-anchor block first, each block in ascending
-lexicographic order, because downstream kernel blocks and the structure
-matrices B_AA / B_AT assume exactly that layout. Pair indices are 0-based.
+lexicographic order, because downstream kernel blocks and solvers assume
+exactly that layout: anchor-target edge n_aa + i * n_targets + t joins
+anchor i and target t. Pair indices are 0-based.
 
 The edge vector of pair (i, j) is x_i - x_j. Angles follow one fixed set of
 conventions: azimuths in a coordinate plane lie in (-pi, pi] from the plane's
@@ -117,12 +118,10 @@ def edge_set(n_anchors: int, n_targets: int) -> EdgeSet:
 
 @dataclass(frozen=True)
 class StructureMatrices:
-    """Signed incidence matrix C and the anchor-target selectors.
+    """Signed incidence matrix C of an edge set.
 
     Row m of C has +1 at node i and -1 at node j of edge m, so C applied to
-    stacked positions yields the edge vectors. B_AA repeats each anchor index
-    across its target edges and B_AT cycles the target index, matching the
-    anchor-target edge ordering: row i * n_targets + t is edge (i, t).
+    stacked positions yields the edge vectors.
     """
 
     c: np.ndarray
@@ -142,17 +141,9 @@ class StructureMatrices:
         n_aa = self.n_anchors * (self.n_anchors - 1) // 2
         return self.c[n_aa:]
 
-    @property
-    def b_aa(self) -> np.ndarray:
-        return np.kron(np.eye(self.n_anchors), np.ones((self.n_targets, 1)))
-
-    @property
-    def b_at(self) -> np.ndarray:
-        return np.kron(np.ones((self.n_anchors, 1)), np.eye(self.n_targets))
-
 
 def structure_matrices(edges: EdgeSet) -> StructureMatrices:
-    """Build the incidence and selector matrices for an edge set."""
+    """Build the incidence matrix for an edge set."""
     n = edges.n_anchors + edges.n_targets
     c = np.zeros((edges.m, n))
     rows = np.arange(edges.m)

@@ -42,8 +42,6 @@ __all__ = [
     "Quaternion",
     "QuaternionMatrix",
     "QsvdResult",
-    "cayley_dickson_split",
-    "cayley_dickson_merge",
     "complex_adjoint",
     "qsvd",
     "dominant_eigpair",
@@ -51,6 +49,9 @@ __all__ = [
     "embed_r3",
     "r3_components",
 ]
+
+# Relative Hermitian defect above which `dominant_eigpair` warns.
+_DEFECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -316,20 +317,6 @@ class QuaternionMatrix:
         return f"QuaternionMatrix(shape={self.shape})"
 
 
-def cayley_dickson_split(q: QuaternionMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Return the complex pair (A, B) with entries q = A + B j.
-
-    A carries the real and i components, B the j and k components. The split
-    is an isomorphism of additive groups; `cayley_dickson_merge` inverts it.
-    """
-    return q.a.copy(), q.b.copy()
-
-
-def cayley_dickson_merge(a: np.ndarray, b: np.ndarray) -> QuaternionMatrix:
-    """Rebuild a quaternion matrix from its complex pair."""
-    return QuaternionMatrix(a, b)
-
-
 def complex_adjoint(q: QuaternionMatrix) -> np.ndarray:
     """Complex 2M x 2N adjoint [[A, B], [-conj(B), conj(A)]].
 
@@ -354,15 +341,6 @@ class QsvdResult:
     u: QuaternionMatrix
     singular_values: np.ndarray
     v: QuaternionMatrix
-
-    @property
-    def rectangular_diag(self) -> np.ndarray:
-        m = self.u.shape[0]
-        n = self.v.shape[0]
-        d = np.zeros((m, n))
-        k = len(self.singular_values)
-        d[:k, :k] = np.diag(self.singular_values)
-        return d
 
     def reconstruct(self, rank: int | None = None) -> QuaternionMatrix:
         k = len(self.singular_values) if rank is None else rank
@@ -402,33 +380,35 @@ def qsvd(q: QuaternionMatrix) -> QsvdResult:
     return QsvdResult(uq, s[::2].copy(), vq)
 
 
-def dominant_eigpair(
-    k: QuaternionMatrix, hermitian_tol: float = 1e-12
-) -> tuple[float, QuaternionMatrix]:
-    """Largest singular pair (lambda, u) of a Hermitian quaternion matrix.
+def dominant_eigpair(k: QuaternionMatrix) -> tuple[float, QuaternionMatrix]:
+    """Largest eigenpair (lambda, u) of a Hermitian quaternion matrix.
 
-    The input is symmetrized to (K + K^H)/2 first; a defect beyond
-    `hermitian_tol` (relative Frobenius) is reported with a warning rather
-    than an error, since measurement noise routinely lands just outside
-    exact symmetry. For matrices whose dominant eigenvalue is nonnegative,
-    which holds for every kernel built in this package, the returned pair is
-    also the dominant right eigenpair: K u = u lambda.
+    Returns the algebraically largest eigenvalue and a unit right
+    eigenvector, K u = u lambda; u is defined only up to a right
+    unit-quaternion factor. The input is symmetrized to (K + K^H)/2 first;
+    a defect beyond 1e-12 (relative Frobenius) is reported with a warning
+    rather than an error, since measurement noise routinely lands just
+    outside exact symmetry.
+
+    One dense Hermitian solve of the complex adjoint: its eigenvalues are
+    those of K, each twice, and any unit column [u1; u2] of the top
+    eigenspace pulls back to the quaternion eigenvector u1 - conj(u2) j.
     """
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ShapeMismatch("dominant_eigpair needs a square matrix")
     defect = k.hermitian_defect()
-    if defect > hermitian_tol:
+    if defect > _DEFECT_TOL:
         warnings.warn(
-            f"hermitian defect {defect:.3e} exceeds {hermitian_tol:.1e}; "
+            f"hermitian defect {defect:.3e} exceeds {_DEFECT_TOL:.1e}; "
             "input symmetrized",
             HermitianDefectWarning,
             stacklevel=2,
         )
     ks = (k + k.H) / 2
-    res = qsvd(ks)
-    lam = float(res.singular_values[0])
-    u = QuaternionMatrix(res.u.a[:, 0], res.u.b[:, 0])
-    return lam, u
+    w, v = np.linalg.eigh(complex_adjoint(ks))
+    m = k.shape[0]
+    top = v[:, -1]
+    return float(w[-1]), QuaternionMatrix(top[:m], -np.conj(top[m:]))
 
 
 def vdot(u: QuaternionMatrix, v: QuaternionMatrix) -> Quaternion:

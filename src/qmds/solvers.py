@@ -7,9 +7,9 @@ diagnostics dict):
   inverts the incidence relation with the anchors pinned, and aligns the
   result to the anchors with a similarity Procrustes fit.
 * `qd_smds` does the same through the rank-1 quaternion kernel: the dominant
-  singular pair gives the quaternion edge vector up to a right unit-
-  quaternion factor, which is resolved against the known anchor-anchor
-  edges before the real, i, and j components are read off as coordinates.
+  eigenpair gives the quaternion edge vector up to a right unit-quaternion
+  factor, which is resolved against the known anchor-anchor edges before
+  the real, i, and j components are read off as coordinates.
 * `qd_mrc_smds` is closed-form: the cross block of the quaternion kernel,
   combined with the known anchor edge vector, estimates the anchor-target
   edges directly, and averaging over the anchors yields target coordinates
@@ -176,7 +176,7 @@ def resolve_edge_ambiguity(
 ) -> tuple[QuaternionMatrix, dict]:
     """Fix the right unit-quaternion factor of an estimated edge vector.
 
-    A singular vector is defined only up to a right unit-quaternion factor.
+    An eigenvector is defined only up to a right unit-quaternion factor.
     The factor g minimizing the misfit of the anchor-anchor entries against
     their known values is the normalized sum of conj(nu_hat_m) * nu_m over
     those entries; the whole vector is right-multiplied by it.
@@ -272,7 +272,6 @@ def _mrc_core(
     aa_energy = nu_aa.norm() ** 2
     if aa_energy == 0:
         raise ZeroAnchorEdges("anchor-anchor edges are all zero length")
-    chi_a = embed_r3(anchors)
 
     k2h_nu = k2.H @ nu_aa
     nu_at = k2h_nu / aa_energy
@@ -288,8 +287,10 @@ def _mrc_core(
             trajectory.append(nu_at)
 
     def targets_from(nu: QuaternionMatrix) -> np.ndarray:
-        chi_t = (structure.b_at.T / n_a) @ (structure.b_aa @ chi_a - nu)
-        return r3_components(chi_t)
+        # Edge i * n_t + t runs from anchor i to target t; each anchor
+        # gives one estimate of the target, and they are averaged.
+        edges = r3_components(nu).reshape(n_a, n_t, 3)
+        return (anchors[:, None, :] - edges).mean(axis=0)
 
     diag: dict = {"tau": tau_max, "nu_residuals": residuals}
     if trajectory is not None:

@@ -3,15 +3,11 @@ import pytest
 
 from qmds.errors import AsymmetricMask, DimensionMismatch, ShapeMismatch
 from qmds.gek import (
-    QuatGek,
-    RealGek,
     apply_mask,
     build_quat_gek,
     build_real_gek,
     extract_blocks,
-    load_gek,
     quat_gek_from_measurements,
-    save_gek,
 )
 from qmds.measurement import MeasurementSet, NoiseConfig, missing_mask, synthesize
 from qmds.network import NetworkGeometry, true_parameters
@@ -208,48 +204,3 @@ def test_asymmetric_mask_rejected():
     with pytest.raises(AsymmetricMask):
         apply_mask(gek, hole)
 
-
-# ---- serialization ----
-
-
-@pytest.mark.parametrize("masked", [False, True])
-def test_real_kernel_roundtrip(tmp_path, masked):
-    rng = np.random.default_rng(105)
-    _, ms = exact_measurements(rng, "I", 3, 4)
-    gek = build_real_gek(ms)
-    if masked:
-        gek = apply_mask(gek, missing_mask(gek.m, 0.25, rng))
-    path = tmp_path / "kernel.bin"
-    save_gek(path, gek)
-    back = load_gek(path)
-    assert isinstance(back, RealGek)
-    assert np.array_equal(back.k, gek.k)
-    if masked:
-        np.testing.assert_array_equal(back.mask, gek.mask)
-    else:
-        assert back.mask is None
-
-
-@pytest.mark.parametrize("masked", [False, True])
-def test_quat_kernel_roundtrip(tmp_path, masked):
-    rng = np.random.default_rng(106)
-    params = true_parameters(geometry(rng, 3, 4))
-    ms = synthesize(params, NoiseConfig(1.0, 30.0), "II", rng)
-    gek = quat_gek_from_measurements(ms)
-    if masked:
-        gek = apply_mask(gek, missing_mask(gek.m, 0.25, rng))
-    path = tmp_path / "kernel.bin"
-    save_gek(path, gek)
-    back = load_gek(path)
-    assert isinstance(back, QuatGek)
-    assert np.array_equal(back.k.a, gek.k.a)
-    assert np.array_equal(back.k.b, gek.k.b)
-    if masked:
-        np.testing.assert_array_equal(back.mask, gek.mask)
-
-
-def test_load_rejects_other_files(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ShapeMismatch):
-        load_gek(path)

@@ -70,7 +70,6 @@ def test_default_config_is_paper_setup():
         dict(sigma_d_grid=()),
         dict(tau_max=-1),
         dict(timing="cpu"),
-        dict(workers=0),
         dict(n_targets=0),
         dict(master_seed=-3),
     ],
@@ -200,16 +199,6 @@ def test_grid_mean_matches_trials():
     xis = [run_trial(cfg, "II", "qdsmds", 1.5, 20.0, t).xi for t in range(5)]
     assert rows[0]["mean_xi_m"] == pytest.approx(np.mean(xis), abs=1e-12)
     assert rows[0]["std_xi_m"] == pytest.approx(np.std(xis, ddof=1), abs=1e-12)
-
-
-def test_grid_threaded_matches_serial():
-    base = dict(
-        scenarios=("II",), algorithms=("qdsmds", "mrc"),
-        sigma_d_grid=(1.0,), epsilon_grid=(30.0,), trials=6, n_targets=6,
-    )
-    serial = run_grid(ExperimentConfig(**base))
-    threaded = run_grid(ExperimentConfig(**base, workers=4))
-    assert serial == threaded
 
 
 def test_single_trial_std_is_zero():

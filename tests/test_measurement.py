@@ -5,7 +5,6 @@ from scipy.stats import kstest
 from qmds.errors import DegenerateEdge, NonPositiveDistance, OutOfRange
 from qmds.measurement import (
     EPSILON_LIMIT_DEG,
-    MeasurementSet,
     NoiseConfig,
     epsilon_to_rho,
     missing_mask,
@@ -219,13 +218,3 @@ def test_mask_hides_exact_count():
 def test_mask_fraction_bounds():
     with pytest.raises(OutOfRange):
         missing_mask(10, 1.0, np.random.default_rng(87))
-
-
-def test_mask_attaches_to_measurements():
-    rng = np.random.default_rng(88)
-    ms = synthesize(sample_params(rng), NoiseConfig(), "I", rng)
-    mask = missing_mask(ms.m, 0.2, rng)
-    masked = ms.with_mask(mask)
-    assert isinstance(masked, MeasurementSet)
-    np.testing.assert_array_equal(masked.mask, mask)
-    assert ms.mask is None

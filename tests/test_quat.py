@@ -10,8 +10,6 @@ from qmds.quat import (
     QsvdResult,
     Quaternion,
     QuaternionMatrix,
-    cayley_dickson_merge,
-    cayley_dickson_split,
     complex_adjoint,
     dominant_eigpair,
     qsvd,
@@ -107,31 +105,18 @@ def test_real_scalars_commute(q, a):
 
 
 def test_split_single_entry():
+    # q = A + B j with A = w + x i and B = y + z i
     q = QuaternionMatrix.from_components([[1.0]], [[2.0]], [[3.0]], [[4.0]])
-    a, b = cayley_dickson_split(q)
-    assert a[0, 0] == 1 + 2j
-    assert b[0, 0] == 3 + 4j
+    assert q.a[0, 0] == 1 + 2j
+    assert q.b[0, 0] == 3 + 4j
 
 
 def test_split_real_matrix():
-    q = QuaternionMatrix.from_real([[1.0, -2.0], [0.5, 3.0]])
-    a, b = cayley_dickson_split(q)
-    np.testing.assert_array_equal(b, np.zeros((2, 2)))
-    np.testing.assert_array_equal(a.imag, np.zeros((2, 2)))
-
-
-def test_split_merge_roundtrip():
-    rng = np.random.default_rng(7)
-    q = rand_qm(rng, 4, 4)
-    back = cayley_dickson_merge(*cayley_dickson_split(q))
-    assert q.allclose(back, atol=0)
-
-
-def test_mutating_split_output_leaves_matrix_intact():
-    q = QuaternionMatrix.from_real([[1.0]])
-    a, _ = cayley_dickson_split(q)
-    a[0, 0] = 99
-    assert q[0, 0].isclose(ONE)
+    r = [[1.0, -2.0], [0.5, 3.0]]
+    q = QuaternionMatrix.from_real(r)
+    np.testing.assert_array_equal(q.b, np.zeros((2, 2)))
+    np.testing.assert_array_equal(q.a.real, r)
+    np.testing.assert_array_equal(q.a.imag, np.zeros((2, 2)))
 
 
 def test_backing_arrays_read_only():
@@ -317,15 +302,13 @@ def test_qsvd_factor_columns_unit_norm():
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
 
-def test_qsvd_rectangular_diag_shape():
-    rng = np.random.default_rng(35)
-    res = qsvd(rand_qm(rng, 4, 6))
-    d = res.rectangular_diag
-    assert d.shape == (4, 6)
-    np.testing.assert_allclose(np.diag(d), res.singular_values)
-
-
 # ---- dominant Hermitian pair ----
+
+
+def eigen_residual(k, lam, u):
+    """||K u - u lambda|| for a quaternion vector u and real lambda."""
+    ucol = QuaternionMatrix(u.a[:, None], u.b[:, None])
+    return (k @ ucol - ucol * lam).norm()
 
 
 def test_dominant_eigpair_rank_one():
@@ -336,9 +319,7 @@ def test_dominant_eigpair_rank_one():
     lam, u = dominant_eigpair(k)
     assert lam == pytest.approx(nu.norm() ** 2, rel=1e-12)
     # u is nu up to a right unit-quaternion factor: check the eigen relation
-    ku = k @ QuaternionMatrix(u.a[:, None], u.b[:, None])
-    err = (ku - QuaternionMatrix(u.a[:, None] * lam, u.b[:, None] * lam)).norm()
-    assert err <= 1e-10 * lam
+    assert eigen_residual(k, lam, u) <= 1e-10 * lam
 
 
 def test_dominant_eigpair_zero_matrix():
@@ -347,9 +328,14 @@ def test_dominant_eigpair_zero_matrix():
 
 
 def test_dominant_eigpair_diagonal():
-    lam, u = dominant_eigpair(QuaternionMatrix.from_real(np.diag([4.0, 1.0])))
-    assert lam == pytest.approx(4.0)
-    np.testing.assert_allclose(u.entry_norms(), [1.0, 0.0], atol=1e-12)
+    # The largest eigenvalue, not the largest in magnitude: diag(1, -4)
+    # has singular value 4 but top eigenvalue 1.
+    for diag, top in (([4.0, 1.0], 4.0), ([1.0, -4.0], 1.0)):
+        k = QuaternionMatrix.from_real(np.diag(diag))
+        lam, u = dominant_eigpair(k)
+        assert lam == pytest.approx(top), diag
+        np.testing.assert_allclose(u.entry_norms(), [1.0, 0.0], atol=1e-12)
+        assert eigen_residual(k, lam, u) <= 1e-12, diag
 
 
 def test_dominant_eigpair_residual_on_gram_matrices():
@@ -358,9 +344,7 @@ def test_dominant_eigpair_residual_on_gram_matrices():
         q = rand_qm(rng, 6, 6)
         k = q @ q.H
         lam, u = dominant_eigpair(k)
-        ucol = QuaternionMatrix(u.a[:, None], u.b[:, None])
-        resid = (k @ ucol - QuaternionMatrix(ucol.a * lam, ucol.b * lam)).norm()
-        assert resid <= 1e-8 * k.norm()
+        assert eigen_residual(k, lam, u) <= 1e-8 * k.norm()
         assert abs(u.norm() - 1.0) <= 1e-12
 
 
