@@ -7,16 +7,20 @@ position error xi = ||X_hat - X||_F / N_T into CSV rows.
 Determinism is the core contract. Each trial's random streams derive from
 SeedSequence((master_seed, scenario code, round(sigma*1e6), round(eps*1e6),
 trial index)), spawned into separate geometry / measurement / mask children.
-The algorithm never enters the key, so every algorithm in a cell sees the
-identical geometry and measurement set and comparisons across algorithms are
-paired. Trials run one after another in key order and draw only from their
-own streams, so the emitted CSV is byte-identical for a fixed config and
-seed. Wall-clock timing is off by default because its column is the one
-nondeterministic quantity.
+The algorithm never enters the key: one trial instance per key holds the
+geometry, measurements, mask, kernels and the smds estimate, each built
+once, and every algorithm in the cell solves that same instance, so
+comparisons across algorithms are paired by construction. An instance draws
+only from its own streams, so neither the order trials are evaluated in nor
+the order rows are emitted in changes a value, and the CSV is byte-identical
+for a fixed config and seed. Wall-clock timing is off by default because
+its column is the one nondeterministic quantity.
 
-A failed trial (any library error on a solvable-looking instance, e.g. a
-rank-collapsed kernel at extreme noise) is counted, excluded from the means,
-and reported in the trials_failed column.
+A failed trial (any library or LAPACK error on a solvable-looking instance,
+e.g. a rank-collapsed kernel at extreme noise, a geometry draw that finds no
+generic placement, or a non-finite estimate) is counted, excluded from the
+means, and reported in the trials_failed column. When a piece shared by
+several algorithms fails, each of them records the same error.
 """
 
 from __future__ import annotations
@@ -49,10 +53,9 @@ from .network import (
 )
 from .solvers import (
     Estimate,
-    qd_mrc_smds,
+    _quat_solve,
+    _stage_two_kernel,
     qd_mrc_smds_iterative,
-    qd_smds,
-    scenario_one_pipeline,
     smds,
 )
 
@@ -221,7 +224,10 @@ class TrialResult:
     `iterations` counts whatever sweeps the solve path actually ran:
     completion sweeps when a mask was in play plus refinement sweeps for the
     iterative solver; the direct solvers report 0. `wall_ms` is None unless
-    timing was enabled. A failed trial carries the error text and a NaN xi.
+    timing was enabled; it covers every stage on the algorithm's own path
+    (kernel build, completion, Scenario I stage one, solve), and a stage
+    shared with other algorithms counts its one timing in full for each.
+    A failed trial carries the error text and a NaN xi.
     """
 
     scenario: str
@@ -252,30 +258,6 @@ def metric_xi(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     return float(np.linalg.norm(x_hat - x_true) / x_true.shape[0])
 
 
-def _trial_streams(
-    config: ExperimentConfig,
-    scenario: str,
-    sigma_d: float,
-    epsilon: float,
-    trial_index: int,
-) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
-    ss = np.random.SeedSequence(
-        (
-            config.master_seed,
-            _SCENARIO_CODE[scenario],
-            int(round(sigma_d * 1e6)),
-            int(round(epsilon * 1e6)),
-            trial_index,
-        )
-    )
-    geometry, measurement, mask = ss.spawn(3)
-    return (
-        np.random.default_rng(geometry),
-        np.random.default_rng(measurement),
-        np.random.default_rng(mask),
-    )
-
-
 def _sample_geometry(config: ExperimentConfig, rng: np.random.Generator):
     """Draw target positions, redrawing while any anchor-target edge is
     degenerate. Fixed anchor edges may stay axis-parallel; only edges the
@@ -294,41 +276,117 @@ def _sample_geometry(config: ExperimentConfig, rng: np.random.Generator):
     )
 
 
-def _solve(
-    ms,
-    mask,
-    anchors: np.ndarray,
-    structure: StructureMatrices,
-    algorithm: str,
-    tau_max: int,
-) -> tuple[Estimate, int]:
-    """Run one algorithm against one measurement set; returns the estimate
-    and the iteration count described on TrialResult."""
-    iterations = 0
-    if ms.scenario == "I":
-        if algorithm == "smds":
-            est = smds(build_real_gek(ms), anchors, structure)
+def _structure(config: ExperimentConfig) -> StructureMatrices:
+    return structure_matrices(edge_set(len(config.anchors), config.n_targets))
+
+
+# Errors a trial records as its failure instead of raising.
+_TRIAL_ERRORS = (QmdsError, np.linalg.LinAlgError)
+
+
+def _real_kernel(ms, mask):
+    """Real kernel of `ms`, completed when masked, and its sweep count."""
+    kr = build_real_gek(ms)
+    if mask is None:
+        return kr, 0
+    kr, res = complete_real_gek(apply_mask(kr, mask))
+    return kr, res.iterations
+
+
+def _quat_kernel(ms, mask):
+    """Quaternion kernel of `ms`, completed when masked, and its sweep count."""
+    kq = quat_gek_from_measurements(ms)
+    if mask is None:
+        return kq, 0
+    kq, info = complete_quat_gek(apply_mask(kq, mask))
+    return kq, int(info["iterations"])
+
+
+class _Instance:
+    """One seed key's trial, which every algorithm run on it shares.
+
+    Each piece (drawn data, kernel, smds estimate, quaternion solve) is built
+    on first use and kept, or its error is kept and raised again to every
+    later user. A piece's inputs are fetched before its clock starts, so
+    `_ms` holds each build's own wall time.
+    """
+
+    def __init__(self, config, scenario, sigma_d, epsilon, trial_index, structure):
+        self.config, self.structure = config, structure
+        self.key = (scenario, sigma_d, epsilon, trial_index)
+        self._built: dict[str, object] = {}  # name -> value or its error
+        self._ms: dict[str, float] = {}
+
+    def _piece(self, name: str, build, *inputs):
+        if name not in self._built:
+            started = time.perf_counter()
+            try:
+                self._built[name] = build(*inputs)
+            except _TRIAL_ERRORS as exc:
+                self._built[name] = exc
+            self._ms[name] = (time.perf_counter() - started) * 1e3
+        value = self._built[name]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    def data(self):
+        """Geometry, measurement set and mask (None when nothing is hidden)."""
+        return self._piece("data", self._draw)
+
+    def _draw(self):
+        scenario, sigma_d, epsilon, trial_index = self.key
+        ss = np.random.SeedSequence((
+            self.config.master_seed, _SCENARIO_CODE[scenario],
+            int(round(sigma_d * 1e6)), int(round(epsilon * 1e6)), trial_index,
+        ))
+        geo_rng, meas_rng, mask_rng = map(np.random.default_rng, ss.spawn(3))
+        geometry, params = _sample_geometry(self.config, geo_rng)
+        noise = NoiseConfig(sigma_d=sigma_d, epsilon_deg=epsilon)
+        ms = synthesize(params, noise, scenario, meas_rng)
+        fraction = self.config.missing_fraction
+        mask = missing_mask(ms.m, fraction, mask_rng) if fraction > 0 else None
+        return geometry, ms, mask
+
+    def _estimate(self, algorithm: str) -> tuple[Estimate, int, tuple[str, ...]]:
+        """The algorithm's estimate, its completion sweeps, and the names of
+        the timed pieces on its path. Scenario I solves the quaternion
+        algorithms on the stage-two kernel built from the smds fix."""
+        geometry, ms, mask = self.data()
+        anchors = geometry.anchors
+        if algorithm == "smds" or self.key[0] == "I":
+            kr, sweeps = self._piece("real", _real_kernel, ms, mask)
+            est = self._piece("smds", smds, kr, anchors, self.structure)
+            if algorithm == "smds":
+                return est, sweeps, ("real", "smds")
+            kq = self._piece("quat", _stage_two_kernel, ms, anchors, est.targets)
+            path: tuple[str, ...] = ("real", "smds", "quat", algorithm)
         else:
-            est = scenario_one_pipeline(ms, anchors, structure, algorithm, tau_max)
-    elif algorithm == "smds":
-        kr = build_real_gek(ms)
-        if mask is not None:
-            kr, res = complete_real_gek(apply_mask(kr, mask))
-            iterations += res.iterations
-        est = smds(kr, anchors, structure)
-    else:
-        kq = quat_gek_from_measurements(ms)
-        if mask is not None:
-            kq, info = complete_quat_gek(apply_mask(kq, mask))
-            iterations += int(info["iterations"])
-        if algorithm == "qdsmds":
-            est = qd_smds(kq, anchors, structure)
-        elif algorithm == "mrc":
-            est = qd_mrc_smds(kq, anchors, structure)
-        else:
-            est = qd_mrc_smds_iterative(kq, anchors, structure, tau_max=tau_max)
-    iterations += int(est.diagnostics.get("tau", 0))
-    return est, iterations
+            kq, sweeps = self._piece("quat", _quat_kernel, ms, mask)
+            path = ("quat", algorithm)
+        est = self._piece(algorithm, _quat_solve, kq, anchors, self.structure,
+                          algorithm, self.config.tau_max)
+        return est, sweeps, path
+
+    def run(self, algorithm: str) -> TrialResult:
+        scenario, sigma_d, epsilon, trial_index = self.key
+        try:
+            est, sweeps, path = self._estimate(algorithm)
+            xi = metric_xi(est.targets, self.data()[0].targets)
+            if not np.isfinite(xi):
+                raise OutOfRange(f"estimate is not finite: xi = {xi}")
+        except _TRIAL_ERRORS as exc:
+            return TrialResult(
+                scenario, algorithm, sigma_d, epsilon, trial_index,
+                xi=float("nan"), iterations=0,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+        timed = self.config.timing == "wall"
+        return TrialResult(
+            scenario, algorithm, sigma_d, epsilon, trial_index, xi=xi,
+            iterations=sweeps + int(est.diagnostics.get("tau", 0)),
+            wall_ms=sum(self._ms[name] for name in path) if timed else None,
+        )
 
 
 def run_trial(
@@ -344,41 +402,12 @@ def run_trial(
 
     The seed key excludes the algorithm, so calling this for several
     algorithms at the same (scenario, sigma_d, epsilon, trial_index) replays
-    the identical geometry, measurement set, and mask.
+    the identical geometry, measurement set, and mask, and gives the same
+    result that `run_grid` records for that trial.
     """
-    if structure is None:
-        structure = structure_matrices(
-            edge_set(len(config.anchors), config.n_targets)
-        )
-    geo_rng, meas_rng, mask_rng = _trial_streams(
-        config, scenario, sigma_d, epsilon, trial_index
-    )
-    geometry, params = _sample_geometry(config, geo_rng)
-    noise = NoiseConfig(sigma_d=sigma_d, epsilon_deg=epsilon)
-
-    try:
-        ms = synthesize(params, noise, scenario, meas_rng)
-        mask = None
-        if config.missing_fraction > 0:
-            mask = missing_mask(ms.m, config.missing_fraction, mask_rng)
-        started = time.perf_counter() if config.timing == "wall" else None
-        est, iterations = _solve(
-            ms, mask, geometry.anchors, structure, algorithm, config.tau_max
-        )
-        wall_ms = None
-        if started is not None:
-            wall_ms = (time.perf_counter() - started) * 1e3
-        xi = metric_xi(est.targets, geometry.targets)
-    except QmdsError as exc:
-        return TrialResult(
-            scenario, algorithm, sigma_d, epsilon, trial_index,
-            xi=float("nan"), iterations=0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    return TrialResult(
-        scenario, algorithm, sigma_d, epsilon, trial_index,
-        xi=xi, iterations=iterations, wall_ms=wall_ms,
-    )
+    structure = _structure(config) if structure is None else structure
+    instance = _Instance(config, scenario, sigma_d, epsilon, trial_index, structure)
+    return instance.run(algorithm)
 
 
 def _aggregate_cell(
@@ -408,31 +437,36 @@ def _aggregate_cell(
         row["mean_xi_m"] = None
         row["std_xi_m"] = None
         row["mean_iterations"] = None
-    if config.timing == "wall" and good:
-        row["mean_wall_ms"] = float(np.mean([r.wall_ms for r in good]))
-    else:
-        row["mean_wall_ms"] = None
+    timed = config.timing == "wall" and good
+    row["mean_wall_ms"] = float(np.mean([r.wall_ms for r in good])) if timed else None
     return row
 
 
 def run_grid(config: ExperimentConfig) -> list[dict[str, object]]:
     """Run every grid cell and return one aggregated row per cell.
 
-    Cells iterate in (scenario, algorithm, sigma_d, epsilon) order as given
-    by the config, and each cell runs its trials in index order.
+    Trials run in (scenario, sigma_d, epsilon, trial) order, each seed key's
+    instance built once and solved by every configured algorithm. Rows come
+    out in (scenario, algorithm, sigma_d, epsilon) order as given by the
+    config. Instances draw only from their own seed streams, so neither
+    order changes a value.
     """
-    structure = structure_matrices(
-        edge_set(len(config.anchors), config.n_targets)
-    )
-    rows = []
-    for cell in product(config.scenarios, config.algorithms,
-                        config.sigma_d_grid, config.epsilon_grid):
-        results = [
-            run_trial(config, *cell, t, structure=structure)
-            for t in range(config.trials)
-        ]
-        rows.append(_aggregate_cell(config, *cell, results))
-    return rows
+    structure = _structure(config)
+    rows = {}
+    for scenario, sigma_d, epsilon in dict.fromkeys(
+        product(config.scenarios, config.sigma_d_grid, config.epsilon_grid)
+    ):
+        results: dict[str, list[TrialResult]] = {a: [] for a in config.algorithms}
+        for t in range(config.trials):
+            instance = _Instance(config, scenario, sigma_d, epsilon, t, structure)
+            for algorithm, trials in results.items():
+                trials.append(instance.run(algorithm))
+        for algorithm, trials in results.items():
+            rows[scenario, algorithm, sigma_d, epsilon] = _aggregate_cell(
+                config, scenario, algorithm, sigma_d, epsilon, trials
+            )
+    return [rows[cell] for cell in product(config.scenarios, config.algorithms,
+                                           config.sigma_d_grid, config.epsilon_grid)]
 
 
 def run_convergence(
@@ -443,38 +477,33 @@ def run_convergence(
 
     Runs scenario II trials on the config's grid, recording xi after every
     sweep 0..tau_max of a single solve per trial (one pass records the whole
-    trajectory). Returns one row per (sigma_d, epsilon, tau).
+    trajectory). The solve reads the unmasked measured kernel. Returns one
+    row per (sigma_d, epsilon, tau).
     """
     if tau_max is None:
         tau_max = config.tau_max
     if tau_max < 0:
         raise OutOfRange("tau_max must be nonnegative")
-    structure = structure_matrices(
-        edge_set(len(config.anchors), config.n_targets)
-    )
-    anchors = config.anchor_array
+    structure = _structure(config)
     rows: list[dict[str, object]] = []
     for sigma_d in config.sigma_d_grid:
         for epsilon in config.epsilon_grid:
             per_tau = np.zeros((config.trials, tau_max + 1))
             ok = np.zeros(config.trials, dtype=bool)
             for t in range(config.trials):
-                geo_rng, meas_rng, _ = _trial_streams(
-                    config, "II", sigma_d, epsilon, t
-                )
-                geometry, params = _sample_geometry(config, geo_rng)
-                noise = NoiseConfig(sigma_d=sigma_d, epsilon_deg=epsilon)
+                instance = _Instance(config, "II", sigma_d, epsilon, t, structure)
                 try:
-                    ms = synthesize(params, noise, "II", meas_rng)
+                    geometry, ms, _ = instance.data()
                     est = qd_mrc_smds_iterative(
-                        quat_gek_from_measurements(ms), anchors, structure,
-                        tau_max=tau_max, record_trajectory=True,
+                        quat_gek_from_measurements(ms), geometry.anchors,
+                        structure, tau_max=tau_max, record_trajectory=True,
                     )
-                except QmdsError:
+                    xis = [metric_xi(targets, geometry.targets)
+                           for targets in est.diagnostics["trajectory"]]
+                except _TRIAL_ERRORS:
                     continue
-                ok[t] = True
-                for tau, targets in enumerate(est.diagnostics["trajectory"]):
-                    per_tau[t, tau] = metric_xi(targets, geometry.targets)
+                ok[t] = np.isfinite(xis).all()
+                per_tau[t] = xis
             n_ok = int(ok.sum())
             for tau in range(tau_max + 1):
                 rows.append({

@@ -318,7 +318,35 @@ def qd_mrc_smds_iterative(
     return _mrc_core(kq, anchors, structure, tau_max, record_trajectory)
 
 
+def _quat_solve(
+    kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices,
+    algorithm: str, tau_max: int,
+) -> Estimate:
+    """Run the quaternion-domain solver named `algorithm`: qdsmds, mrc or
+    mrciter, the codes the harness uses."""
+    if algorithm == "qdsmds":
+        return qd_smds(kq, anchors, structure)
+    if algorithm == "mrc":
+        return qd_mrc_smds(kq, anchors, structure)
+    if algorithm == "mrciter":
+        return qd_mrc_smds_iterative(kq, anchors, structure, tau_max)
+    raise ShapeMismatch(f"unknown quaternion-domain algorithm {algorithm!r}")
+
+
 # ---- Scenario I ----
+
+
+def _stage_two_kernel(
+    ms: MeasurementSet, anchors: np.ndarray, targets: np.ndarray
+) -> QuatGek:
+    """Scenario I quaternion kernel: measured lengths and pair angles, with
+    azimuths and elevations taken from the stage-one fix `targets`."""
+    est = true_parameters(NetworkGeometry(anchors, targets))
+    d = ms.distances
+    plane = tuple(d * np.sin(t) for t in (est.theta_z, est.theta_y, est.theta_x))
+    return build_quat_gek(
+        d, ms.adoa, (est.phi_xy, est.phi_xz, est.phi_yz), plane, mask=ms.mask
+    )
 
 
 def scenario_one_pipeline(
@@ -335,31 +363,14 @@ def scenario_one_pipeline(
     azimuths and elevations come from the estimated edge vectors, plane
     lengths from the measured distances scaled by the estimated elevations,
     and the quaternion kernel built from that mix feeds the requested
-    quaternion-domain solver.
+    quaternion-domain solver. The stage-two kernel comes from the private
+    `_stage_two_kernel`, which the Monte-Carlo harness also calls so that
+    one stage-one fix serves every quaternion solver of a trial.
     """
     if ms.has_angles:
         raise ShapeMismatch("pipeline expects a distance-and-pair-angle set")
     anchors = np.asarray(anchors, dtype=float)
     stage1 = smds(build_real_gek(ms), anchors, structure)
-
-    est_geometry = NetworkGeometry(anchors, stage1.targets)
-    est = true_parameters(est_geometry)
-    d = ms.distances
-    plane = (
-        d * np.sin(est.theta_z),
-        d * np.sin(est.theta_y),
-        d * np.sin(est.theta_x),
-    )
-    kq = build_quat_gek(
-        d, ms.adoa, (est.phi_xy, est.phi_xz, est.phi_yz), plane, mask=ms.mask
-    )
-
-    if algorithm == "qdsmds":
-        final = qd_smds(kq, anchors, structure)
-    elif algorithm == "mrc":
-        final = qd_mrc_smds(kq, anchors, structure)
-    elif algorithm == "mrciter":
-        final = qd_mrc_smds_iterative(kq, anchors, structure, tau_max)
-    else:
-        raise ShapeMismatch(f"unknown quaternion-domain algorithm {algorithm!r}")
+    kq = _stage_two_kernel(ms, anchors, stage1.targets)
+    final = _quat_solve(kq, anchors, structure, algorithm, tau_max)
     return Estimate(final.targets, {**final.diagnostics, "stage1": stage1})

@@ -72,6 +72,18 @@ def test_bad_grid_value_fails_cleanly(tmp_path, capsys):
     assert "qmds:" in capsys.readouterr().err
 
 
+def test_room_without_generic_placement_still_writes_csv(tmp_path):
+    # No target draw in a 1e-13 m footprint is generic: every trial fails,
+    # and the run still exits 0 with a full CSV.
+    cfg = tmp_path / "room.json"
+    cfg.write_text(json.dumps({"room": [1e-13, 1e-13, 10]}))
+    code, out = run_args(tmp_path, "--config", str(cfg))
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 8
+    assert all(row[5:8] == ["0", "2", ""] for row in rows)
+
+
 def test_unknown_config_key_fails(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"trails": 5}))

@@ -1,10 +1,14 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from qmds.errors import DegenerateAnchors, OutOfRange, ShapeMismatch
+from qmds import harness
+from qmds.errors import DegenerateAnchors, OutOfRange, RankDeficient, ShapeMismatch
 from qmds.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
+    _aggregate_cell,
     config_from_mapping,
     metric_xi,
     run_convergence,
@@ -12,6 +16,7 @@ from qmds.harness import (
     run_trial,
     write_csv,
 )
+from qmds.solvers import Estimate
 
 SMALL = dict(n_targets=6, trials=4)
 
@@ -276,3 +281,144 @@ def test_convergence_stabilizes():
     rows = run_convergence(cfg, tau_max=5)
     late = [r["mean_xi_m"] for r in rows if r["tau"] >= 3]
     assert max(late) - min(late) < 0.05 * max(late)
+
+
+# ---- shared trial instance ----
+
+
+PAIRED_GRIDS = [
+    dict(scenarios=("I", "II"), sigma_d_grid=(1.0, 3.0),
+         epsilon_grid=(10.0, 50.0), trials=3, master_seed=11),
+    dict(scenarios=("II",), missing_fraction=0.3, sigma_d_grid=(2.0,),
+         epsilon_grid=(50.0,), trials=2, master_seed=5),
+]
+
+
+@pytest.mark.parametrize("grid", PAIRED_GRIDS, ids=["direct", "masked"])
+def test_grid_rows_equal_per_algorithm_trials(grid):
+    # Pairing is structural: the shared instance gives every algorithm the
+    # same result that a one-algorithm instance gives, bit for bit.
+    cfg = small_config(**grid)
+    expected = []
+    for cell in product(cfg.scenarios, cfg.algorithms, cfg.sigma_d_grid,
+                        cfg.epsilon_grid):
+        trials = [run_trial(cfg, *cell, t) for t in range(cfg.trials)]
+        expected.append(_aggregate_cell(cfg, *cell, trials))
+    assert run_grid(cfg) == expected
+
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(harness, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, wrapper)
+    return calls
+
+
+def test_grid_builds_each_piece_once_per_instance(monkeypatch):
+    names = ("synthesize", "smds", "complete_real_gek", "complete_quat_gek")
+    calls = {name: counting(monkeypatch, name) for name in names}
+    # Scenario I: the smds estimate is both the smds result and stage one of
+    # all three quaternion solvers.
+    run_grid(small_config(sigma_d_grid=(1.0, 2.0), epsilon_grid=(30.0,),
+                          trials=3))
+    assert len(calls["synthesize"]) == 2 * 2 * 3
+    assert len(calls["smds"]) == 2 * 2 * 3
+    assert not calls["complete_real_gek"] and not calls["complete_quat_gek"]
+    for found in calls.values():
+        found.clear()
+    run_grid(small_config(scenarios=("II",), missing_fraction=0.3,
+                          sigma_d_grid=(2.0,), epsilon_grid=(50.0,), trials=2))
+    assert {name: len(found) for name, found in calls.items()} == dict.fromkeys(
+        names, 2)
+
+
+def test_shared_piece_failure_fails_each_user_alike(monkeypatch):
+    calls = []
+
+    def broken(kq):
+        calls.append(kq)
+        raise RankDeficient("completion collapsed")
+
+    monkeypatch.setattr(harness, "complete_quat_gek", broken)
+    cfg = small_config(scenarios=("II",), missing_fraction=0.3,
+                       sigma_d_grid=(2.0,), epsilon_grid=(50.0,), trials=2)
+    rows = run_grid(cfg)
+    assert [(r["algorithm"], r["trials_failed"]) for r in rows] == [
+        ("smds", 0), ("qdsmds", 2), ("mrc", 2), ("mrciter", 2)
+    ]
+    assert len(calls) == 2  # one attempt per instance, its error kept
+    instance = harness._Instance(cfg, "II", 2.0, 50.0, 0, harness._structure(cfg))
+    results = {a: instance.run(a) for a in cfg.algorithms}
+    assert results["smds"].ok
+    errors = {results[a].error for a in ("qdsmds", "mrc", "mrciter")}
+    assert errors == {"RankDeficient: completion collapsed"}
+    # the text a one-algorithm trial records alone
+    assert errors == {run_trial(cfg, "II", "mrc", 2.0, 50.0, 0).error}
+
+
+def test_wall_time_adds_shared_stages():
+    # In Scenario I every quaternion path contains the smds path (real
+    # kernel and stage one), timed once and counted in full for each.
+    cfg = small_config(timing="wall")
+    instance = harness._Instance(cfg, "I", 1.0, 30.0, 0, harness._structure(cfg))
+    results = {a: instance.run(a) for a in cfg.algorithms}
+    for algorithm in ("qdsmds", "mrc", "mrciter"):
+        assert results[algorithm].wall_ms > results["smds"].wall_ms > 0
+
+
+# ---- failures stay inside the trial ----
+
+
+DEGENERATE_ROOM = dict(room=(1e-13, 1e-13, 10.0), sigma_d_grid=(1.0,),
+                       epsilon_grid=(10.0,), trials=2)
+
+
+def test_geometry_failure_fails_the_cell_not_the_grid():
+    cfg = small_config(**DEGENERATE_ROOM)
+    rows = run_grid(cfg)
+    assert len(rows) == 8
+    assert all((r["trials_ok"], r["trials_failed"]) == (0, 2) for r in rows)
+    assert all(r["mean_xi_m"] is None for r in rows)
+    res = run_trial(cfg, "II", "mrc", 1.0, 10.0, 0)
+    assert res.error.startswith("DegenerateEdge: no generic target placement")
+    conv = run_convergence(cfg, tau_max=2)
+    assert all((r["trials_ok"], r["trials_failed"]) == (0, 2) for r in conv)
+
+
+def nan_estimate(kr, anchors, structure):
+    return Estimate(np.full((structure.n_targets, 3), np.nan), {})
+
+
+def singular(kr, anchors, structure):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("solver, error", [
+    (nan_estimate, "OutOfRange: estimate is not finite: xi = nan"),
+    (singular, "LinAlgError: Eigenvalues did not converge"),
+], ids=["nan", "linalg"])
+def test_bad_solver_output_is_a_failed_trial(monkeypatch, solver, error):
+    monkeypatch.setattr(harness, "smds", solver)
+    cfg = small_config(scenarios=("II",), algorithms=("smds", "mrc"),
+                       sigma_d_grid=(1.0,), epsilon_grid=(30.0,), trials=2)
+    rows = run_grid(cfg)
+    assert [(r["trials_ok"], r["trials_failed"]) for r in rows] == [(0, 2), (2, 0)]
+    assert run_trial(cfg, "II", "smds", 1.0, 30.0, 0).error == error
+
+
+@pytest.mark.parametrize("solver", [nan_estimate, singular], ids=["nan", "linalg"])
+def test_bad_trajectory_is_a_failed_convergence_trial(monkeypatch, solver):
+    def iterative(kq, anchors, structure, tau_max, record_trajectory):
+        est = solver(kq, anchors, structure)
+        return Estimate(est.targets, {"trajectory": [est.targets] * (tau_max + 1)})
+
+    monkeypatch.setattr(harness, "qd_mrc_smds_iterative", iterative)
+    rows = run_convergence(small_config(sigma_d_grid=(1.0,),
+                                        epsilon_grid=(30.0,), trials=2),
+                           tau_max=1)
+    assert [(r["trials_ok"], r["mean_xi_m"]) for r in rows] == [(0, None)] * 2
