@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricMask, NonConvergenceWarning, ShapeMismatch
+from .errors import AsymmetricMask, NonConvergenceWarning, RankDeficient, ShapeMismatch
 from .gek import QuatGek, RealGek
 from .quat import QuaternionMatrix
 
 __all__ = [
-    "CompletionConfig",
     "CompletionResult",
     "complete_lowrank",
     "complete_real_gek",
@@ -37,24 +36,9 @@ __all__ = [
 REAL_KERNEL_RANK = 3
 SPLIT_RANK = 2
 
-
-@dataclass(frozen=True)
-class CompletionConfig:
-    """Iteration settings: target rank, step budget, stopping threshold.
-
-    Each step keeps the leading `target_rank` singular triplets unchanged
-    (hard thresholding).
-    """
-
-    target_rank: int = REAL_KERNEL_RANK
-    max_iters: int = 500
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.target_rank < 1:
-            raise ShapeMismatch("target_rank must be at least 1")
-        if self.tol <= 0:
-            raise ShapeMismatch("tol must be positive")
+# Sweep budget, and the relative change between sweeps that counts as done.
+_MAX_SWEEPS = 500
+_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,38 +51,44 @@ class CompletionResult:
     rel_change: float
 
 
-def complete_lowrank(
-    k: np.ndarray, mask: np.ndarray, config: CompletionConfig
-) -> CompletionResult:
+def _truncate(x: np.ndarray, rank: int) -> np.ndarray:
+    """Best rank-`rank` approximation: keep the leading singular triplets."""
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    return (u[:, :rank] * s[:rank]) @ vh[:rank]
+
+
+def complete_lowrank(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionResult:
     """Fill unobserved entries of a real or complex matrix at fixed rank."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != k.shape:
         raise AsymmetricMask("mask shape does not match the matrix")
+    if rank < 1:
+        raise ShapeMismatch("rank must be at least 1")
     if mask.all():
         return CompletionResult(k.copy(), 0, True, 0.0)
 
-    r = config.target_rank
     data = np.where(mask, k, 0)
     x = data.copy()
-    low = np.zeros_like(x)
     gap = np.inf  # ||x - low||_F, the monotone quantity
     rel_change = np.inf
     it = 0
-    for it in range(1, config.max_iters + 1):
-        u, s, vh = np.linalg.svd(x, full_matrices=False)
-        new_low = (u[:, :r] * s[:r]) @ vh[:r]
+    for it in range(1, _MAX_SWEEPS + 1):
+        new_low = _truncate(x, rank)
         new_x = np.where(mask, data, new_low)
         new_gap = float(np.linalg.norm(new_x - new_low))
-        if gap < np.inf:
-            assert new_gap <= gap * (1 + 1e-9) + 1e-12, "objective increased"
+        if not new_gap <= gap * (1 + 1e-9) + 1e-12:
+            # A true rank projection cannot raise the gap; this one did.
+            raise RankDeficient(
+                f"completion gap rose from {gap:.6e} to {new_gap:.6e} at sweep {it}"
+            )
         rel_change = float(
             np.linalg.norm(new_x - x) / max(np.linalg.norm(x), np.finfo(float).tiny)
         )
-        x, low, gap = new_x, new_low, new_gap
-        if rel_change < config.tol:
+        x, gap = new_x, new_gap
+        if rel_change < _TOL:
             return CompletionResult(x, it, True, rel_change)
     warnings.warn(
-        f"completion stopped after {config.max_iters} iterations with "
+        f"completion stopped after {_MAX_SWEEPS} iterations with "
         f"relative change {rel_change:.3e}",
         NonConvergenceWarning,
         stacklevel=2,
@@ -106,27 +96,21 @@ def complete_lowrank(
     return CompletionResult(x, it, False, rel_change)
 
 
-def complete_real_gek(
-    gek: RealGek, config: CompletionConfig | None = None
-) -> tuple[RealGek, CompletionResult]:
+def complete_real_gek(gek: RealGek) -> tuple[RealGek, CompletionResult]:
     """Complete a masked real kernel at rank 3 and re-symmetrize."""
     if gek.mask is None:
         return gek, CompletionResult(gek.k, 0, True, 0.0)
-    config = config or CompletionConfig(target_rank=REAL_KERNEL_RANK)
-    res = complete_lowrank(gek.k, gek.mask, config)
+    res = complete_lowrank(gek.k, gek.mask, REAL_KERNEL_RANK)
     sym = (res.matrix + res.matrix.T) / 2
     return RealGek(sym), res
 
 
-def complete_quat_gek(
-    gek: QuatGek, config: CompletionConfig | None = None
-) -> tuple[QuatGek, dict]:
+def complete_quat_gek(gek: QuatGek) -> tuple[QuatGek, dict]:
     """Complete a masked quaternion kernel through its complex halves."""
     if gek.mask is None:
         return gek, {"iterations": 0, "converged": True}
-    config = config or CompletionConfig(target_rank=SPLIT_RANK)
-    res_a = complete_lowrank(gek.k.a, gek.mask, config)
-    res_b = complete_lowrank(gek.k.b, gek.mask, config)
+    res_a = complete_lowrank(gek.k.a, gek.mask, SPLIT_RANK)
+    res_b = complete_lowrank(gek.k.b, gek.mask, SPLIT_RANK)
     merged = QuaternionMatrix(res_a.matrix, res_b.matrix)
     hermitized = (merged + merged.H) / 2
     info = {

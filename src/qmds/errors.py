@@ -36,7 +36,8 @@ class AsymmetricMask(QmdsError):
 
 
 class RankDeficient(QmdsError):
-    """Factorization input without the required number of usable eigenvalues."""
+    """Factorization input without the required number of usable eigenvalues,
+    or a low-rank truncation that failed to act as a rank projection."""
 
 
 class AmbiguityResolutionFailure(QmdsError):
@@ -56,7 +57,7 @@ class ZeroAnchorEdges(QmdsError):
 
 
 class NonConvergenceWarning(UserWarning):
-    """Iteration stopped at max_iters before reaching its tolerance."""
+    """Iteration stopped at its sweep budget before reaching its tolerance."""
 
 
 class HermitianDefectWarning(UserWarning):

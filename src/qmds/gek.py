@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import AsymmetricMask, DimensionMismatch, ShapeMismatch
 from .measurement import MeasurementSet
+from .network import StructureMatrices
 from .quat import QuaternionMatrix
 
 __all__ = [
@@ -90,8 +91,7 @@ def build_real_gek(ms: MeasurementSet) -> RealGek:
     k = np.outer(d, d) * np.cos(ms.adoa)
     iu = np.triu_indices(ms.m, 1)
     k[iu[1], iu[0]] = k[iu]
-    gek = RealGek(k)
-    return gek if ms.mask is None else apply_mask(gek, ms.mask)
+    return RealGek(k)
 
 
 def build_quat_gek(
@@ -99,7 +99,6 @@ def build_quat_gek(
     adoa: np.ndarray,
     azimuths: tuple[np.ndarray, np.ndarray, np.ndarray],
     plane_distances: tuple[np.ndarray, np.ndarray, np.ndarray],
-    mask: np.ndarray | None = None,
 ) -> QuatGek:
     """Assemble the quaternion kernel from per-edge measurements.
 
@@ -123,8 +122,7 @@ def build_quat_gek(
     iu = np.triu_indices(m, 1)
     ka[iu[1], iu[0]] = np.conj(ka[iu])
     kb[iu[1], iu[0]] = -kb[iu]
-    gek = QuatGek(QuaternionMatrix(ka, kb))
-    return gek if mask is None else apply_mask(gek, mask)
+    return QuatGek(QuaternionMatrix(ka, kb))
 
 
 def quat_gek_from_measurements(ms: MeasurementSet) -> QuatGek:
@@ -139,24 +137,22 @@ def quat_gek_from_measurements(ms: MeasurementSet) -> QuatGek:
         ms.adoa,
         (ms.phi_xy, ms.phi_xz, ms.phi_yz),
         ms.plane_distances(),
-        mask=ms.mask,
     )
 
 
 def extract_blocks(
-    gek: QuatGek, n_anchors: int, n_targets: int
+    gek: QuatGek, structure: StructureMatrices
 ) -> tuple[QuaternionMatrix, QuaternionMatrix, QuaternionMatrix]:
     """Split the kernel into anchor-anchor / cross / anchor-target blocks.
 
-    Requires the edge ordering this package always uses: the anchor-anchor
-    block first. Returns (K1, K2, K3) where K1 is n_aa x n_aa, K2 is
-    n_aa x n_at, and K3 is n_at x n_at.
+    The split follows the structure's edge layout, anchor-anchor block
+    first. Returns (K1, K2, K3) where K1 is n_aa x n_aa, K2 is n_aa x n_at,
+    and K3 is n_at x n_at.
     """
-    n_aa = n_anchors * (n_anchors - 1) // 2
-    n_at = n_anchors * n_targets
-    if gek.m != n_aa + n_at:
+    n_aa = structure.n_aa
+    if gek.m != structure.c.shape[0]:
         raise DimensionMismatch(
-            f"kernel size {gek.m} does not match {n_aa} + {n_at} edges"
+            f"kernel size {gek.m} does not match {structure.c.shape[0]} edges"
         )
     k = gek.k
     k1 = QuaternionMatrix(k.a[:n_aa, :n_aa], k.b[:n_aa, :n_aa])

@@ -47,7 +47,6 @@ from .network import (
     DEGENERATE_LENGTH,
     NetworkGeometry,
     StructureMatrices,
-    edge_set,
     structure_matrices,
     true_parameters,
 )
@@ -258,18 +257,19 @@ def metric_xi(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     return float(np.linalg.norm(x_hat - x_true) / x_true.shape[0])
 
 
-def _sample_geometry(config: ExperimentConfig, rng: np.random.Generator):
+def _sample_geometry(
+    config: ExperimentConfig, structure: StructureMatrices, rng: np.random.Generator
+):
     """Draw target positions, redrawing while any anchor-target edge is
     degenerate. Fixed anchor edges may stay axis-parallel; only edges the
     targets can move are required to be generic."""
     anchors = config.anchor_array
-    n_aa = anchors.shape[0] * (anchors.shape[0] - 1) // 2
     high = np.asarray(config.room, dtype=float)
     for _ in range(_RESAMPLE_LIMIT):
         targets = rng.uniform(np.zeros(3), high, size=(config.n_targets, 3))
         geometry = NetworkGeometry(anchors, targets)
         params = true_parameters(geometry)
-        if not params.degenerate[n_aa:].any():
+        if not params.degenerate[structure.n_aa:].any():
             return geometry, params
     raise DegenerateEdge(
         f"no generic target placement found in {_RESAMPLE_LIMIT} draws"
@@ -277,7 +277,7 @@ def _sample_geometry(config: ExperimentConfig, rng: np.random.Generator):
 
 
 def _structure(config: ExperimentConfig) -> StructureMatrices:
-    return structure_matrices(edge_set(len(config.anchors), config.n_targets))
+    return structure_matrices(len(config.anchors), config.n_targets)
 
 
 # Errors a trial records as its failure instead of raising.
@@ -341,7 +341,7 @@ class _Instance:
             int(round(sigma_d * 1e6)), int(round(epsilon * 1e6)), trial_index,
         ))
         geo_rng, meas_rng, mask_rng = map(np.random.default_rng, ss.spawn(3))
-        geometry, params = _sample_geometry(self.config, geo_rng)
+        geometry, params = _sample_geometry(self.config, self.structure, geo_rng)
         noise = NoiseConfig(sigma_d=sigma_d, epsilon_deg=epsilon)
         ms = synthesize(params, noise, scenario, meas_rng)
         fraction = self.config.missing_fraction
@@ -477,8 +477,9 @@ def run_convergence(
 
     Runs scenario II trials on the config's grid, recording xi after every
     sweep 0..tau_max of a single solve per trial (one pass records the whole
-    trajectory). The solve reads the unmasked measured kernel. Returns one
-    row per (sigma_d, epsilon, tau).
+    trajectory). The solve reads the same measured kernel as a grid run's
+    scenario II trial: completed first when `missing_fraction` hides
+    entries. Returns one row per (sigma_d, epsilon, tau).
     """
     if tau_max is None:
         tau_max = config.tau_max
@@ -493,10 +494,11 @@ def run_convergence(
             for t in range(config.trials):
                 instance = _Instance(config, "II", sigma_d, epsilon, t, structure)
                 try:
-                    geometry, ms, _ = instance.data()
+                    geometry, ms, mask = instance.data()
+                    kq, _ = instance._piece("quat", _quat_kernel, ms, mask)
                     est = qd_mrc_smds_iterative(
-                        quat_gek_from_measurements(ms), geometry.anchors,
-                        structure, tau_max=tau_max, record_trajectory=True,
+                        kq, geometry.anchors, structure,
+                        tau_max=tau_max, record_trajectory=True,
                     )
                     xis = [metric_xi(targets, geometry.targets)
                            for targets in est.diagnostics["trajectory"]]

@@ -139,8 +139,8 @@ class MeasurementSet:
 
     `adoa` is the full symmetric matrix of measured edge-to-edge angles with
     a zero diagonal: one draw per unordered pair, mirrored. Azimuth and
-    elevation arrays are None in Scenario I. `mask` (True = observed) is
-    None when every kernel entry is available.
+    elevation arrays are None in Scenario I. Masks are applied to the
+    kernels built from a set (`gek.apply_mask`), not to the set itself.
     """
 
     scenario: Scenario
@@ -152,7 +152,6 @@ class MeasurementSet:
     theta_x: np.ndarray | None = None
     theta_y: np.ndarray | None = None
     theta_z: np.ndarray | None = None
-    mask: np.ndarray | None = None
 
     def __post_init__(self):
         m = self.distances.shape[0]
@@ -161,7 +160,7 @@ class MeasurementSet:
         for name in (
             "distances", "adoa",
             "phi_xy", "phi_xz", "phi_yz",
-            "theta_x", "theta_y", "theta_z", "mask",
+            "theta_x", "theta_y", "theta_z",
         ):
             arr = getattr(self, name)
             if arr is not None:

@@ -17,7 +17,8 @@ subtract azimuths as phi[p] - phi[m].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,10 +26,8 @@ from .errors import ShapeMismatch
 
 __all__ = [
     "NetworkGeometry",
-    "EdgeSet",
     "StructureMatrices",
     "TrueParameters",
-    "edge_set",
     "structure_matrices",
     "edge_matrix",
     "true_parameters",
@@ -67,61 +66,18 @@ class NetworkGeometry:
         return self.targets.shape[0]
 
     @property
-    def n_nodes(self) -> int:
-        return self.n_anchors + self.n_targets
-
-    @property
     def stacked(self) -> np.ndarray:
         """All node positions, anchors first, shape (N, 3)."""
         return np.vstack([self.anchors, self.targets])
 
 
 @dataclass(frozen=True)
-class EdgeSet:
-    """Measurable node pairs: anchor-anchor block, then anchor-target."""
-
-    n_anchors: int
-    n_targets: int
-    pairs: tuple[tuple[int, int], ...] = field(init=False)
-
-    def __post_init__(self):
-        if self.n_anchors < 1 or self.n_targets < 0:
-            raise ShapeMismatch("need n_anchors >= 1 and n_targets >= 0")
-        na, nt = self.n_anchors, self.n_targets
-        aa = [(i, j) for i in range(na) for j in range(i + 1, na)]
-        at = [(i, na + t) for i in range(na) for t in range(nt)]
-        object.__setattr__(self, "pairs", tuple(aa + at))
-
-    @property
-    def m(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def n_aa(self) -> int:
-        """Number of anchor-anchor edges."""
-        return self.n_anchors * (self.n_anchors - 1) // 2
-
-    @property
-    def n_at(self) -> int:
-        """Number of anchor-target edges."""
-        return self.n_anchors * self.n_targets
-
-    def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        pairs = np.array(self.pairs, dtype=int).reshape(-1, 2)
-        return pairs[:, 0], pairs[:, 1]
-
-
-def edge_set(n_anchors: int, n_targets: int) -> EdgeSet:
-    """Enumerate the measurable pairs for a network of the given sizes."""
-    return EdgeSet(n_anchors, n_targets)
-
-
-@dataclass(frozen=True)
 class StructureMatrices:
-    """Signed incidence matrix C of an edge set.
+    """Signed incidence matrix C of the measurable edges.
 
     Row m of C has +1 at node i and -1 at node j of edge m, so C applied to
-    stacked positions yields the edge vectors.
+    stacked positions yields the edge vectors. The rows follow the edge
+    layout in the module docstring: the first `n_aa` are anchor-anchor.
     """
 
     c: np.ndarray
@@ -132,25 +88,29 @@ class StructureMatrices:
         self.c.setflags(write=False)
 
     @property
-    def c_aa(self) -> np.ndarray:
-        n_aa = self.n_anchors * (self.n_anchors - 1) // 2
-        return self.c[:n_aa]
-
-    @property
-    def c_at(self) -> np.ndarray:
-        n_aa = self.n_anchors * (self.n_anchors - 1) // 2
-        return self.c[n_aa:]
+    def n_aa(self) -> int:
+        """Number of anchor-anchor edges."""
+        return self.n_anchors * (self.n_anchors - 1) // 2
 
 
-def structure_matrices(edges: EdgeSet) -> StructureMatrices:
-    """Build the incidence matrix for an edge set."""
-    n = edges.n_anchors + edges.n_targets
-    c = np.zeros((edges.m, n))
-    rows = np.arange(edges.m)
-    i_idx, j_idx = edges.index_arrays()
-    c[rows, i_idx] = 1.0
-    c[rows, j_idx] = -1.0
-    return StructureMatrices(c, edges.n_anchors, edges.n_targets)
+@lru_cache(maxsize=16)
+def structure_matrices(n_anchors: int, n_targets: int) -> StructureMatrices:
+    """Build the incidence matrix of a network with the given node counts.
+
+    The result is immutable and cached per size, so repeated calls share it.
+    """
+    if n_anchors < 1 or n_targets < 0:
+        raise ShapeMismatch("need n_anchors >= 1 and n_targets >= 0")
+    heads, tails = np.triu_indices(n_anchors, 1)
+    heads = np.concatenate([heads, np.repeat(np.arange(n_anchors), n_targets)])
+    tails = np.concatenate(
+        [tails, n_anchors + np.tile(np.arange(n_targets), n_anchors)]
+    )
+    rows = np.arange(heads.size)
+    c = np.zeros((heads.size, n_anchors + n_targets))
+    c[rows, heads] = 1.0
+    c[rows, tails] = -1.0
+    return StructureMatrices(c, n_anchors, n_targets)
 
 
 def edge_matrix(geometry: NetworkGeometry, structure: StructureMatrices) -> np.ndarray:
@@ -207,13 +167,10 @@ class TrueParameters:
         return bool(np.any(self.degenerate))
 
 
-def true_parameters(
-    geometry: NetworkGeometry, edges: EdgeSet | None = None
-) -> TrueParameters:
+def true_parameters(geometry: NetworkGeometry) -> TrueParameters:
     """Compute exact per-edge distances and angles from node positions."""
-    if edges is None:
-        edges = edge_set(geometry.n_anchors, geometry.n_targets)
-    v = edge_matrix(geometry, structure_matrices(edges))
+    structure = structure_matrices(geometry.n_anchors, geometry.n_targets)
+    v = edge_matrix(geometry, structure)
     a, b, c = v[:, 0], v[:, 1], v[:, 2]
 
     d = np.linalg.norm(v, axis=1)

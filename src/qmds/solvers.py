@@ -81,15 +81,9 @@ def _require_complete(gek: "RealGek | QuatGek") -> None:
         raise ShapeMismatch("kernel carries unobserved entries; complete it first")
 
 
-def _anchor_edge_rows(structure: StructureMatrices) -> np.ndarray:
-    """Indices of edges that touch anchors only, robust to row order."""
-    return np.flatnonzero(~(structure.c[:, structure.n_anchors:] != 0).any(axis=1))
-
-
-def _known_anchor_edges(
-    anchors: np.ndarray, structure: StructureMatrices, rows: np.ndarray
-) -> np.ndarray:
-    return structure.c[np.ix_(rows, np.arange(structure.n_anchors))] @ anchors
+def _anchor_edges(anchors: np.ndarray, structure: StructureMatrices) -> np.ndarray:
+    """Known anchor-anchor edge vectors, the first n_aa rows of the edges."""
+    return structure.c[:structure.n_aa, :structure.n_anchors] @ anchors
 
 
 # ---- shared plumbing ----
@@ -119,20 +113,17 @@ def anchored_inversion(
 
 
 def procrustes_align(
-    x_hat: np.ndarray,
-    anchors: np.ndarray,
-    anchor_rows: np.ndarray | None = None,
+    x_hat: np.ndarray, anchors: np.ndarray
 ) -> tuple[np.ndarray, dict]:
     """Similarity transform (scale, orthogonal map, shift) fitted on anchors.
 
-    The transform minimizing the summed squared anchor misfit is applied to
-    every row. Reflections are allowed. Needs at least four anchors that
-    span all three dimensions.
+    The transform minimizing the summed squared misfit of the leading rows
+    of `x_hat` against the anchors is applied to every row. Reflections are
+    allowed. Needs at least four anchors that span all three dimensions.
     """
     anchors = np.asarray(anchors, dtype=float)
-    if anchor_rows is None:
-        anchor_rows = np.arange(anchors.shape[0])
-    if anchors.shape[0] < 4:
+    n_a = anchors.shape[0]
+    if n_a < 4:
         raise DegenerateAnchors("similarity fit needs at least 4 anchors")
 
     b = anchors - anchors.mean(axis=0)
@@ -140,8 +131,8 @@ def procrustes_align(
     if sv_b[0] == 0 or sv_b[2] / sv_b[0] < 1e-9:
         raise DegenerateAnchors("anchors are coincident or coplanar")
 
-    a_full_mean = x_hat[anchor_rows].mean(axis=0)
-    a = x_hat[anchor_rows] - a_full_mean
+    a_full_mean = x_hat[:n_a].mean(axis=0)
+    a = x_hat[:n_a] - a_full_mean
     na = float(np.sum(a**2))
     if na == 0:
         raise DegenerateAnchors("estimated anchor images coincide")
@@ -152,39 +143,36 @@ def procrustes_align(
     shift = anchors.mean(axis=0) - scale * a_full_mean @ rot
     aligned = scale * x_hat @ rot + shift
     rmse = float(
-        np.sqrt(np.mean(np.sum((aligned[anchor_rows] - anchors) ** 2, axis=1)))
+        np.sqrt(np.mean(np.sum((aligned[:n_a] - anchors) ** 2, axis=1)))
     )
     info = {"scale": scale, "rotation": rot, "translation": shift, "anchor_rmse": rmse}
     return aligned, info
 
 
-def _align_edges(v_hat: np.ndarray, v_known: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _align_edges(v_hat: np.ndarray, v_known: np.ndarray) -> np.ndarray:
     """Rotate/reflect estimated edge vectors onto the known anchor edges.
 
     The kernel determines edge vectors only up to a global orthogonal
-    transform; fitting it on the anchor-anchor rows fixes the frame before
-    the anchored inversion.
+    transform; fitting it on the leading anchor-anchor rows fixes the frame
+    before the anchored inversion.
     """
-    u, _, vt = np.linalg.svd(v_hat[rows].T @ v_known)
+    u, _, vt = np.linalg.svd(v_hat[:len(v_known)].T @ v_known)
     return v_hat @ (u @ vt)
 
 
 def resolve_edge_ambiguity(
-    nu_hat: QuaternionMatrix,
-    nu_aa_known: QuaternionMatrix,
-    rows: np.ndarray | None = None,
+    nu_hat: QuaternionMatrix, nu_aa_known: QuaternionMatrix
 ) -> tuple[QuaternionMatrix, dict]:
     """Fix the right unit-quaternion factor of an estimated edge vector.
 
     An eigenvector is defined only up to a right unit-quaternion factor.
-    The factor g minimizing the misfit of the anchor-anchor entries against
-    their known values is the normalized sum of conj(nu_hat_m) * nu_m over
-    those entries; the whole vector is right-multiplied by it.
+    The factor g minimizing the misfit of the leading anchor-anchor entries
+    against their known values is the normalized sum of
+    conj(nu_hat_m) * nu_m over those entries; the whole vector is
+    right-multiplied by it.
     """
     n_aa = nu_aa_known.shape[0]
-    if rows is None:
-        rows = np.arange(n_aa)
-    hat_aa = QuaternionMatrix(nu_hat.a[rows], nu_hat.b[rows])
+    hat_aa = nu_hat[:n_aa]
     s = vdot(hat_aa, nu_aa_known)
     floor = 1e-12 * hat_aa.norm() * nu_aa_known.norm()
     if s.norm() <= floor:
@@ -193,8 +181,7 @@ def resolve_edge_ambiguity(
         )
     g = s.normalized()
     corrected = nu_hat.right_mul(g)
-    resid = (QuaternionMatrix(corrected.a[rows], corrected.b[rows])
-             - nu_aa_known).norm()
+    resid = (corrected[:n_aa] - nu_aa_known).norm()
     denom = max(nu_aa_known.norm(), np.finfo(float).tiny)
     return corrected, {"phase": g, "phase_residual": resid / denom}
 
@@ -218,15 +205,14 @@ def smds(kr: RealGek, anchors: np.ndarray, structure: StructureMatrices) -> Esti
     lam3 = lam[order]
     v_hat = u[:, order] * np.sqrt(np.maximum(lam3, 0.0))
 
-    rows = _anchor_edge_rows(structure)
-    v_known = _known_anchor_edges(anchors, structure, rows)
-    v_hat = _align_edges(v_hat, v_known, rows)
+    v_known = _anchor_edges(anchors, structure)
+    v_hat = _align_edges(v_hat, v_known)
 
     x_hat = anchored_inversion(v_hat, anchors, structure)
     aligned, fit = procrustes_align(x_hat, anchors)
     diag = {
         "eigenvalues": lam3,
-        "edge_residual": float(np.linalg.norm(v_hat[rows] - v_known)),
+        "edge_residual": float(np.linalg.norm(v_hat[:structure.n_aa] - v_known)),
         "procrustes": fit,
     }
     return Estimate(aligned[anchors.shape[0]:], diag)
@@ -239,9 +225,8 @@ def qd_smds(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices) -> E
     lam, u_vec = dominant_eigpair(kq.k)
     nu_hat = QuaternionMatrix(u_vec.a * np.sqrt(lam), u_vec.b * np.sqrt(lam))
 
-    rows = _anchor_edge_rows(structure)
-    nu_known = embed_r3(_known_anchor_edges(anchors, structure, rows))
-    nu_hat, phase_info = resolve_edge_ambiguity(nu_hat, nu_known, rows)
+    nu_known = embed_r3(_anchor_edges(anchors, structure))
+    nu_hat, phase_info = resolve_edge_ambiguity(nu_hat, nu_known)
 
     v_hat = r3_components(nu_hat)
     x_hat = anchored_inversion(v_hat, anchors, structure)
@@ -266,9 +251,9 @@ def _mrc_core(
     _require_complete(kq)
     anchors = np.asarray(anchors, dtype=float)
     n_a, n_t = structure.n_anchors, structure.n_targets
-    _, k2, k3 = extract_blocks(kq, n_a, n_t)
+    _, k2, k3 = extract_blocks(kq, structure)
 
-    nu_aa = embed_r3(structure.c_aa[:, :n_a] @ anchors)
+    nu_aa = embed_r3(_anchor_edges(anchors, structure))
     aa_energy = nu_aa.norm() ** 2
     if aa_energy == 0:
         raise ZeroAnchorEdges("anchor-anchor edges are all zero length")
@@ -344,9 +329,7 @@ def _stage_two_kernel(
     est = true_parameters(NetworkGeometry(anchors, targets))
     d = ms.distances
     plane = tuple(d * np.sin(t) for t in (est.theta_z, est.theta_y, est.theta_x))
-    return build_quat_gek(
-        d, ms.adoa, (est.phi_xy, est.phi_xz, est.phi_yz), plane, mask=ms.mask
-    )
+    return build_quat_gek(d, ms.adoa, (est.phi_xy, est.phi_xz, est.phi_yz), plane)
 
 
 def scenario_one_pipeline(

@@ -29,7 +29,7 @@ from qmds.measurement import (
     sample_distance,
     synthesize,
 )
-from qmds.network import NetworkGeometry, edge_set, structure_matrices, true_parameters
+from qmds.network import NetworkGeometry, structure_matrices, true_parameters
 from qmds.quat import QuaternionMatrix, complex_adjoint, dominant_eigpair, qsvd
 from qmds.gek import build_real_gek, quat_gek_from_measurements
 from qmds.solvers import qd_mrc_smds_iterative
@@ -39,7 +39,7 @@ ROOM_ANCHORS = np.array(
 )
 N_TARGETS = 15
 N_AA = 10
-STRUCTURE = structure_matrices(edge_set(5, N_TARGETS))
+STRUCTURE = structure_matrices(5, N_TARGETS)
 
 # Linearised at its rank-1 fixed point, the refinement map
 # nu <- (K2^H nu_aa + K3^H nu) / (|nu_aa|^2 + |nu|^2) contracts at

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from qmds.completion import (
-    SPLIT_RANK,
-    CompletionConfig,
-    complete_lowrank,
-    complete_quat_gek,
-    complete_real_gek,
-)
-from qmds.errors import NonConvergenceWarning, ShapeMismatch
+from qmds import completion
+from qmds.completion import complete_lowrank, complete_quat_gek, complete_real_gek
+from qmds.errors import NonConvergenceWarning, RankDeficient, ShapeMismatch
+from qmds.harness import ExperimentConfig, run_trial
 from qmds.gek import apply_mask, build_real_gek, quat_gek_from_measurements
 from qmds.measurement import MeasurementSet, NoiseConfig, missing_mask, synthesize
 from qmds.network import NetworkGeometry, true_parameters
@@ -28,7 +24,7 @@ def masked_rank_k(rng, n, rank, fraction):
 def test_full_mask_returns_input():
     rng = np.random.default_rng(111)
     k, _ = masked_rank_k(rng, 12, 3, 0.0)
-    res = complete_lowrank(k, np.ones_like(k, dtype=bool), CompletionConfig())
+    res = complete_lowrank(k, np.ones_like(k, dtype=bool), 3)
     np.testing.assert_array_equal(res.matrix, k)
     assert res.iterations == 0 and res.converged
 
@@ -36,7 +32,7 @@ def test_full_mask_returns_input():
 def test_rank_one_recovery():
     rng = np.random.default_rng(112)
     k, mask = masked_rank_k(rng, 40, 1, 0.3)
-    res = complete_lowrank(k, mask, CompletionConfig(target_rank=1))
+    res = complete_lowrank(k, mask, 1)
     assert res.converged
     assert np.linalg.norm(res.matrix - k) / np.linalg.norm(k) < 1e-3
 
@@ -44,7 +40,7 @@ def test_rank_one_recovery():
 def test_rank_three_beats_zero_fill():
     rng = np.random.default_rng(113)
     k, mask = masked_rank_k(rng, 40, 3, 0.3)
-    res = complete_lowrank(k, mask, CompletionConfig(target_rank=3))
+    res = complete_lowrank(k, mask, 3)
     zero_fill_err = np.linalg.norm(np.where(mask, k, 0.0) - k)
     assert np.linalg.norm(res.matrix - k) < zero_fill_err
 
@@ -52,16 +48,16 @@ def test_rank_three_beats_zero_fill():
 def test_observed_entries_never_change():
     rng = np.random.default_rng(114)
     k, mask = masked_rank_k(rng, 30, 2, 0.4)
-    res = complete_lowrank(k, mask, CompletionConfig(target_rank=2))
+    res = complete_lowrank(k, mask, 2)
     np.testing.assert_array_equal(res.matrix[mask], k[mask])
 
 
-def test_nonconvergence_warns_and_returns():
+def test_nonconvergence_warns_and_returns(monkeypatch):
     rng = np.random.default_rng(115)
     k, mask = masked_rank_k(rng, 25, 3, 0.3)
-    cfg = CompletionConfig(target_rank=3, max_iters=2, tol=1e-14)
+    monkeypatch.setattr(completion, "_MAX_SWEEPS", 2)
     with pytest.warns(NonConvergenceWarning):
-        res = complete_lowrank(k, mask, cfg)
+        res = complete_lowrank(k, mask, 3)
     assert not res.converged
     assert res.iterations == 2
     np.testing.assert_array_equal(res.matrix[mask], k[mask])
@@ -71,14 +67,43 @@ def test_mask_shape_checked():
     rng = np.random.default_rng(116)
     k, _ = masked_rank_k(rng, 10, 2, 0.0)
     with pytest.raises(Exception):
-        complete_lowrank(k, np.ones((4, 4), dtype=bool), CompletionConfig())
+        complete_lowrank(k, np.ones((4, 4), dtype=bool), 3)
 
 
-def test_config_validation():
+def test_rank_validation():
+    rng = np.random.default_rng(116)
+    k, mask = masked_rank_k(rng, 10, 2, 0.3)
     with pytest.raises(ShapeMismatch):
-        CompletionConfig(target_rank=0)
-    with pytest.raises(ShapeMismatch):
-        CompletionConfig(tol=0.0)
+        complete_lowrank(k, mask, 0)
+
+
+def worsening_truncation(monkeypatch):
+    """Truncate correctly once, then return zeros, which raises the gap."""
+    calls = []
+    real = completion._truncate
+
+    def truncate(x, rank):
+        calls.append(rank)
+        return real(x, rank) if len(calls) == 1 else np.zeros_like(x)
+
+    monkeypatch.setattr(completion, "_truncate", truncate)
+
+
+def test_rising_gap_raises_typed_error(monkeypatch):
+    rng = np.random.default_rng(122)
+    k, mask = masked_rank_k(rng, 20, 3, 0.3)
+    worsening_truncation(monkeypatch)
+    with pytest.raises(RankDeficient, match="gap rose"):
+        complete_lowrank(k, mask, 3)
+
+
+def test_rising_gap_is_a_failed_trial(monkeypatch):
+    cfg = ExperimentConfig(scenarios=("II",), algorithms=("smds",),
+                           n_targets=6, trials=1, missing_fraction=0.3,
+                           sigma_d_grid=(1.0,), epsilon_grid=(30.0,))
+    worsening_truncation(monkeypatch)
+    res = run_trial(cfg, "II", "smds", 1.0, 30.0, 0)
+    assert not res.ok and res.error.startswith("RankDeficient: completion gap rose")
 
 
 def test_complex_matrix_completion():
@@ -86,7 +111,7 @@ def test_complex_matrix_completion():
     g = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
     k = g @ np.conj(g).T
     mask = missing_mask(30, 0.3, rng)
-    res = complete_lowrank(k, mask, CompletionConfig(target_rank=2))
+    res = complete_lowrank(k, mask, 2)
     assert np.linalg.norm(res.matrix - k) / np.linalg.norm(k) < 1e-3
 
 
@@ -139,7 +164,7 @@ def test_quat_kernel_completion_recovers_rank_one():
 def test_quat_completion_preserves_observed_entries():
     rng = np.random.default_rng(121)
     _, kq, _, full_kq = scenario_kernels(rng, 0.25)
-    done, _ = complete_quat_gek(kq, CompletionConfig(target_rank=SPLIT_RANK))
+    done, _ = complete_quat_gek(kq)
     mask = kq.mask
     np.testing.assert_array_equal(done.k.a[mask], full_kq.k.a[mask])
     np.testing.assert_array_equal(done.k.b[mask], full_kq.k.b[mask])

@@ -10,7 +10,7 @@ from qmds.gek import (
     quat_gek_from_measurements,
 )
 from qmds.measurement import MeasurementSet, NoiseConfig, missing_mask, synthesize
-from qmds.network import NetworkGeometry, true_parameters
+from qmds.network import NetworkGeometry, structure_matrices, true_parameters
 from qmds.quat import QuaternionMatrix, embed_r3, qsvd
 
 
@@ -136,7 +136,8 @@ def test_quat_kernel_rejects_scenario_one():
 def test_block_shapes():
     rng = np.random.default_rng(98)
     _, ms = exact_measurements(rng)
-    k1, k2, k3 = extract_blocks(quat_gek_from_measurements(ms), 5, 15)
+    kq = quat_gek_from_measurements(ms)
+    k1, k2, k3 = extract_blocks(kq, structure_matrices(5, 15))
     assert k1.shape == (10, 10)
     assert k2.shape == (10, 75)
     assert k3.shape == (75, 75)
@@ -145,7 +146,7 @@ def test_block_shapes():
 def test_cross_block_is_mixed_outer_product():
     rng = np.random.default_rng(99)
     params, ms = exact_measurements(rng, n_anchors=4, n_targets=6)
-    _, k2, _ = extract_blocks(quat_gek_from_measurements(ms), 4, 6)
+    _, k2, _ = extract_blocks(quat_gek_from_measurements(ms), structure_matrices(4, 6))
     nu = embed_r3(params.vectors)
     n_aa = 6
     nu_aa = QuaternionMatrix(nu.a[:n_aa, None], nu.b[:n_aa, None])
@@ -157,7 +158,7 @@ def test_cross_block_is_mixed_outer_product():
 def test_diagonal_blocks_hermitian():
     rng = np.random.default_rng(100)
     _, ms = exact_measurements(rng, n_anchors=4, n_targets=5)
-    k1, _, k3 = extract_blocks(quat_gek_from_measurements(ms), 4, 5)
+    k1, _, k3 = extract_blocks(quat_gek_from_measurements(ms), structure_matrices(4, 5))
     assert (k1 - k1.H).norm() == 0.0
     assert (k3 - k3.H).norm() == 0.0
 
@@ -166,7 +167,7 @@ def test_block_extraction_size_check():
     rng = np.random.default_rng(101)
     _, ms = exact_measurements(rng, n_anchors=4, n_targets=5)
     with pytest.raises(DimensionMismatch):
-        extract_blocks(quat_gek_from_measurements(ms), 5, 15)
+        extract_blocks(quat_gek_from_measurements(ms), structure_matrices(5, 15))
 
 
 # ---- masks ----

@@ -283,6 +283,15 @@ def test_convergence_stabilizes():
     assert max(late) - min(late) < 0.05 * max(late)
 
 
+def test_convergence_completes_masked_kernel():
+    grid = dict(scenarios=("II",), sigma_d_grid=(2.0,), epsilon_grid=(30.0,),
+                trials=2)
+    plain = run_convergence(small_config(**grid), tau_max=2)
+    masked = run_convergence(small_config(missing_fraction=0.5, **grid), tau_max=2)
+    assert [r["trials_ok"] for r in masked] == [2, 2, 2]
+    assert [r["mean_xi_m"] for r in masked] != [r["mean_xi_m"] for r in plain]
+
+
 # ---- shared trial instance ----
 
 

@@ -5,7 +5,6 @@ from qmds.errors import ShapeMismatch
 from qmds.network import (
     NetworkGeometry,
     edge_matrix,
-    edge_set,
     structure_matrices,
     true_parameters,
 )
@@ -17,56 +16,72 @@ def random_geometry(rng, n_anchors=5, n_targets=15):
     return NetworkGeometry(anchors, targets)
 
 
-# ---- edge enumeration ----
+def edge_ends(st):
+    """(head, tail) node of every incidence row, in row order."""
+    return [(int(np.flatnonzero(row == 1)[0]), int(np.flatnonzero(row == -1)[0]))
+            for row in st.c]
+
+
+# ---- edge layout ----
 
 
 def test_edge_set_minimal():
-    es = edge_set(2, 1)
-    assert es.pairs == ((0, 1), (0, 2), (1, 2))
-    assert es.m == 3
+    st = structure_matrices(2, 1)
+    assert edge_ends(st) == [(0, 1), (0, 2), (1, 2)]
+    assert st.n_aa == 1
 
 
 def test_edge_set_single_anchor():
-    es = edge_set(1, 0)
-    assert es.pairs == ()
-    assert es.m == 0
+    st = structure_matrices(1, 0)
+    assert st.c.shape == (0, 1)
+    assert st.n_aa == 0
 
 
 def test_edge_set_paper_sized():
-    es = edge_set(5, 15)
-    assert es.m == 85
-    assert es.n_aa == 10
-    assert es.n_at == 75
+    st = structure_matrices(5, 15)
+    assert st.c.shape == (85, 20)
+    assert st.n_aa == 10
+    assert st.c.shape[0] - st.n_aa == 75  # anchor-target edges
 
 
 def test_edge_set_anchor_block_first():
-    es = edge_set(4, 3)
-    na = es.n_anchors
-    for m, (i, j) in enumerate(es.pairs):
+    st = structure_matrices(4, 3)
+    na = st.n_anchors
+    ends = edge_ends(st)
+    for m, (i, j) in enumerate(ends):
         assert i < j
-        if m < es.n_aa:
+        if m < st.n_aa:
             assert j < na
         else:
             assert i < na <= j
-    # no target-target pairs at all
-    assert all(i < na for i, _ in es.pairs)
+    # no target-target pairs at all, and each block in lexicographic order
+    assert all(i < na for i, _ in ends)
+    assert ends[:st.n_aa] == sorted(ends[:st.n_aa])
+    assert ends[st.n_aa:] == sorted(ends[st.n_aa:])
 
 
 def test_edge_set_rejects_empty():
     with pytest.raises(ShapeMismatch):
-        edge_set(0, 5)
+        structure_matrices(0, 5)
+
+
+def test_structure_is_shared_and_frozen():
+    st = structure_matrices(5, 15)
+    assert structure_matrices(5, 15) is st
+    with pytest.raises(ValueError):
+        st.c[0, 0] = 0.0
 
 
 # ---- structure matrices ----
 
 
 def test_incidence_matrix_small():
-    st = structure_matrices(edge_set(2, 1))
+    st = structure_matrices(2, 1)
     np.testing.assert_array_equal(st.c, [[1, -1, 0], [1, 0, -1], [0, 1, -1]])
 
 
 def test_incidence_rows_sum_to_zero():
-    st = structure_matrices(edge_set(5, 15))
+    st = structure_matrices(5, 15)
     np.testing.assert_array_equal(st.c.sum(axis=1), np.zeros(85))
     assert np.all(np.sum(st.c == 1, axis=1) == 1)
     assert np.all(np.sum(st.c == -1, axis=1) == 1)
@@ -74,7 +89,7 @@ def test_incidence_rows_sum_to_zero():
 
 def test_incidence_rank():
     for na, nt in [(2, 1), (4, 3), (5, 15)]:
-        st = structure_matrices(edge_set(na, nt))
+        st = structure_matrices(na, nt)
         assert np.linalg.matrix_rank(st.c) == na + nt - 1
 
 
@@ -82,12 +97,12 @@ def test_selectors_reproduce_anchor_target_rows():
     # Row n_aa + i * N_T + t is anchor i minus target t.
     rng = np.random.default_rng(61)
     geo = random_geometry(rng, 4, 6)
-    es = edge_set(4, 6)
-    v = edge_matrix(geo, structure_matrices(es))
+    st = structure_matrices(4, 6)
+    v = edge_matrix(geo, st)
     for i in range(4):
         for t in range(6):
             np.testing.assert_array_equal(
-                v[es.n_aa + i * 6 + t], geo.anchors[i] - geo.targets[t]
+                v[st.n_aa + i * 6 + t], geo.anchors[i] - geo.targets[t]
             )
 
 
@@ -96,23 +111,23 @@ def test_selectors_reproduce_anchor_target_rows():
 
 def test_edge_vector_orientation():
     geo = NetworkGeometry([[0, 0, 0], [1, 0, 0]], np.zeros((0, 3)))
-    v = edge_matrix(geo, structure_matrices(edge_set(2, 0)))
+    v = edge_matrix(geo, structure_matrices(2, 0))
     np.testing.assert_array_equal(v, [[-1, 0, 0]])
 
 
 def test_edge_matrix_matches_direct_differences():
     rng = np.random.default_rng(62)
     geo = random_geometry(rng, 3, 4)
-    es = edge_set(3, 4)
-    v = edge_matrix(geo, structure_matrices(es))
+    st = structure_matrices(3, 4)
+    v = edge_matrix(geo, st)
     x = geo.stacked
-    for m, (i, j) in enumerate(es.pairs):
+    for m, (i, j) in enumerate(edge_ends(st)):
         np.testing.assert_allclose(v[m], x[i] - x[j], atol=1e-12)
 
 
 def test_coincident_nodes_give_zero_edges():
     geo = NetworkGeometry(np.ones((3, 3)), np.ones((2, 3)))
-    v = edge_matrix(geo, structure_matrices(edge_set(3, 2)))
+    v = edge_matrix(geo, structure_matrices(3, 2))
     np.testing.assert_array_equal(v, np.zeros((9, 3)))
 
 
@@ -123,9 +138,9 @@ def test_orthogonal_unit_edges():
     # two anchors and one target laid out so the edges are e_x and e_y
     geo = NetworkGeometry([[1, 0, 0], [0, 1, 0]], [[0, 0, 0]])
     tp = true_parameters(geo)
-    es = edge_set(2, 1)
-    m = es.pairs.index((0, 2))
-    p = es.pairs.index((1, 2))
+    ends = edge_ends(structure_matrices(2, 1))
+    m = ends.index((0, 2))
+    p = ends.index((1, 2))
     assert tp.adoa[m, p] == pytest.approx(np.pi / 2)
     assert abs(tp.alpha_xy[m, p]) == pytest.approx(np.pi / 2)
     assert tp.d_xy[m] == pytest.approx(1.0)
@@ -135,7 +150,7 @@ def test_orthogonal_unit_edges():
 def test_axis_aligned_edge_flagged():
     geo = NetworkGeometry([[0, 0, 1], [5, 0, 0]], [[0, 0, 0]])
     tp = true_parameters(geo)
-    m = edge_set(2, 1).pairs.index((0, 2))
+    m = edge_ends(structure_matrices(2, 1)).index((0, 2))
     assert tp.theta_z[m] == pytest.approx(0.0)
     assert tp.d_xy[m] == pytest.approx(0.0)
     assert tp.degenerate[m]

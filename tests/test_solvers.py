@@ -20,7 +20,6 @@ from qmds.measurement import NoiseConfig, missing_mask, synthesize
 from qmds.network import (
     NetworkGeometry,
     edge_matrix,
-    edge_set,
     structure_matrices,
     true_parameters,
 )
@@ -50,7 +49,7 @@ def exact_setup(rng, scenario, n_targets=15):
     geo = room(rng, n_targets)
     params = true_parameters(geo)
     ms = synthesize(params, NoiseConfig(), scenario, rng)
-    st = structure_matrices(edge_set(geo.n_anchors, n_targets))
+    st = structure_matrices(geo.n_anchors, n_targets)
     return geo, params, ms, st
 
 
@@ -64,7 +63,7 @@ def xi(est_targets, true_targets):
 def test_anchored_inversion_consistency():
     rng = np.random.default_rng(131)
     geo = room(rng, 6)
-    st = structure_matrices(edge_set(5, 6))
+    st = structure_matrices(5, 6)
     v = edge_matrix(geo, st)
     x_hat = anchored_inversion(v, geo.anchors, st)
     np.testing.assert_allclose(x_hat, geo.stacked, atol=1e-10)
@@ -72,7 +71,7 @@ def test_anchored_inversion_consistency():
 
 def test_anchored_inversion_anchors_only():
     geo = NetworkGeometry(ROOM_ANCHORS, np.zeros((0, 3)))
-    st = structure_matrices(edge_set(5, 0))
+    st = structure_matrices(5, 0)
     v = edge_matrix(geo, st)
     x_hat = anchored_inversion(v, geo.anchors, st)
     np.testing.assert_allclose(x_hat, ROOM_ANCHORS, atol=1e-12)
@@ -81,7 +80,7 @@ def test_anchored_inversion_anchors_only():
 def test_anchored_inversion_bounded_sensitivity():
     rng = np.random.default_rng(132)
     geo = room(rng, 5)
-    st = structure_matrices(edge_set(5, 5))
+    st = structure_matrices(5, 5)
     v = edge_matrix(geo, st)
     base = anchored_inversion(v, geo.anchors, st)
     delta = 1e-3 * rng.standard_normal(v.shape)
@@ -208,7 +207,9 @@ def test_smds_edge_permutation_invariance():
 
     from qmds.network import StructureMatrices
 
-    perm = rng.permutation(ms.m)
+    # Any reordering that keeps the anchor-anchor block first.
+    perm = np.concatenate([rng.permutation(st.n_aa),
+                           st.n_aa + rng.permutation(ms.m - st.n_aa)])
     st_perm = StructureMatrices(st.c[perm].copy(), st.n_anchors, st.n_targets)
     kr_perm = RealGek(kr.k[np.ix_(perm, perm)])
     shuffled = smds(kr_perm, geo.anchors, st_perm)
@@ -274,7 +275,7 @@ def test_mrc_target_at_anchor_position():
         (params.phi_xy, params.phi_xz, params.phi_yz),
         (params.d_xy, params.d_xz, params.d_yz),
     )
-    st = structure_matrices(edge_set(5, 1))
+    st = structure_matrices(5, 1)
     est = qd_mrc_smds(kq, geo.anchors, st)
     np.testing.assert_allclose(est.targets, geo.targets, atol=1e-10)
 
@@ -336,7 +337,7 @@ def test_mrc_zero_anchor_edges():
         (params.phi_xy, params.phi_xz, params.phi_yz),
         (params.d_xy, params.d_xz, params.d_yz),
     )
-    st = structure_matrices(edge_set(5, 1))
+    st = structure_matrices(5, 1)
     with pytest.raises(ZeroAnchorEdges):
         qd_mrc_smds(kq, anchors, st)
 
