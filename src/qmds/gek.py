@@ -2,21 +2,25 @@
 
 The real kernel holds d_m d_p cos(alpha_mp): every pairwise inner product of
 edge vectors, so it equals V V^T when measurements are exact and has rank 3.
-The quaternion kernel additionally encodes the three plane-projected outer
-products in its imaginary parts:
+The quaternion kernel adds the three plane-projected cross products in its
+imaginary parts:
 
-    K[m, p] = d_m d_p cos(alpha_mp)
-              - i d_m^xy d_p^xy sin(phi_p^xy - phi_m^xy)
-              - j d_m^xz d_p^xz sin(phi_p^xz - phi_m^xz)
-              - k d_m^yz d_p^yz sin(phi_p^yz - phi_m^yz).
+    K = K_r + i S_xy + j S_xz + k S_yz,    S = v u^T - u v^T,
 
-Exact inputs make it the rank-1 outer product nu nu^H of the quaternion edge
-embedding nu_m = a_m + b_m i + c_m j (k component fixed at zero), with top
-eigenvalue equal to the summed squared distances. Entries carry m^2.
+where (u, v) = d sin(theta) (cos phi, sin phi) are an edge's two in-plane
+components. Entrywise that is
 
-Only the upper triangle is evaluated from measurements; the lower triangle
-is mirrored by conjugation, never recomputed, so both kernels are Hermitian
-to the bit even under noise.
+    S[m, p] = v_m u_p - u_m v_p = -d_m^xy d_p^xy sin(phi_p^xy - phi_m^xy)
+
+for the xy plane, and likewise for xz and yz. Exact inputs make K the rank-1
+outer product nu nu^H of the quaternion edge embedding
+nu_m = a_m + b_m i + c_m j (k component fixed at zero), with top eigenvalue
+equal to the summed squared distances. Entries carry m^2.
+
+Nothing is mirrored. The real kernel is symmetric because a measurement set
+holds an exactly symmetric pair-angle matrix, and each S is antisymmetric
+with a zero diagonal in IEEE arithmetic (v_m u_p and u_p v_m round alike),
+so both kernels are Hermitian to the bit even under noise.
 """
 
 from __future__ import annotations
@@ -88,41 +92,23 @@ def _check_mask(mask: np.ndarray, m: int) -> np.ndarray:
 def build_real_gek(ms: MeasurementSet) -> RealGek:
     """Assemble the real kernel from measured distances and pair angles."""
     d = ms.distances
-    k = np.outer(d, d) * np.cos(ms.adoa)
-    iu = np.triu_indices(ms.m, 1)
-    k[iu[1], iu[0]] = k[iu]
-    return RealGek(k)
+    return RealGek(np.outer(d, d) * np.cos(ms.adoa))
 
 
 def build_quat_gek(
-    distances: np.ndarray,
-    adoa: np.ndarray,
-    azimuths: tuple[np.ndarray, np.ndarray, np.ndarray],
-    plane_distances: tuple[np.ndarray, np.ndarray, np.ndarray],
+    kr: RealGek, planes: tuple[tuple[np.ndarray, np.ndarray], ...]
 ) -> QuatGek:
-    """Assemble the quaternion kernel from per-edge measurements.
+    """Quaternion kernel K_r + i S_xy + j S_xz + k S_yz.
 
-    `azimuths` and `plane_distances` are (xy, xz, yz) triples. The angle
-    source may be measured (Scenario II) or estimated from a first
-    positioning pass; the kernel does not care.
+    `kr` is the real kernel; `planes` holds the in-plane edge components
+    (u, v) of the xy, xz and yz planes, each plane giving S = v u^T - u v^T.
+    The components may be measured (Scenario II) or taken from a first
+    positioning pass (Scenario I); the kernel does not care.
     """
-    d = np.asarray(distances, dtype=float)
-    m = d.shape[0]
-    if adoa.shape != (m, m):
-        raise ShapeMismatch("pair-angle matrix does not match the edge count")
-
-    real = np.outer(d, d) * np.cos(adoa)
-    imag = []
-    for phi, dp in zip(azimuths, plane_distances):
-        delta = phi[None, :] - phi[:, None]  # phi_p - phi_m
-        imag.append(-np.outer(dp, dp) * np.sin(delta))
-
-    ka = real + 1j * imag[0]
-    kb = imag[1] + 1j * imag[2]
-    iu = np.triu_indices(m, 1)
-    ka[iu[1], iu[0]] = np.conj(ka[iu])
-    kb[iu[1], iu[0]] = -kb[iu]
-    return QuatGek(QuaternionMatrix(ka, kb))
+    if any(u.shape != (kr.m,) or v.shape != (kr.m,) for u, v in planes):
+        raise ShapeMismatch("plane components do not match the edge count")
+    s_xy, s_xz, s_yz = (np.outer(v, u) - np.outer(u, v) for u, v in planes)
+    return QuatGek(QuaternionMatrix.from_components(kr.k, s_xy, s_xz, s_yz))
 
 
 def quat_gek_from_measurements(ms: MeasurementSet) -> QuatGek:
@@ -130,14 +116,9 @@ def quat_gek_from_measurements(ms: MeasurementSet) -> QuatGek:
     if not ms.has_angles:
         raise ShapeMismatch(
             "measurement set carries no angles; build the kernel from "
-            "estimated azimuths and elevations instead"
+            "estimated edge vectors instead"
         )
-    return build_quat_gek(
-        ms.distances,
-        ms.adoa,
-        (ms.phi_xy, ms.phi_xz, ms.phi_yz),
-        ms.plane_distances(),
-    )
+    return build_quat_gek(build_real_gek(ms), ms.plane_components())
 
 
 def extract_blocks(

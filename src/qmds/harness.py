@@ -177,7 +177,7 @@ class ExperimentConfig:
         if not 0 <= self.missing_fraction < 1:
             raise OutOfRange("missing_fraction must lie in [0, 1)")
         if self.missing_fraction > 0 and "I" in scenarios:
-            # Scenario I regenerates its angular data from the first-stage
+            # Scenario I takes its plane components from the first-stage
             # fix, so there is no masked kernel whose completion could be
             # compared fairly; reject rather than silently ignore the mask.
             raise OutOfRange("missing_fraction > 0 requires scenario II only")
@@ -359,7 +359,8 @@ class _Instance:
             est = self._piece("smds", smds, kr, anchors, self.structure)
             if algorithm == "smds":
                 return est, sweeps, ("real", "smds")
-            kq = self._piece("quat", _stage_two_kernel, ms, anchors, est.targets)
+            kq = self._piece("quat", _stage_two_kernel, ms, kr, anchors,
+                             est.targets, self.structure)
             path: tuple[str, ...] = ("real", "smds", "quat", algorithm)
         else:
             kq, sweeps = self._piece("quat", _quat_kernel, ms, mask)

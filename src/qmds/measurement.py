@@ -141,6 +141,8 @@ class MeasurementSet:
     a zero diagonal: one draw per unordered pair, mirrored. Azimuth and
     elevation arrays are None in Scenario I. Masks are applied to the
     kernels built from a set (`gek.apply_mask`), not to the set itself.
+    A pair-angle matrix that is not symmetric to the bit, or any non-finite
+    value, is rejected with `OutOfRange`: the kernels rely on both.
     """
 
     scenario: Scenario
@@ -157,6 +159,8 @@ class MeasurementSet:
         m = self.distances.shape[0]
         if self.adoa.shape != (m, m):
             raise ShapeMismatch("adoa matrix does not match the edge count")
+        if not np.array_equal(self.adoa, self.adoa.T):
+            raise OutOfRange("pair-angle matrix must be exactly symmetric")
         for name in (
             "distances", "adoa",
             "phi_xy", "phi_xz", "phi_yz",
@@ -164,6 +168,8 @@ class MeasurementSet:
         ):
             arr = getattr(self, name)
             if arr is not None:
+                if not np.isfinite(arr).all():
+                    raise OutOfRange(f"measured {name} must be finite")
                 arr.setflags(write=False)
 
     @property
@@ -174,15 +180,19 @@ class MeasurementSet:
     def has_angles(self) -> bool:
         return self.phi_xy is not None
 
-    def plane_distances(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Projected lengths d * sin(theta) per plane, Scenario II only."""
+    def plane_components(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """In-plane edge components (u, v) = d sin(theta) (cos phi, sin phi)
+        for the xy, xz and yz planes, in that order; Scenario II only."""
         if not self.has_angles:
-            raise ShapeMismatch("plane distances need azimuth/elevation data")
+            raise ShapeMismatch("plane components need azimuth/elevation data")
         d = self.distances
-        return (
-            d * np.sin(self.theta_z),
-            d * np.sin(self.theta_y),
-            d * np.sin(self.theta_x),
+        return tuple(
+            (r * np.cos(phi), r * np.sin(phi))
+            for r, phi in (
+                (d * np.sin(self.theta_z), self.phi_xy),
+                (d * np.sin(self.theta_y), self.phi_xz),
+                (d * np.sin(self.theta_x), self.phi_yz),
+            )
         )
 
 

@@ -11,13 +11,12 @@ The edge vector of pair (i, j) is x_i - x_j. Angles follow one fixed set of
 conventions: azimuths in a coordinate plane lie in (-pi, pi] from the plane's
 first axis, elevations measured from a positive coordinate axis lie in
 [0, pi] so that plane-projected lengths d * sin(theta) stay nonnegative, and
-the angle between two edges lies in [0, pi]. Signed plane angle differences
-subtract azimuths as phi[p] - phi[m].
+the angle between two edges lies in [0, pi].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -73,19 +72,32 @@ class NetworkGeometry:
 
 @dataclass(frozen=True)
 class StructureMatrices:
-    """Signed incidence matrix C of the measurable edges.
+    """Signed incidence matrix C of the measurable edges of a network size.
 
     Row m of C has +1 at node i and -1 at node j of edge m, so C applied to
-    stacked positions yields the edge vectors. The rows follow the edge
-    layout in the module docstring: the first `n_aa` are anchor-anchor.
+    stacked positions yields the edge vectors. C is built here, from the node
+    counts alone, in the edge layout of the module docstring: the first
+    `n_aa` rows are anchor-anchor, and row n_aa + i * n_targets + t joins
+    anchor i and target t.
     """
 
-    c: np.ndarray
     n_anchors: int
     n_targets: int
+    c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.c.setflags(write=False)
+        n_a, n_t = self.n_anchors, self.n_targets
+        if n_a < 1 or n_t < 0:
+            raise ShapeMismatch("need n_anchors >= 1 and n_targets >= 0")
+        heads, tails = np.triu_indices(n_a, 1)
+        heads = np.concatenate([heads, np.repeat(np.arange(n_a), n_t)])
+        tails = np.concatenate([tails, n_a + np.tile(np.arange(n_t), n_a)])
+        rows = np.arange(heads.size)
+        c = np.zeros((heads.size, n_a + n_t))
+        c[rows, heads] = 1.0
+        c[rows, tails] = -1.0
+        c.setflags(write=False)
+        object.__setattr__(self, "c", c)
 
     @property
     def n_aa(self) -> int:
@@ -95,22 +107,11 @@ class StructureMatrices:
 
 @lru_cache(maxsize=16)
 def structure_matrices(n_anchors: int, n_targets: int) -> StructureMatrices:
-    """Build the incidence matrix of a network with the given node counts.
+    """The incidence matrix of a network with the given node counts.
 
     The result is immutable and cached per size, so repeated calls share it.
     """
-    if n_anchors < 1 or n_targets < 0:
-        raise ShapeMismatch("need n_anchors >= 1 and n_targets >= 0")
-    heads, tails = np.triu_indices(n_anchors, 1)
-    heads = np.concatenate([heads, np.repeat(np.arange(n_anchors), n_targets)])
-    tails = np.concatenate(
-        [tails, n_anchors + np.tile(np.arange(n_targets), n_anchors)]
-    )
-    rows = np.arange(heads.size)
-    c = np.zeros((heads.size, n_anchors + n_targets))
-    c[rows, heads] = 1.0
-    c[rows, tails] = -1.0
-    return StructureMatrices(c, n_anchors, n_targets)
+    return StructureMatrices(n_anchors, n_targets)
 
 
 def edge_matrix(geometry: NetworkGeometry, structure: StructureMatrices) -> np.ndarray:
@@ -148,19 +149,6 @@ class TrueParameters:
     def __post_init__(self):
         for name in self.__dataclass_fields__:
             getattr(self, name).setflags(write=False)
-
-    @property
-    def alpha_xy(self) -> np.ndarray:
-        """Signed azimuth differences phi[p] - phi[m] in the xy plane."""
-        return self.phi_xy[None, :] - self.phi_xy[:, None]
-
-    @property
-    def alpha_xz(self) -> np.ndarray:
-        return self.phi_xz[None, :] - self.phi_xz[:, None]
-
-    @property
-    def alpha_yz(self) -> np.ndarray:
-        return self.phi_yz[None, :] - self.phi_yz[:, None]
 
     @property
     def any_degenerate(self) -> bool:

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .gek import QuatGek, RealGek, build_quat_gek, build_real_gek, extract_blocks
 from .measurement import MeasurementSet
-from .network import NetworkGeometry, StructureMatrices, true_parameters
+from .network import StructureMatrices
 from .quat import (
     QuaternionMatrix,
     dominant_eigpair,
@@ -262,9 +262,10 @@ def _mrc_core(
     nu_at = k2h_nu / aa_energy
     residuals: list[float] = []
     trajectory = [nu_at] if record_trajectory else None
+    k3h = k3.H
     for _ in range(tau_max):
         prev = nu_at
-        nu_at = (k2h_nu + k3.H @ nu_at) / (aa_energy + nu_at.norm() ** 2)
+        nu_at = (k2h_nu + k3h @ nu_at) / (aa_energy + nu_at.norm() ** 2)
         residuals.append(
             (nu_at - prev).norm() / max(prev.norm(), np.finfo(float).tiny)
         )
@@ -322,14 +323,17 @@ def _quat_solve(
 
 
 def _stage_two_kernel(
-    ms: MeasurementSet, anchors: np.ndarray, targets: np.ndarray
+    ms: MeasurementSet, kr: RealGek, anchors: np.ndarray, targets: np.ndarray,
+    structure: StructureMatrices,
 ) -> QuatGek:
-    """Scenario I quaternion kernel: measured lengths and pair angles, with
-    azimuths and elevations taken from the stage-one fix `targets`."""
-    est = true_parameters(NetworkGeometry(anchors, targets))
-    d = ms.distances
-    plane = tuple(d * np.sin(t) for t in (est.theta_z, est.theta_y, est.theta_x))
-    return build_quat_gek(d, ms.adoa, (est.phi_xy, est.phi_xz, est.phi_yz), plane)
+    """Scenario I quaternion kernel: the measured real kernel `kr` plus plane
+    parts from the stage-one edge vectors, rescaled to the measured lengths.
+    A zero-length estimated edge gets zero plane components."""
+    v = structure.c @ np.vstack([anchors, targets])
+    n = np.linalg.norm(v, axis=1)
+    v *= np.divide(ms.distances, n, out=np.zeros_like(n), where=n > 0)[:, None]
+    a, b, c = v.T
+    return build_quat_gek(kr, ((a, b), (a, c), (b, c)))
 
 
 def scenario_one_pipeline(
@@ -342,18 +346,19 @@ def scenario_one_pipeline(
     """Two-stage solver for distance-and-pair-angle-only measurements.
 
     Stage one runs `smds` on the real kernel. Stage two treats the resulting
-    geometry (known anchors, estimated targets) as an angle source: edge
-    azimuths and elevations come from the estimated edge vectors, plane
-    lengths from the measured distances scaled by the estimated elevations,
-    and the quaternion kernel built from that mix feeds the requested
-    quaternion-domain solver. The stage-two kernel comes from the private
-    `_stage_two_kernel`, which the Monte-Carlo harness also calls so that
-    one stage-one fix serves every quaternion solver of a trial.
+    geometry (known anchors, estimated targets) as a direction source: each
+    estimated edge vector, rescaled to its measured length, supplies the
+    in-plane components of the quaternion kernel, whose real part is the
+    same measured real kernel. That kernel feeds the requested
+    quaternion-domain solver. It comes from the private `_stage_two_kernel`,
+    which the Monte-Carlo harness also calls so that one stage-one fix
+    serves every quaternion solver of a trial.
     """
     if ms.has_angles:
         raise ShapeMismatch("pipeline expects a distance-and-pair-angle set")
     anchors = np.asarray(anchors, dtype=float)
-    stage1 = smds(build_real_gek(ms), anchors, structure)
-    kq = _stage_two_kernel(ms, anchors, stage1.targets)
+    kr = build_real_gek(ms)
+    stage1 = smds(kr, anchors, structure)
+    kq = _stage_two_kernel(ms, kr, anchors, stage1.targets, structure)
     final = _quat_solve(kq, anchors, structure, algorithm, tau_max)
     return Estimate(final.targets, {**final.diagnostics, "stage1": stage1})

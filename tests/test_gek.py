@@ -3,6 +3,7 @@ import pytest
 
 from qmds.errors import AsymmetricMask, DimensionMismatch, ShapeMismatch
 from qmds.gek import (
+    RealGek,
     apply_mask,
     build_quat_gek,
     build_real_gek,
@@ -12,6 +13,7 @@ from qmds.gek import (
 from qmds.measurement import MeasurementSet, NoiseConfig, missing_mask, synthesize
 from qmds.network import NetworkGeometry, structure_matrices, true_parameters
 from qmds.quat import QuaternionMatrix, embed_r3, qsvd
+from qmds.solvers import _stage_two_kernel
 
 
 def geometry(rng, n_anchors=5, n_targets=15):
@@ -71,27 +73,40 @@ def test_real_kernel_exactly_symmetric_under_noise():
 
 def test_quat_kernel_unit_oracle():
     # edges (1,0,0) and (0,1,0): pure -i coupling
-    vectors = np.array([[1.0, 0, 0], [0, 1.0, 0]])
-    params_like = _params_from_vectors(vectors)
-    k = build_quat_gek(*params_like).k
-    q = k[0, 1]
+    kr, planes = _kernel_inputs(np.array([[1.0, 0, 0], [0, 1.0, 0]]))
+    q = build_quat_gek(kr, planes).k[0, 1]
     assert q.w == pytest.approx(0.0, abs=1e-15)
     assert q.x == pytest.approx(-1.0, abs=1e-15)
     assert q.y == pytest.approx(0.0, abs=1e-15)
     assert q.z == pytest.approx(0.0, abs=1e-15)
 
 
-def _params_from_vectors(v):
+def _kernel_inputs(v):
+    """Exact real kernel and in-plane (u, v) components of edge vectors."""
     a, b, c = v.T
-    d = np.linalg.norm(v, axis=1)
-    d_xy, d_xz, d_yz = np.hypot(a, b), np.hypot(a, c), np.hypot(b, c)
-    phi = (np.arctan2(b, a), np.arctan2(c, a), np.arctan2(c, b))
-    gram = v @ v.T
-    dd = np.outer(d, d)
-    cos = np.divide(gram, dd, out=np.zeros_like(gram), where=dd > 0)
-    adoa = np.arccos(np.clip(cos, -1, 1))
-    np.fill_diagonal(adoa, 0.0)
-    return d, adoa, phi, (d_xy, d_xz, d_yz)
+    return RealGek(v @ v.T), ((a, b), (a, c), (b, c))
+
+
+def test_plane_parts_match_angle_form():
+    # S[m, p] = v_m u_p - u_m v_p equals -d_m d_p sin(phi_p - phi_m)
+    rng = np.random.default_rng(105)
+    params = true_parameters(geometry(rng, 4, 6))
+    kr, planes = _kernel_inputs(params.vectors)
+    k = build_quat_gek(kr, planes).k
+    cases = [
+        (k.x, params.d_xy, params.phi_xy),
+        (k.y, params.d_xz, params.phi_xz),
+        (k.z, params.d_yz, params.phi_yz),
+    ]
+    for part, dp, phi in cases:
+        angle_form = -np.outer(dp, dp) * np.sin(phi[None, :] - phi[:, None])
+        np.testing.assert_allclose(part, angle_form, atol=1e-10)
+
+
+def test_quat_kernel_rejects_mismatched_components():
+    kr, planes = _kernel_inputs(np.eye(3))
+    with pytest.raises(ShapeMismatch):
+        build_quat_gek(kr, planes[:2] + ((np.ones(2), np.ones(2)),))
 
 
 def test_quat_kernel_diagonal_is_squared_distance():
@@ -118,9 +133,27 @@ def test_quat_kernel_is_rank_one_outer_product():
 def test_quat_kernel_exactly_hermitian_under_noise():
     rng = np.random.default_rng(96)
     params = true_parameters(geometry(rng))
-    ms = synthesize(params, NoiseConfig(2.0, 50.0), "II", rng)
-    k = quat_gek_from_measurements(ms).k
-    assert (k - k.H).norm() == 0.0
+    for noise in (NoiseConfig(2.0, 50.0), NoiseConfig(4.0, 150.0)):
+        ms = synthesize(params, noise, "II", rng)
+        k = quat_gek_from_measurements(ms).k
+        assert k.hermitian_defect() == 0.0
+        assert (k - k.H).norm() == 0.0
+
+
+def test_stage_two_kernel_exactly_hermitian():
+    rng = np.random.default_rng(106)
+    geo = geometry(rng)
+    st = structure_matrices(geo.n_anchors, geo.n_targets)
+    ms = synthesize(true_parameters(geo), NoiseConfig(3.0, 40.0), "I", rng)
+    kr = build_real_gek(ms)
+    assert np.array_equal(kr.k, kr.k.T)
+    noisy_fix = geo.targets + rng.normal(0.0, 2.0, geo.targets.shape)
+    noisy_fix[0] = geo.anchors[0]  # one zero-length edge
+    kq = _stage_two_kernel(ms, kr, geo.anchors, noisy_fix, st)
+    assert kq.k.hermitian_defect() == 0.0
+    np.testing.assert_array_equal(kq.k.w, kr.k)
+    zero_edge = st.n_aa
+    assert np.all(kq.k.x[zero_edge] == 0) and np.all(kq.k.b[:, zero_edge] == 0)
 
 
 def test_quat_kernel_rejects_scenario_one():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from qmds.errors import DegenerateEdge, NonPositiveDistance, OutOfRange
+from qmds.errors import DegenerateEdge, NonPositiveDistance, OutOfRange, QmdsError
 from qmds.measurement import (
     EPSILON_LIMIT_DEG,
+    MeasurementSet,
     NoiseConfig,
     epsilon_to_rho,
     missing_mask,
@@ -133,7 +134,7 @@ def test_scenario_one_has_no_angle_fields():
     assert not ms.has_angles
     assert ms.phi_xy is None and ms.theta_x is None
     with pytest.raises(Exception):
-        ms.plane_distances()
+        ms.plane_components()
 
 
 def test_adoa_matrix_symmetric_zero_diagonal():
@@ -171,19 +172,60 @@ def test_axis_parallel_edges_tolerated():
     assert params.any_degenerate
     ms = synthesize(params, NoiseConfig(1.0, 30.0), "II", np.random.default_rng(9))
     assert np.all(ms.distances > 0)
-    for plane in ms.plane_distances():
-        assert np.all(plane >= 0)
+    for u, v in ms.plane_components():
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
 
 
-def test_plane_distances_match_definition():
+def test_plane_components_match_definition():
     rng = np.random.default_rng(82)
     params = sample_params(rng)
     ms = synthesize(params, NoiseConfig(1.0, 20.0), "II", rng)
-    dxy, dxz, dyz = ms.plane_distances()
-    np.testing.assert_allclose(dxy, ms.distances * np.sin(ms.theta_z), atol=1e-12)
-    np.testing.assert_allclose(dxz, ms.distances * np.sin(ms.theta_y), atol=1e-12)
-    np.testing.assert_allclose(dyz, ms.distances * np.sin(ms.theta_x), atol=1e-12)
-    assert np.all(dxy >= 0) and np.all(dxz >= 0) and np.all(dyz >= 0)
+    planes = ms.plane_components()
+    cases = [
+        (ms.theta_z, ms.phi_xy),
+        (ms.theta_y, ms.phi_xz),
+        (ms.theta_x, ms.phi_yz),
+    ]
+    for (u, v), (theta, phi) in zip(planes, cases):
+        r = ms.distances * np.sin(theta)
+        np.testing.assert_allclose(u, r * np.cos(phi), atol=1e-12)
+        np.testing.assert_allclose(v, r * np.sin(phi), atol=1e-12)
+        np.testing.assert_allclose(np.hypot(u, v), r, atol=1e-12)
+
+
+def test_exact_plane_components_are_edge_components():
+    rng = np.random.default_rng(85)
+    params = sample_params(rng)
+    ms = synthesize(params, NoiseConfig(), "II", rng)
+    a, b, c = params.vectors.T
+    for (u, v), expected in zip(ms.plane_components(), ((a, b), (a, c), (b, c))):
+        np.testing.assert_allclose(u, expected[0], atol=1e-10)
+        np.testing.assert_allclose(v, expected[1], atol=1e-10)
+
+
+def test_non_finite_measurements_rejected():
+    rng = np.random.default_rng(86)
+    ms = synthesize(sample_params(rng), NoiseConfig(1.0, 20.0), "II", rng)
+    fields = {name: getattr(ms, name).copy() for name in (
+        "distances", "adoa", "phi_xy", "phi_xz", "phi_yz",
+        "theta_x", "theta_y", "theta_z")}
+    for name, bad in (("distances", np.nan), ("adoa", np.inf),
+                      ("phi_yz", np.nan), ("theta_x", -np.inf)):
+        broken = {k: v.copy() for k, v in fields.items()}
+        broken[name].flat[1] = bad
+        if name == "adoa":
+            broken[name][1, 0] = bad  # keep it symmetric
+        with pytest.raises(QmdsError, match=name):
+            MeasurementSet("II", **broken)
+
+
+def test_asymmetric_pair_angles_rejected():
+    rng = np.random.default_rng(87)
+    ms = synthesize(sample_params(rng), NoiseConfig(1.0, 20.0), "I", rng)
+    adoa = ms.adoa.copy()
+    adoa[0, 1] = np.nextafter(adoa[0, 1], 4.0)
+    with pytest.raises(OutOfRange):
+        MeasurementSet("I", ms.distances.copy(), adoa)
 
 
 def test_measured_elevations_stay_in_range():

@@ -4,6 +4,7 @@ import pytest
 from qmds.errors import ShapeMismatch
 from qmds.network import (
     NetworkGeometry,
+    StructureMatrices,
     edge_matrix,
     structure_matrices,
     true_parameters,
@@ -60,9 +61,26 @@ def test_edge_set_anchor_block_first():
     assert ends[st.n_aa:] == sorted(ends[st.n_aa:])
 
 
+def test_structure_rows_follow_the_layout():
+    # Row n_aa + i * N_T + t joins anchor i and target t; the anchor-anchor
+    # rows before them run over the pairs i < j in lexicographic order.
+    for na, nt in [(1, 3), (2, 1), (4, 3), (5, 15), (7, 2)]:
+        st = StructureMatrices(na, nt)
+        ends = edge_ends(st)
+        assert st.c.shape == (st.n_aa + na * nt, na + nt)
+        assert ends[:st.n_aa] == [(i, j) for i in range(na) for j in range(i + 1, na)]
+        for i in range(na):
+            for t in range(nt):
+                assert ends[st.n_aa + i * nt + t] == (i, na + t)
+        assert st == structure_matrices(na, nt)
+        np.testing.assert_array_equal(st.c, structure_matrices(na, nt).c)
+
+
 def test_edge_set_rejects_empty():
     with pytest.raises(ShapeMismatch):
         structure_matrices(0, 5)
+    with pytest.raises(ShapeMismatch):
+        StructureMatrices(3, -1)
 
 
 def test_structure_is_shared_and_frozen():
@@ -142,7 +160,7 @@ def test_orthogonal_unit_edges():
     m = ends.index((0, 2))
     p = ends.index((1, 2))
     assert tp.adoa[m, p] == pytest.approx(np.pi / 2)
-    assert abs(tp.alpha_xy[m, p]) == pytest.approx(np.pi / 2)
+    assert abs(tp.phi_xy[p] - tp.phi_xy[m]) == pytest.approx(np.pi / 2)
     assert tp.d_xy[m] == pytest.approx(1.0)
     assert tp.d_xy[p] == pytest.approx(1.0)
 
@@ -177,13 +195,13 @@ def test_outer_product_identities():
     tp = true_parameters(random_geometry(rng, 4, 6))
     a, b, c = tp.vectors.T
     cases = [
-        (a, b, tp.d_xy, tp.alpha_xy),
-        (a, c, tp.d_xz, tp.alpha_xz),
-        (b, c, tp.d_yz, tp.alpha_yz),
+        (a, b, tp.d_xy, tp.phi_xy),
+        (a, c, tp.d_xz, tp.phi_xz),
+        (b, c, tp.d_yz, tp.phi_yz),
     ]
-    for u, w, dp, alpha in cases:
+    for u, w, dp, phi in cases:
         lhs = np.outer(u, w) - np.outer(w, u)  # u_m w_p - u_p w_m
-        rhs = np.outer(dp, dp) * np.sin(alpha)
+        rhs = np.outer(dp, dp) * np.sin(phi[None, :] - phi[:, None])
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 

@@ -53,6 +53,12 @@ def exact_setup(rng, scenario, n_targets=15):
     return geo, params, ms, st
 
 
+def exact_quat_gek(v):
+    """Quaternion kernel of exact edge vectors, zero-length ones included."""
+    a, b, c = v.T
+    return build_quat_gek(RealGek(v @ v.T), ((a, b), (a, c), (b, c)))
+
+
 def xi(est_targets, true_targets):
     return np.linalg.norm(est_targets - true_targets) / true_targets.shape[0]
 
@@ -199,23 +205,6 @@ def test_smds_zero_kernel_rejected():
         smds(RealGek(np.zeros((ms.m, ms.m))), geo.anchors, st)
 
 
-def test_smds_edge_permutation_invariance():
-    rng = np.random.default_rng(141)
-    geo, _, ms, st = exact_setup(rng, "I", n_targets=6)
-    kr = build_real_gek(ms)
-    base = smds(kr, geo.anchors, st)
-
-    from qmds.network import StructureMatrices
-
-    # Any reordering that keeps the anchor-anchor block first.
-    perm = np.concatenate([rng.permutation(st.n_aa),
-                           st.n_aa + rng.permutation(ms.m - st.n_aa)])
-    st_perm = StructureMatrices(st.c[perm].copy(), st.n_anchors, st.n_targets)
-    kr_perm = RealGek(kr.k[np.ix_(perm, perm)])
-    shuffled = smds(kr_perm, geo.anchors, st_perm)
-    np.testing.assert_allclose(shuffled.targets, base.targets, atol=1e-9)
-
-
 def test_smds_rejects_masked_kernel():
     rng = np.random.default_rng(142)
     geo, _, ms, st = exact_setup(rng, "I", n_targets=4)
@@ -269,12 +258,7 @@ def test_mrc_noiseless_exact():
 def test_mrc_target_at_anchor_position():
     geo = NetworkGeometry(ROOM_ANCHORS, ROOM_ANCHORS[1][None, :].copy())
     params = true_parameters(geo)  # one zero-length edge, flagged but usable
-    kq = build_quat_gek(
-        params.distances,
-        params.adoa,
-        (params.phi_xy, params.phi_xz, params.phi_yz),
-        (params.d_xy, params.d_xz, params.d_yz),
-    )
+    kq = exact_quat_gek(params.vectors)
     st = structure_matrices(5, 1)
     est = qd_mrc_smds(kq, geo.anchors, st)
     np.testing.assert_allclose(est.targets, geo.targets, atol=1e-10)
@@ -331,12 +315,7 @@ def test_mrc_zero_anchor_edges():
     anchors = np.zeros((5, 3))
     targets = np.array([[1.0, 2.0, 3.0]])
     params = true_parameters(NetworkGeometry(anchors, targets))
-    kq = build_quat_gek(
-        params.distances,
-        params.adoa,
-        (params.phi_xy, params.phi_xz, params.phi_yz),
-        (params.d_xy, params.d_xz, params.d_yz),
-    )
+    kq = exact_quat_gek(params.vectors)
     st = structure_matrices(5, 1)
     with pytest.raises(ZeroAnchorEdges):
         qd_mrc_smds(kq, anchors, st)
