@@ -41,7 +41,7 @@ from .errors import (
     QmdsError,
     ShapeMismatch,
 )
-from .gek import apply_mask, build_real_gek, quat_gek_from_measurements
+from .gek import apply_mask, build_quat_gek, build_real_gek
 from .measurement import NoiseConfig, missing_mask, synthesize
 from .network import (
     DEGENERATE_LENGTH,
@@ -284,18 +284,18 @@ def _structure(config: ExperimentConfig) -> StructureMatrices:
 _TRIAL_ERRORS = (QmdsError, np.linalg.LinAlgError)
 
 
-def _real_kernel(ms, mask):
-    """Real kernel of `ms`, completed when masked, and its sweep count."""
-    kr = build_real_gek(ms)
+def _real_kernel(kr, mask):
+    """The raw real kernel `kr`, completed when masked, and its sweep count."""
     if mask is None:
         return kr, 0
     kr, res = complete_real_gek(apply_mask(kr, mask))
     return kr, res.iterations
 
 
-def _quat_kernel(ms, mask):
-    """Quaternion kernel of `ms`, completed when masked, and its sweep count."""
-    kq = quat_gek_from_measurements(ms)
+def _quat_kernel(ms, kr, mask):
+    """Scenario II quaternion kernel on the raw real kernel `kr`, completed
+    when masked, and its sweep count."""
+    kq = build_quat_gek(kr, ms.plane_components())
     if mask is None:
         return kq, 0
     kq, info = complete_quat_gek(apply_mask(kq, mask))
@@ -305,10 +305,11 @@ def _quat_kernel(ms, mask):
 class _Instance:
     """One seed key's trial, which every algorithm run on it shares.
 
-    Each piece (drawn data, kernel, smds estimate, quaternion solve) is built
-    on first use and kept, or its error is kept and raised again to every
-    later user. A piece's inputs are fetched before its clock starts, so
-    `_ms` holds each build's own wall time.
+    Each piece (drawn data, the unmasked real kernel, the completed kernels,
+    smds estimate, quaternion solve) is built on first use and kept, or its
+    error is kept and raised again to every later user. A piece's inputs are
+    fetched before its clock starts, so `_ms` holds each build's own wall
+    time.
     """
 
     def __init__(self, config, scenario, sigma_d, epsilon, trial_index, structure):
@@ -348,6 +349,10 @@ class _Instance:
         mask = missing_mask(ms.m, fraction, mask_rng) if fraction > 0 else None
         return geometry, ms, mask
 
+    def raw_real(self):
+        """The unmasked real kernel, which both kernel pieces start from."""
+        return self._piece("raw", build_real_gek, self.data()[1])
+
     def _estimate(self, algorithm: str) -> tuple[Estimate, int, tuple[str, ...]]:
         """The algorithm's estimate, its completion sweeps, and the names of
         the timed pieces on its path. Scenario I solves the quaternion
@@ -355,16 +360,17 @@ class _Instance:
         geometry, ms, mask = self.data()
         anchors = geometry.anchors
         if algorithm == "smds" or self.key[0] == "I":
-            kr, sweeps = self._piece("real", _real_kernel, ms, mask)
+            kr, sweeps = self._piece("real", _real_kernel, self.raw_real(), mask)
             est = self._piece("smds", smds, kr, anchors, self.structure)
             if algorithm == "smds":
-                return est, sweeps, ("real", "smds")
+                return est, sweeps, ("raw", "real", "smds")
             kq = self._piece("quat", _stage_two_kernel, ms, kr, anchors,
                              est.targets, self.structure)
-            path: tuple[str, ...] = ("real", "smds", "quat", algorithm)
+            path: tuple[str, ...] = ("raw", "real", "smds", "quat", algorithm)
         else:
-            kq, sweeps = self._piece("quat", _quat_kernel, ms, mask)
-            path = ("quat", algorithm)
+            kq, sweeps = self._piece("quat", _quat_kernel, ms, self.raw_real(),
+                                     mask)
+            path = ("raw", "quat", algorithm)
         est = self._piece(algorithm, _quat_solve, kq, anchors, self.structure,
                           algorithm, self.config.tau_max)
         return est, sweeps, path
@@ -496,7 +502,8 @@ def run_convergence(
                 instance = _Instance(config, "II", sigma_d, epsilon, t, structure)
                 try:
                     geometry, ms, mask = instance.data()
-                    kq, _ = instance._piece("quat", _quat_kernel, ms, mask)
+                    kq, _ = instance._piece("quat", _quat_kernel, ms,
+                                            instance.raw_real(), mask)
                     est = qd_mrc_smds_iterative(
                         kq, geometry.anchors, structure,
                         tau_max=tau_max, record_trajectory=True,

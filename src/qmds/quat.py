@@ -52,6 +52,11 @@ __all__ = [
 
 # Relative Hermitian defect above which `dominant_eigpair` warns.
 _DEFECT_TOL = 1e-12
+# `dominant_eigpair` power steps: the certified eigenvector error r / g, and
+# the steps tried before the dense solve. Kernels of the paper's grid
+# (eps <= 50 deg) certify in at most about 40 steps.
+_CERT_TOL = 1e-13
+_POWER_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -380,32 +385,86 @@ def qsvd(q: QuaternionMatrix) -> QsvdResult:
     return QsvdResult(uq, s[::2].copy(), vq)
 
 
+def _certified_power(k: QuaternionMatrix) -> tuple[float, QuaternionMatrix] | None:
+    """Power steps on a Hermitian K: its top pair once certified, else None.
+
+    The iterate u = u1 + u2 j is the m x 2 array [u1, u2], and one step is
+    K(u1 + u2 j) = (A u1 - B conj(u2)) + (A u2 + B conj(u1)) j. Why the
+    certificate holds: with Rayleigh quotient lam and residual r, some
+    eigenvalue lies within r of lam (the Hermitian residual bound, applied
+    to the complex adjoint), so it is at least mu = lam - r. The squared
+    eigenvalues sum to ||K||_F^2, so when 2 mu^2 > ||K||_F^2 every other
+    eigenvalue is below sqrt(||K||_F^2 - mu^2) < mu. That eigenvalue is
+    then the largest, g = mu - sqrt(||K||_F^2 - mu^2) bounds its gap from
+    below, and sin(u, exact eigenvector) <= r / g (Davis & Kahan).
+    """
+    a, b = k.a, k.b
+    fro2 = float(np.vdot(a, a).real + np.vdot(b, b).real)
+    # The column of the largest diagonal entry is one step from e_c.
+    c = int(np.argmax(a.diagonal().real))
+    u = np.column_stack((a[:, c], b[:, c]))
+    for _ in range(_POWER_STEPS):
+        norm = np.linalg.norm(u)
+        if not norm > 0:  # zero or not finite
+            return None
+        u = u / norm
+        # [A u1 - B conj(u2), A u2 + B conj(u1)]
+        w = a @ u + (b @ u.conj())[:, ::-1] * (-1.0, 1.0)
+        lam = float(np.vdot(u, w).real)
+        r = float(np.linalg.norm(w - u * lam))
+        mu = lam - r
+        if mu > 0 and 2 * mu * mu > fro2:
+            if r <= _CERT_TOL * (mu - math.sqrt(max(fro2 - mu * mu, 0.0))):
+                return lam, QuaternionMatrix(u[:, 0], u[:, 1])
+        elif r <= _CERT_TOL * math.sqrt(fro2):
+            return None  # converged to a pair the certificate rejects
+        u = w
+    return None
+
+
 def dominant_eigpair(k: QuaternionMatrix) -> tuple[float, QuaternionMatrix]:
     """Largest eigenpair (lambda, u) of a Hermitian quaternion matrix.
 
     Returns the algebraically largest eigenvalue and a unit right
     eigenvector, K u = u lambda; u is defined only up to a right
-    unit-quaternion factor. The input is symmetrized to (K + K^H)/2 first;
-    a defect beyond 1e-12 (relative Frobenius) is reported with a warning
-    rather than an error, since measurement noise routinely lands just
-    outside exact symmetry.
+    unit-quaternion factor. An input that is not Hermitian to the bit is
+    symmetrized to (K + K^H)/2 first. A relative Frobenius defect beyond
+    1e-12 is reported with a warning rather than an error, since
+    measurement noise routinely lands just outside exact symmetry.
 
-    One dense Hermitian solve of the complex adjoint: its eigenvalues are
-    those of K, each twice, and any unit column [u1; u2] of the top
-    eigenspace pulls back to the quaternion eigenvector u1 - conj(u2) j.
+    Quaternion power steps, started from the column of K with the largest
+    diagonal entry, return the pair once a certificate holds: with Rayleigh
+    quotient lambda and residual r, mu = lambda - r is positive,
+    mu^2 > ||K||_F^2 / 2, and r <= 1e-13 g for the gap bound
+    g = mu - sqrt(||K||_F^2 - mu^2). Because the squared eigenvalues sum to
+    ||K||_F^2, that proves lambda belongs to the largest eigenvalue and
+    bounds the eigenvector error by r / g. A near rank-1 kernel certifies
+    in a few dozen steps. When the steps converge to a pair the certificate
+    rejects (the largest eigenvalue does not dominate, or is not the one of
+    largest magnitude), or do not certify within a fixed step budget, one
+    dense Hermitian solve of the complex adjoint is used instead: its
+    eigenvalues are those of K, each twice, and any unit column [u1; u2] of
+    the top eigenspace pulls back to the quaternion eigenvector
+    u1 - conj(u2) j.
     """
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ShapeMismatch("dominant_eigpair needs a square matrix")
-    defect = k.hermitian_defect()
-    if defect > _DEFECT_TOL:
-        warnings.warn(
-            f"hermitian defect {defect:.3e} exceeds {_DEFECT_TOL:.1e}; "
-            "input symmetrized",
-            HermitianDefectWarning,
-            stacklevel=2,
-        )
-    ks = (k + k.H) / 2
-    w, v = np.linalg.eigh(complex_adjoint(ks))
+    # Both kernel builders produce bit-Hermitian kernels, which skip the
+    # defect measure and the copy.
+    if not (np.array_equal(k.a, k.a.conj().T) and np.array_equal(k.b, -k.b.T)):
+        defect = k.hermitian_defect()
+        if defect > _DEFECT_TOL:
+            warnings.warn(
+                f"hermitian defect {defect:.3e} exceeds {_DEFECT_TOL:.1e}; "
+                "input symmetrized",
+                HermitianDefectWarning,
+                stacklevel=2,
+            )
+        k = (k + k.H) / 2
+    pair = _certified_power(k)
+    if pair is not None:
+        return pair
+    w, v = np.linalg.eigh(complex_adjoint(k))
     m = k.shape[0]
     top = v[:, -1]
     return float(w[-1]), QuaternionMatrix(top[:m], -np.conj(top[m:]))

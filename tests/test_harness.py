@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qmds import harness
+from qmds import gek, harness
 from qmds.errors import DegenerateAnchors, OutOfRange, RankDeficient, ShapeMismatch
 from qmds.harness import (
     CSV_COLUMNS,
@@ -329,21 +329,31 @@ def counting(monkeypatch, name):
 
 
 def test_grid_builds_each_piece_once_per_instance(monkeypatch):
-    names = ("synthesize", "smds", "complete_real_gek", "complete_quat_gek")
+    names = ("synthesize", "build_real_gek", "smds", "complete_real_gek",
+             "complete_quat_gek")
     calls = {name: counting(monkeypatch, name) for name in names}
-    # Scenario I: the smds estimate is both the smds result and stage one of
-    # all three quaternion solvers.
+    # a kernel builder that builds its own real part is counted as well
+    monkeypatch.setattr(gek, "build_real_gek", harness.build_real_gek)
+    # Both scenarios, 2 x 2 x 3 instances. In Scenario I the smds estimate
+    # is both the smds result and stage one of all three quaternion solvers;
+    # in both, one real kernel per instance feeds every kernel piece.
     run_grid(small_config(sigma_d_grid=(1.0, 2.0), epsilon_grid=(30.0,),
                           trials=3))
     assert len(calls["synthesize"]) == 2 * 2 * 3
+    assert len(calls["build_real_gek"]) == 2 * 2 * 3
     assert len(calls["smds"]) == 2 * 2 * 3
     assert not calls["complete_real_gek"] and not calls["complete_quat_gek"]
-    for found in calls.values():
-        found.clear()
-    run_grid(small_config(scenarios=("II",), missing_fraction=0.3,
-                          sigma_d_grid=(2.0,), epsilon_grid=(50.0,), trials=2))
-    assert {name: len(found) for name, found in calls.items()} == dict.fromkeys(
-        names, 2)
+    # Scenario II alone, unmasked and masked.
+    for fraction, completions in ((0.0, 0), (0.3, 2)):
+        for found in calls.values():
+            found.clear()
+        run_grid(small_config(scenarios=("II",), missing_fraction=fraction,
+                              sigma_d_grid=(2.0,), epsilon_grid=(50.0,),
+                              trials=2))
+        assert {name: len(found) for name, found in calls.items()} == {
+            "synthesize": 2, "build_real_gek": 2, "smds": 2,
+            "complete_real_gek": completions, "complete_quat_gek": completions,
+        }
 
 
 def test_shared_piece_failure_fails_each_user_alike(monkeypatch):

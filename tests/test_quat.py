@@ -6,6 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmds.errors import HermitianDefectWarning, ShapeMismatch, ZeroQuaternion
+from qmds.gek import quat_gek_from_measurements
+from qmds.harness import DEFAULT_ANCHORS, DEFAULT_ROOM
+from qmds.measurement import NoiseConfig, synthesize
+from qmds.network import NetworkGeometry, true_parameters
 from qmds.quat import (
     QsvdResult,
     Quaternion,
@@ -346,6 +350,94 @@ def test_dominant_eigpair_residual_on_gram_matrices():
         lam, u = dominant_eigpair(k)
         assert eigen_residual(k, lam, u) <= 1e-8 * k.norm()
         assert abs(u.norm() - 1.0) <= 1e-12
+
+
+def test_dominant_eigpair_certificate_rejects_a_lower_eigenvector():
+    # The start column (2, 0, 0) is an exact eigenvector for 2 with zero
+    # residual; a residual-only stop returns 2, the top eigenvalue is 3.
+    k = QuaternionMatrix.from_real([[2, 0, 0], [0, 1.5, 1.5], [0, 1.5, 1.5]])
+    lam, u = dominant_eigpair(k)
+    assert lam == pytest.approx(3.0, rel=1e-12)
+    assert eigen_residual(k, lam, u) <= 1e-12
+
+
+def paper_kernel(seed, epsilon, sigma_d=1.0):
+    """Scenario II quaternion kernel of the paper's room and anchors."""
+    rng = np.random.default_rng(seed)
+    targets = rng.uniform((0.0, 0.0, 0.0), DEFAULT_ROOM, size=(15, 3))
+    params = true_parameters(NetworkGeometry(np.array(DEFAULT_ANCHORS), targets))
+    noise = NoiseConfig(sigma_d=sigma_d, epsilon_deg=epsilon)
+    return quat_gek_from_measurements(synthesize(params, noise, "II", rng)).k
+
+
+def counted_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def wrapper(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", wrapper)
+    return calls
+
+
+def doubled_top_kernel():
+    rng = np.random.default_rng(44)
+    u = qsvd(rand_qm(rng, 6, 6)).u
+    lams = np.array([5.0, 5.0, 1.0, 0.5, -0.5, -2.0])
+    k = QuaternionMatrix(u.a * lams, u.b * lams) @ u.H
+    return (k + k.H) / 2
+
+
+@pytest.mark.parametrize("make", [doubled_top_kernel, lambda: paper_kernel(7, 150.0)],
+                         ids=["doubled-top", "paper-eps150"])
+def test_dominant_eigpair_falls_back_to_dense_solve(monkeypatch, make):
+    k = make()
+    top = np.linalg.eigvalsh(complex_adjoint(k))[-1]
+    dense = counted_eigh(monkeypatch)
+    lam, u = dominant_eigpair(k)
+    assert dense == [(2 * k.shape[0], 2 * k.shape[0])]
+    assert lam == pytest.approx(top, rel=1e-12)
+    assert eigen_residual(k, lam, u) <= 1e-12 * k.norm()
+
+
+def test_dominant_eigpair_certifies_paper_kernels_without_dense_solve(monkeypatch):
+    kernels = [paper_kernel(seed, 50.0, sigma_d)
+               for seed in (1, 2, 3) for sigma_d in (1.0, 3.0)]
+    tops = [np.linalg.eigvalsh(complex_adjoint(k))[-1] for k in kernels]
+
+    def no_dense_solve(*args, **kwargs):
+        raise RuntimeError("dense eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_dense_solve)
+    for k, top in zip(kernels, tops):
+        lam, u = dominant_eigpair(k)
+        assert lam == pytest.approx(top, rel=1e-12)
+        assert eigen_residual(k, lam, u) <= 1e-12 * k.norm()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.sampled_from(("rank1", "zero", "negdef")),
+       st.floats(0.0, 2.0), st.integers(0, 2**32 - 1))
+def test_dominant_eigpair_matches_dense_solve(n, kind, noise, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        k = QuaternionMatrix.zeros((n, n))
+    elif kind == "rank1":
+        nu = rand_qm(rng, n)
+        col = QuaternionMatrix(nu.a[:, None], nu.b[:, None])
+        k = col @ col.H + rand_qm(rng, n, n) * noise
+    else:
+        g = rand_qm(rng, n, n)
+        k = -(g @ g.H) - QuaternionMatrix.eye(n) * noise
+    k = (k + k.H) / 2  # Hermitian to the bit
+    top = np.linalg.eigvalsh(complex_adjoint(k))[-1]
+    lam, u = dominant_eigpair(k)
+    scale = k.norm()
+    assert abs(lam - top) <= 1e-12 * scale
+    assert abs(u.norm() - 1.0) <= 1e-12
+    assert eigen_residual(k, lam, u) <= 1e-10 * scale
 
 
 def test_dominant_eigpair_warns_on_defect():
