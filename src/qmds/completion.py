@@ -1,22 +1,59 @@
 """Low-rank completion of partially observed kernels.
 
-An alternating projection: overwrite observed entries with their data, take
-a truncated SVD, repeat. The distance between the data-consistent iterate
-and its low-rank approximation never increases, and the returned matrix
-always carries the observed entries verbatim (the hard data constraint is
-re-imposed after the last truncation step).
+An alternating projection: overwrite observed entries with their data,
+replace the iterate by its best rank-r approximation, repeat. The distance
+between the data-consistent iterate and its low-rank approximation never
+increases, and the returned matrix always carries the observed entries
+verbatim (the hard data constraint is re-imposed after the last truncation
+step).
+
+A Hermitian iterate under a symmetric mask (the real kernel, and the first
+complex half of the quaternion kernel) keeps its r eigenpairs of largest
+|lambda|, rebuilt as V Theta V^H and symmetrized, so every iterate is
+Hermitian to the bit. Any other matrix keeps its r leading singular
+triplets. The singular values of a Hermitian matrix are its |lambda|, so
+both are the same best rank-r approximation.
+
+The iterate moves little between sweeps, so each sweep's truncation starts
+from the bases the last few sweeps found (the previous sweep's r + 2
+leading vectors and the r leading vectors of the three before it) and
+refines them without a full factorization:
+
+1. Rayleigh-Ritz on the span of those bases, which holds their linear
+   extrapolation along the iterate's path.
+2. If that is not certified: one shift-and-invert solve per wanted pair, at
+   its Ritz value (on x for a Hermitian iterate, on x^H x otherwise), then
+   Rayleigh-Ritz on the Ritz basis plus the solves. At most two solves run.
+
+A refined truncation is used only under a certificate. Let res be the Ritz
+residual on the side that is not zero by construction
+(||x V_r - V_r Theta_r||_F, or ||x^H U_r - V_r S_r||_F), and b an upper
+bound on sigma_{r+1}(x). The certificate is
+
+    res < 1e-13 (s_r - b).
+
+By the Davis-Kahan and Wedin theorems, the angle between the found and the
+exact rank-r subspaces is then below 1e-13, so the truncation is the same
+projection a dense factorization gives, up to rounding. The bound b is the
+smaller of two bounds. One is the Weyl chain b_prev + ||x - x_prev||_F.
+The other is the Frobenius tail sqrt(||x||_F^2 - sum_{i != r+1} s_i^2) over
+all Ritz values; it holds because each Ritz value is at most the singular
+value of the same index. Without a certificate, and on the first sweep, one
+dense factorization gives the truncation: `eigh` for a Hermitian iterate,
+`svd` otherwise. It also resets the basis and sets b to the exact
+sigma_{r+1}.
 
 The real kernel completes at rank 3. The quaternion kernel is completed
 through its Cayley-Dickson pair: each complex half of a rank-1 quaternion
-kernel has rank at most 2, so both halves complete at rank 2 and the merged
-result is re-Hermitized at the quaternion level (the halves themselves are
-not Hermitian: the second one is antisymmetric).
+kernel has rank at most 2, so both halves complete at rank 2. The merged
+result is re-Hermitized at the quaternion level, because the second half
+is antisymmetric, not Hermitian, and takes the singular-value route.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +77,12 @@ SPLIT_RANK = 2
 _MAX_SWEEPS = 500
 _TOL = 1e-8
 
+# Bases from this many sweeps span the first Rayleigh-Ritz space; solves
+# per sweep before the dense fallback; the subspace angle to certify.
+_HISTORY = 4
+_WARM_SOLVES = 2
+_CERTIFIED_ANGLE = 1e-13
+
 
 @dataclass(frozen=True)
 class CompletionResult:
@@ -51,10 +94,100 @@ class CompletionResult:
     rel_change: float
 
 
-def _truncate(x: np.ndarray, rank: int) -> np.ndarray:
-    """Best rank-`rank` approximation: keep the leading singular triplets."""
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
-    return (u[:, :rank] * s[:rank]) @ vh[:rank]
+@dataclass(frozen=True)
+class _Warm:
+    """What one sweep's truncation hands the next: rank + 2 orthonormal
+    leading vectors (eigenvectors, or right singular vectors) of the iterate
+    `x`, an upper bound on sigma_{rank+1}(x), and the `rank` leading vectors
+    of the sweeps before, most recent first."""
+
+    basis: np.ndarray
+    x: np.ndarray
+    bound: float
+    earlier: tuple[np.ndarray, ...] = ()
+
+
+def _by_magnitude(theta: np.ndarray, vectors: np.ndarray):
+    order = np.argsort(-np.abs(theta), kind="stable")
+    return theta[order], vectors[:, order]
+
+
+def _hermitian_low(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    low = (v * theta) @ v.conj().T
+    return (low + low.conj().T) / 2
+
+
+def _dense(x: np.ndarray, rank: int, hermitian: bool) -> tuple[np.ndarray, _Warm]:
+    """Best rank-`rank` approximation from a full factorization."""
+    if hermitian:
+        theta, v = _by_magnitude(*np.linalg.eigh(x))
+        low = _hermitian_low(v[:, :rank], theta[:rank])
+        s = np.abs(theta)
+    else:
+        u, s, vh = np.linalg.svd(x, full_matrices=False)
+        low = (u[:, :rank] * s[:rank]) @ vh[:rank]
+        v = vh.conj().T
+    bound = float(s[rank]) if rank < s.size else 0.0
+    return low, _Warm(v[:, : rank + 2], x, bound)
+
+
+def _rayleigh_ritz(
+    x: np.ndarray, q: np.ndarray, rank: int, hermitian: bool, warm: _Warm
+) -> tuple[np.ndarray | None, _Warm, np.ndarray]:
+    """Ritz pairs of `x` on the orthonormal columns of `q`: the truncation
+    if certified (else None), the Ritz basis with a bound on
+    sigma_{rank+1}(x), and the `rank` leading Ritz values."""
+    xq = x @ q
+    if hermitian:
+        # eigh reads one triangle of the projected matrix, so no mirroring
+        theta, w = _by_magnitude(*np.linalg.eigh(q.conj().T @ xq))
+        s, v = np.abs(theta), q @ w
+        res = np.linalg.norm(xq @ w[:, :rank] - v[:, :rank] * theta[:rank])
+    else:
+        u, s, wh = np.linalg.svd(xq, full_matrices=False)
+        theta, v = s, q @ wh.conj().T
+        res = np.linalg.norm(x.conj().T @ u[:, :rank] - v[:, :rank] * s[:rank])
+    # sigma_i(x) >= s_i for every i, so all other Ritz values come off the
+    # Frobenius norm in a bound on sigma_{rank+1}(x).
+    tail = np.sqrt(max(np.vdot(x, x).real - np.sum(s**2) + s[rank] ** 2, 0.0))
+    moved = 0.0 if warm.x is x else np.linalg.norm(x - warm.x)
+    bound = float(min(warm.bound + moved, tail))
+    nxt = replace(warm, basis=v[:, : rank + 2], x=x, bound=bound)
+    if not res < _CERTIFIED_ANGLE * (s[rank - 1] - bound):
+        return None, nxt, theta[:rank]
+    if hermitian:
+        return _hermitian_low(v[:, :rank], theta[:rank]), nxt, theta[:rank]
+    return (u[:, :rank] * s[:rank]) @ v[:, :rank].conj().T, nxt, theta[:rank]
+
+
+def _truncate(
+    x: np.ndarray, rank: int, hermitian: bool, warm: _Warm | None
+) -> tuple[np.ndarray, _Warm]:
+    """One sweep's best rank-`rank` approximation of `x`, refined from the
+    previous sweeps' `warm` state when there is one, and the state to hand
+    on."""
+    if warm is None or 2 * rank + 2 >= min(x.shape):
+        return _dense(x, rank, hermitian)  # first sweep, or no room to save
+    bases = (warm.basis, *warm.earlier)
+    warm = replace(warm, earlier=tuple(b[:, :rank] for b in bases[: _HISTORY - 1]))
+    q, _ = np.linalg.qr(np.hstack(bases))
+    op = x if hermitian else x.conj().T @ x
+    for solves in range(_WARM_SOLVES + 1):
+        low, warm, theta = _rayleigh_ritz(x, q, rank, hermitian, warm)
+        if low is not None:
+            return low, warm
+        if solves == _WARM_SOLVES or not abs(theta[-1]) > warm.bound:
+            break
+        shifted = np.repeat(op[None], rank, axis=0)
+        diagonal = np.arange(len(op))
+        shifted[:, diagonal, diagonal] -= (theta if hermitian else theta**2)[:, None]
+        try:
+            z = np.linalg.solve(shifted, warm.basis[:, :rank].T[:, :, None])
+        except np.linalg.LinAlgError:
+            break  # a shift equal to an eigenvalue: nothing left to refine
+        q, _ = np.linalg.qr(np.hstack([warm.basis, z[:, :, 0].T]))
+    low, dense = _dense(x, rank, hermitian)
+    return low, replace(dense, earlier=warm.earlier)
 
 
 def complete_lowrank(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionResult:
@@ -68,12 +201,14 @@ def complete_lowrank(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionRe
         return CompletionResult(k.copy(), 0, True, 0.0)
 
     data = np.where(mask, k, 0)
+    hermitian = np.array_equal(mask, mask.T) and np.array_equal(data, data.conj().T)
     x = data.copy()
+    warm = None
     gap = np.inf  # ||x - low||_F, the monotone quantity
     rel_change = np.inf
     it = 0
     for it in range(1, _MAX_SWEEPS + 1):
-        new_low = _truncate(x, rank)
+        new_low, warm = _truncate(x, rank, hermitian, warm)
         new_x = np.where(mask, data, new_low)
         new_gap = float(np.linalg.norm(new_x - new_low))
         if not new_gap <= gap * (1 + 1e-9) + 1e-12:
@@ -97,12 +232,15 @@ def complete_lowrank(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionRe
 
 
 def complete_real_gek(gek: RealGek) -> tuple[RealGek, CompletionResult]:
-    """Complete a masked real kernel at rank 3 and re-symmetrize."""
+    """Complete a masked real kernel at rank 3.
+
+    No symmetrization step follows: a symmetric kernel under a symmetric
+    mask takes the eigenvalue route, whose iterates are symmetric to the
+    bit."""
     if gek.mask is None:
         return gek, CompletionResult(gek.k, 0, True, 0.0)
     res = complete_lowrank(gek.k, gek.mask, REAL_KERNEL_RANK)
-    sym = (res.matrix + res.matrix.T) / 2
-    return RealGek(sym), res
+    return RealGek(res.matrix), res
 
 
 def complete_quat_gek(gek: QuatGek) -> tuple[QuatGek, dict]:
