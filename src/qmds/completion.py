@@ -21,8 +21,8 @@ refines them without a full factorization:
 
 1. Rayleigh-Ritz on the span of those bases, which holds their linear
    extrapolation along the iterate's path.
-2. If that is not certified: one shift-and-invert solve per wanted pair, at
-   its Ritz value (on x for a Hermitian iterate, on x^H x otherwise), then
+2. If that is not certified: one shift-and-invert solve per wanted pair,
+   just off its Ritz value (on x if Hermitian, on x^H x otherwise), then
    Rayleigh-Ritz on the Ritz basis plus the solves. At most two solves run.
 
 A refined truncation is used only under a certificate. Let res be the Ritz
@@ -178,9 +178,11 @@ def _truncate(
             return low, warm
         if solves == _WARM_SOLVES or not abs(theta[-1]) > warm.bound:
             break
+        # off the Ritz values by 2^-40 of the largest, so no LU is exactly singular
+        shifts = theta if hermitian else theta**2
         shifted = np.repeat(op[None], rank, axis=0)
         diagonal = np.arange(len(op))
-        shifted[:, diagonal, diagonal] -= (theta if hermitian else theta**2)[:, None]
+        shifted[:, diagonal, diagonal] -= (shifts + 2.0**-40 * abs(shifts[0]))[:, None]
         try:
             z = np.linalg.solve(shifted, warm.basis[:, :rank].T[:, :, None])
         except np.linalg.LinAlgError:

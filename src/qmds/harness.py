@@ -160,8 +160,10 @@ class ExperimentConfig:
         epsilons = tuple(float(e) for e in self.epsilon_grid)
         if not sigmas or any(s < 0 for s in sigmas):
             raise OutOfRange("sigma_d_grid must be nonempty and nonnegative")
-        if not epsilons or any(not 0 <= e < 162 for e in epsilons):
-            raise OutOfRange("epsilon_grid entries must lie in [0, 162) degrees")
+        if not epsilons:
+            raise OutOfRange("epsilon_grid must be nonempty")
+        for e in epsilons:
+            NoiseConfig(epsilon_deg=e)  # measurement defines the valid range
         object.__setattr__(self, "sigma_d_grid", sigmas)
         object.__setattr__(self, "epsilon_grid", epsilons)
         scenarios = tuple(self.scenarios)
@@ -205,15 +207,7 @@ def config_from_mapping(data: Mapping[str, object]) -> ExperimentConfig:
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
         raise OutOfRange(f"unknown config keys: {sorted(unknown)}")
-    kwargs: dict[str, object] = {}
-    for key, value in data.items():
-        if key in ("room", "sigma_d_grid", "epsilon_grid", "scenarios",
-                   "algorithms", "anchors"):
-            kwargs[key] = tuple(tuple(v) if isinstance(v, (list, tuple)) else v
-                                for v in value)  # type: ignore[union-attr]
-        else:
-            kwargs[key] = value
-    return ExperimentConfig(**kwargs)  # type: ignore[arg-type]
+    return ExperimentConfig(**data)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)

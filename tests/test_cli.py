@@ -72,6 +72,15 @@ def test_bad_grid_value_fails_cleanly(tmp_path, capsys):
     assert "qmds:" in capsys.readouterr().err
 
 
+def test_epsilon_too_narrow_for_any_concentration_fails_cleanly(tmp_path, capsys):
+    # Below about 0.0094 degrees even the largest concentration searched
+    # holds less than 90% of the angle error mass.
+    code, out = run_args(tmp_path, "--epsilon", "0.005")
+    assert code == 2
+    assert "qmds: epsilon_deg 0.005 is narrower" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_room_without_generic_placement_still_writes_csv(tmp_path):
     # No target draw in a 1e-13 m footprint is generic: every trial fails,
     # and the run still exits 0 with a full CSV.

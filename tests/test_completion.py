@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmds import completion, harness
@@ -261,6 +261,10 @@ def warm_against_dense(monkeypatch, kind, seed, spectrum, noise, step):
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(sorted(KINDS)), seed=st.integers(0, 2**32 - 1),
        noise=st.floats(1e-4, 0.05), step=st.floats(1e-9, 1e-3))
+# one solve made a Ritz value exact to the bit, and a shift placed right on
+# it made the next LU singular
+@example(kind="real", seed=460349, noise=2.1303764420058186e-4,
+         step=2.1303764420058186e-4)
 def test_warm_truncation_equals_dense(kind, seed, noise, step):
     # the antisymmetric kind's rank 2 is one pair of equal singular values
     spectrum = {"real": [3.0, 2.0, 1.0], "hermitian": [2.0, 1.0],

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,6 +28,20 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names undefined attributes: {missing}"
+
+
+def test_library_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests alone.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import qmds, qmds.cli\n"
+        "qmds.epsilon_to_rho(30.0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_every_traced_name_is_wrapped_and_restored(monkeypatch):

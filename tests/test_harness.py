@@ -77,6 +77,8 @@ def test_default_config_is_paper_setup():
         dict(timing="cpu"),
         dict(n_targets=0),
         dict(master_seed=-3),
+        dict(epsilon_grid=(0.005,)),
+        dict(epsilon_grid=()),
     ],
 )
 def test_config_rejects_bad_values(bad):

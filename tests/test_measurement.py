@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import ive
 from scipy.stats import kstest
 
 from qmds.errors import DegenerateEdge, NonPositiveDistance, OutOfRange, QmdsError
@@ -56,12 +58,39 @@ def test_rho_monotone_in_epsilon():
     assert all(a > b for a, b in zip(rhos, rhos[1:]))
 
 
-@pytest.mark.parametrize("eps", [10.0, 30.0, 50.0, 161.0])
-def test_rho_reintegrates_to_ninety_percent(eps):
-    from qmds.measurement import _vm_mass
+@pytest.mark.parametrize("eps, rho", [
+    (10.0, 89.295584400558951),
+    (20.0, 22.68962693464108),
+    (30.0, 10.367056859902238),
+    (40.0, 6.0710634823518133),
+    (50.0, 4.1080924628846098),
+])
+def test_rho_on_the_default_grid_is_pinned(eps, rho):
+    # Values of the earlier scipy quad/brentq inversion; every default grid
+    # cell draws its angle noise with these concentrations.
+    assert epsilon_to_rho(eps) == pytest.approx(rho, rel=1e-11, abs=0)
 
+
+@pytest.mark.parametrize("eps", [0.012, 1.0, 10.0, 30.0, 50.0, 150.0, 161.0, 161.9])
+def test_rho_reintegrates_to_ninety_percent(eps):
+    # Independent of the library's Gauss-Legendre rule and its normalizer:
+    # adaptive quadrature of the density exp(rho cos t) / (2 pi I0(rho)) over
+    # [-eps, eps], the exponent shifted by -rho and written as
+    # -2 rho sin^2(t/2). (scipy.stats.vonmises.cdf is off by 1.8e-6 at rho 89.)
     rho = epsilon_to_rho(eps)
-    assert abs(_vm_mass(np.deg2rad(eps), rho) - 0.9) < 1e-6
+    head, _ = quad(lambda t: np.exp(-2 * rho * np.sin(t / 2) ** 2),
+                   0.0, np.deg2rad(eps), epsabs=0.0, epsrel=1e-13, limit=200)
+    assert abs(head / (np.pi * ive(0, rho)) - 0.9) < 1e-12
+
+
+def test_epsilon_beyond_the_concentration_bracket_rejected():
+    # rho = 1e8 holds 90% of the mass within about +-0.0094 degrees
+    assert epsilon_to_rho(0.0095) > 9e7
+    for narrow in (0.009, 0.005, 1e-12):
+        with pytest.raises(OutOfRange, match="narrower"):
+            epsilon_to_rho(narrow)
+        with pytest.raises(OutOfRange, match="narrower"):
+            NoiseConfig(epsilon_deg=narrow)
 
 
 def test_near_uniform_limit():
