@@ -26,7 +26,10 @@ several algorithms fails, each of them records the same error.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 import time
+from collections import abc
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Sequence
@@ -116,6 +119,29 @@ CONVERGENCE_COLUMNS = (
 _RESAMPLE_LIMIT = 128
 
 
+def _sequence(name: str, values) -> tuple:
+    if isinstance(values, (str, bytes)) or not isinstance(values, abc.Iterable):
+        raise ShapeMismatch(f"{name} must be a list, got {values!r}")
+    return tuple(values)
+
+
+def _real(name: str, value) -> float:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise OutOfRange(f"{name} must hold finite numbers, got {value!r}")
+    return float(value)
+
+
+def _reals(name: str, values) -> tuple[float, ...]:
+    return tuple(_real(name, v) for v in _sequence(name, values))
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise OutOfRange(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one benchmark run.
@@ -124,7 +150,10 @@ class ExperimentConfig:
     removes that share of off-diagonal kernel entry pairs before solving (the
     kernels are then low-rank completed); it is only meaningful when angle
     measurements exist, so it requires scenario II. `timing` is "off" or
-    "wall"; leave it off when byte-identical output matters.
+    "wall"; leave it off when byte-identical output matters. A field of the
+    wrong type is rejected with a typed error: `ShapeMismatch` for a scalar
+    where a list belongs, `OutOfRange` for a non-integral count or a
+    non-finite number.
     """
 
     room: tuple[float, float, float] = DEFAULT_ROOM
@@ -141,10 +170,11 @@ class ExperimentConfig:
     timing: str = "off"
 
     def __post_init__(self) -> None:
-        room = tuple(float(v) for v in self.room)
+        room = _reals("room", self.room)
         if len(room) != 3 or any(v <= 0 for v in room):
             raise OutOfRange(f"room must be three positive extents, got {self.room}")
-        anchors = tuple(tuple(float(v) for v in row) for row in self.anchors)
+        anchors = tuple(_reals("anchors", row)
+                        for row in _sequence("anchors", self.anchors))
         if not anchors or any(len(row) != 3 for row in anchors):
             raise ShapeMismatch("anchors must be 3D points")
         pts = np.asarray(anchors)
@@ -154,10 +184,12 @@ class ExperimentConfig:
                     raise DegenerateAnchors(f"anchors {i} and {j} coincide")
         object.__setattr__(self, "room", room)
         object.__setattr__(self, "anchors", anchors)
+        for name in ("n_targets", "trials", "tau_max", "master_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n_targets < 1:
             raise OutOfRange("n_targets must be at least 1")
-        sigmas = tuple(float(s) for s in self.sigma_d_grid)
-        epsilons = tuple(float(e) for e in self.epsilon_grid)
+        sigmas = _reals("sigma_d_grid", self.sigma_d_grid)
+        epsilons = _reals("epsilon_grid", self.epsilon_grid)
         if not sigmas or any(s < 0 for s in sigmas):
             raise OutOfRange("sigma_d_grid must be nonempty and nonnegative")
         if not epsilons:
@@ -166,8 +198,8 @@ class ExperimentConfig:
             NoiseConfig(epsilon_deg=e)  # measurement defines the valid range
         object.__setattr__(self, "sigma_d_grid", sigmas)
         object.__setattr__(self, "epsilon_grid", epsilons)
-        scenarios = tuple(self.scenarios)
-        algorithms = tuple(self.algorithms)
+        scenarios = _sequence("scenarios", self.scenarios)
+        algorithms = _sequence("algorithms", self.algorithms)
         if not scenarios or any(s not in SCENARIOS for s in scenarios):
             raise OutOfRange(f"scenarios must be a nonempty subset of {SCENARIOS}")
         if not algorithms or any(a not in ALGORITHMS for a in algorithms):
@@ -176,7 +208,7 @@ class ExperimentConfig:
         object.__setattr__(self, "algorithms", algorithms)
         if self.trials < 1:
             raise OutOfRange("trials must be at least 1")
-        if not 0 <= self.missing_fraction < 1:
+        if not 0 <= _real("missing_fraction", self.missing_fraction) < 1:
             raise OutOfRange("missing_fraction must lie in [0, 1)")
         if self.missing_fraction > 0 and "I" in scenarios:
             # Scenario I takes its plane components from the first-stage
@@ -490,8 +522,7 @@ def run_convergence(
     rows: list[dict[str, object]] = []
     for sigma_d in config.sigma_d_grid:
         for epsilon in config.epsilon_grid:
-            per_tau = np.zeros((config.trials, tau_max + 1))
-            ok = np.zeros(config.trials, dtype=bool)
+            per_tau = np.full((config.trials, tau_max + 1), np.nan)
             for t in range(config.trials):
                 instance = _Instance(config, "II", sigma_d, epsilon, t, structure)
                 try:
@@ -502,12 +533,12 @@ def run_convergence(
                         kq, geometry.anchors, structure,
                         tau_max=tau_max, record_trajectory=True,
                     )
-                    xis = [metric_xi(targets, geometry.targets)
-                           for targets in est.diagnostics["trajectory"]]
                 except _TRIAL_ERRORS:
                     continue
-                ok[t] = np.isfinite(xis).all()
-                per_tau[t] = xis
+                # metric_xi of every sweep's targets at once
+                misfit = np.asarray(est.diagnostics["trajectory"]) - geometry.targets
+                per_tau[t] = np.linalg.norm(misfit, axis=(1, 2)) / config.n_targets
+            ok = np.isfinite(per_tau).all(axis=1)
             n_ok = int(ok.sum())
             for tau in range(tau_max + 1):
                 rows.append({

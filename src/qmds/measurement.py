@@ -49,6 +49,7 @@ EPSILON_LIMIT_DEG = 162.0
 
 _RHO_BRACKET = (1e-6, 1e8)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_triu_indices = lru_cache(maxsize=16)(np.triu_indices)  # shared; only read
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ def synthesize(
     m = params.distances.shape[0]
     adoa = params.adoa.copy()
     if rho is not None:
-        iu = np.triu_indices(m, 1)
+        iu = _triu_indices(m, 1)
         adoa[iu] += rng.vonmises(0.0, rho, size=iu[0].shape[0])
         adoa.T[iu] = adoa[iu]
 

@@ -18,6 +18,9 @@ complex adjoint of an M x N quaternion matrix is the 2M x 2N complex matrix
      [-conj(B),  conj(A)]],
 
 an algebra homomorphism (products and conjugate transposes map through it).
+Its first column carries a quaternion vector u = u1 + u2 j as the complex
+column w = [u1; -conj(u2)], so K u in column form is complex_adjoint(K) @ w,
+and u pulls back as u1 = w[:n], u2 = -conj(w[n:]).
 Every singular value of the adjoint appears exactly twice, and the SVD of a
 quaternion matrix is read off the adjoint's SVD by keeping the odd-indexed
 (1-based) singular values and columns; `qsvd` implements that extraction.
@@ -328,11 +331,11 @@ def complex_adjoint(q: QuaternionMatrix) -> np.ndarray:
     The map respects products, conjugate transposes, and Frobenius norms up
     to the doubling factor sqrt(2); each singular value of q shows up twice.
     """
-    a, b = q.a, q.b
-    if q.ndim == 1:
-        a = a[:, None]
-        b = b[:, None]
-    return np.block([[a, b], [-np.conj(b), np.conj(a)]])
+    a, b = (q.a, q.b) if q.ndim == 2 else (q.a[:, None], q.b[:, None])
+    m, n = a.shape
+    out = np.empty((2 * m, 2 * n), dtype=complex)  # np.block copies twice
+    out[:m, :n], out[:m, n:], out[m:, :n], out[m:, n:] = a, b, -b.conj(), a.conj()
+    return out
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,10 @@ diagnostics dict):
   combined with the known anchor edge vector, estimates the anchor-target
   edges directly, and averaging over the anchors yields target coordinates
   in absolute position with no eigensolve, inversion, or alignment.
-* `qd_mrc_smds_iterative` refines that edge estimate with a power-iteration
-  style update before the same averaging step.
+* `qd_mrc_smds_iterative` refines that edge estimate with fixed-point
+  sweeps before the same averaging step. The estimate is held as its complex
+  adjoint column (see `quat`), so a sweep is one complex matrix-vector
+  product with the adjoint of the target block, built once per solve.
 
 Factorization-based solvers recover geometry only up to an orthogonal
 transform, and a pseudo-inverse step does not restore it, so the kernel
@@ -23,7 +25,7 @@ estimates are aligned on the anchor-anchor edges first and the final
 coordinates are aligned on the anchors; both alignments permit reflections.
 
 Kernels must be complete: run the completion module first when entries are
-masked.
+masked. A kernel with a non-finite entry is rejected with `OutOfRange`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .errors import (
     AmbiguityResolutionFailure,
     DegenerateAnchors,
     DimensionMismatch,
+    OutOfRange,
     RankDeficient,
     ShapeMismatch,
     SingularSystem,
@@ -46,6 +49,7 @@ from .measurement import MeasurementSet
 from .network import StructureMatrices
 from .quat import (
     QuaternionMatrix,
+    complex_adjoint,
     dominant_eigpair,
     embed_r3,
     r3_components,
@@ -79,6 +83,9 @@ class Estimate:
 def _require_complete(gek: "RealGek | QuatGek") -> None:
     if gek.mask is not None and not gek.mask.all():
         raise ShapeMismatch("kernel carries unobserved entries; complete it first")
+    parts = (gek.k,) if isinstance(gek, RealGek) else (gek.k.a, gek.k.b)
+    if not all(np.isfinite(part).all() for part in parts):
+        raise OutOfRange("kernel holds non-finite entries")
 
 
 def _anchor_edges(anchors: np.ndarray, structure: StructureMatrices) -> np.ndarray:
@@ -250,7 +257,6 @@ def _mrc_core(
 ) -> Estimate:
     _require_complete(kq)
     anchors = np.asarray(anchors, dtype=float)
-    n_a, n_t = structure.n_anchors, structure.n_targets
     _, k2, k3 = extract_blocks(kq, structure)
 
     nu_aa = embed_r3(_anchor_edges(anchors, structure))
@@ -258,30 +264,30 @@ def _mrc_core(
     if aa_energy == 0:
         raise ZeroAnchorEdges("anchor-anchor edges are all zero length")
 
-    k2h_nu = k2.H @ nu_aa
-    nu_at = k2h_nu / aa_energy
-    residuals: list[float] = []
-    trajectory = [nu_at] if record_trajectory else None
-    k3h = k3.H
-    for _ in range(tau_max):
-        prev = nu_at
-        nu_at = (k2h_nu + k3h @ nu_at) / (aa_energy + nu_at.norm() ** 2)
-        residuals.append(
-            (nu_at - prev).norm() / max(prev.norm(), np.finfo(float).tiny)
-        )
-        if trajectory is not None:
-            trajectory.append(nu_at)
+    # The edge estimate u lives as its adjoint column w = [u1; -conj(u2)]
+    # (|w| = |u|), so each sweep is one complex matrix-vector product.
+    drive = complex_adjoint(k2.H @ nu_aa)[:, 0]
+    states = np.empty((tau_max + 1, drive.size), dtype=complex)
+    states[0] = w = drive / aa_energy
+    if tau_max:  # chi(K3^H) = chi(K3)^H, made in place: no second 2N x 2N copy
+        k3h = complex_adjoint(k3)
+        k3h = np.conjugate(k3h, out=k3h).T
+    for tau in range(1, tau_max + 1):
+        states[tau] = w = (drive + k3h @ w) / (aa_energy + np.vdot(w, w).real)
+    residuals = np.linalg.norm(np.diff(states, axis=0), axis=1) / np.maximum(
+        np.linalg.norm(states[:-1], axis=1), np.finfo(float).tiny)
 
-    def targets_from(nu: QuaternionMatrix) -> np.ndarray:
-        # Edge i * n_t + t runs from anchor i to target t; each anchor
-        # gives one estimate of the target, and they are averaged.
-        edges = r3_components(nu).reshape(n_a, n_t, 3)
-        return (anchors[:, None, :] - edges).mean(axis=0)
+    # Edge i * n_t + t runs from anchor i to target t, its coordinates are
+    # (Re w[:n], Im w[:n], -Re w[n:]), and the anchors' estimates are averaged.
+    halves = states.reshape(tau_max + 1, 2, structure.n_anchors, structure.n_targets)
+    edges = np.stack((halves[:, 0].real, halves[:, 0].imag, -halves[:, 1].real), -1)
+    targets = (anchors[:, None, :] - edges).mean(axis=1)
+    targets.setflags(write=False)
 
-    diag: dict = {"tau": tau_max, "nu_residuals": residuals}
-    if trajectory is not None:
-        diag["trajectory"] = [targets_from(nu) for nu in trajectory]
-    return Estimate(targets_from(nu_at), diag)
+    diag: dict = {"tau": tau_max, "nu_residuals": residuals.tolist()}
+    if record_trajectory:
+        diag["trajectory"] = list(targets)
+    return Estimate(targets[-1], diag)
 
 
 def qd_mrc_smds(

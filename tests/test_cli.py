@@ -101,6 +101,22 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "trails" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"room": 5}, {"epsilon_grid": 30}, {"trials": 2.5},
+     {"sigma_d_grid": [float("nan")]}],
+    ids=["scalar-room", "scalar-grid", "fractional-trials", "nan-sigma"],
+)
+def test_mistyped_config_value_fails_cleanly(tmp_path, capsys, bad):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad))
+    out = tmp_path / "x.csv"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("qmds: ")
+    assert not out.exists()
+
+
 def test_missing_config_file_fails(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "absent.json")])
     assert code == 2

@@ -159,6 +159,19 @@ def test_adjoint_respects_conjugate_transpose():
     np.testing.assert_allclose(lhs, rhs, atol=0)
 
 
+def test_adjoint_column_form_of_a_product():
+    # u = u1 + u2 j travels as the column [u1; -conj(u2)], the first column
+    # of its own adjoint, so K @ u maps to one complex matrix-vector product.
+    rng = np.random.default_rng(14)
+    k = rand_qm(rng, 4, 3)
+    u = rand_qm(rng, 3)
+    w = np.concatenate([u.a, -np.conj(u.b)])
+    ku = k @ u
+    np.testing.assert_allclose(complex_adjoint(k) @ w,
+                               np.concatenate([ku.a, -np.conj(ku.b)]), atol=1e-12)
+    np.testing.assert_array_equal(complex_adjoint(u)[:, 0], w)
+
+
 def test_adjoint_singular_values_pair_up():
     rng = np.random.default_rng(13)
     q = rand_qm(rng, 6, 4)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qmds.errors import (
     AmbiguityResolutionFailure,
     DegenerateAnchors,
+    OutOfRange,
     RankDeficient,
     ShapeMismatch,
     ZeroAnchorEdges,
@@ -14,6 +17,7 @@ from qmds.gek import (
     apply_mask,
     build_quat_gek,
     build_real_gek,
+    extract_blocks,
     quat_gek_from_measurements,
 )
 from qmds.measurement import NoiseConfig, missing_mask, synthesize
@@ -23,7 +27,7 @@ from qmds.network import (
     structure_matrices,
     true_parameters,
 )
-from qmds.quat import Quaternion, QuaternionMatrix, embed_r3
+from qmds.quat import Quaternion, QuaternionMatrix, embed_r3, r3_components
 from qmds.solvers import (
     anchored_inversion,
     procrustes_align,
@@ -319,6 +323,71 @@ def test_mrc_zero_anchor_edges():
     st = structure_matrices(5, 1)
     with pytest.raises(ZeroAnchorEdges):
         qd_mrc_smds(kq, anchors, st)
+
+
+def _quaternion_algebra_mrc(kq, anchors, structure, tau_max):
+    """The refinement loop written in QuaternionMatrix algebra, as the oracle
+    for the solver's column-form sweeps: (trajectory, nu_residuals)."""
+    n_a, n_t = structure.n_anchors, structure.n_targets
+    _, k2, k3 = extract_blocks(kq, structure)
+    nu_aa = embed_r3(structure.c[:structure.n_aa, :n_a] @ anchors)
+    aa_energy = nu_aa.norm() ** 2
+    k2h_nu = k2.H @ nu_aa
+    states, residuals = [k2h_nu / aa_energy], []
+    for _ in range(tau_max):
+        prev = states[-1]
+        nu = (k2h_nu + k3.H @ prev) / (aa_energy + prev.norm() ** 2)
+        residuals.append((nu - prev).norm() / max(prev.norm(), np.finfo(float).tiny))
+        states.append(nu)
+    trajectory = [
+        (anchors[:, None, :] - r3_components(nu).reshape(n_a, n_t, 3)).mean(axis=0)
+        for nu in states
+    ]
+    return trajectory, residuals
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), n_targets=hst.integers(1, 8),
+       tau_max=hst.integers(0, 5), scale=hst.floats(1.0, 1e4))
+def test_mrc_sweeps_match_quaternion_algebra(seed, n_targets, tau_max, scale):
+    # Any quaternion kernel, Hermitian or not, of the 5-anchor layout.
+    rng = np.random.default_rng(seed)
+    st = structure_matrices(5, n_targets)
+    m = st.c.shape[0]
+    kq = QuatGek(QuaternionMatrix.from_components(
+        *(scale * rng.standard_normal((4, m, m)))))
+    est = qd_mrc_smds_iterative(kq, ROOM_ANCHORS, st, tau_max=tau_max,
+                                record_trajectory=True)
+    trajectory, residuals = _quaternion_algebra_mrc(kq, ROOM_ANCHORS, st, tau_max)
+
+    edges = [ROOM_ANCHORS.mean(axis=0) - t for t in trajectory]
+    assert len(est.diagnostics["trajectory"]) == tau_max + 1
+    for got, want, edge in zip(est.diagnostics["trajectory"], trajectory, edges):
+        # relative to the size of the averaged edge estimate
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(edge).max()
+    np.testing.assert_array_equal(est.targets, est.diagnostics["trajectory"][-1])
+    assert est.diagnostics["tau"] == tau_max
+    np.testing.assert_allclose(est.diagnostics["nu_residuals"], residuals,
+                               rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solve", [smds, qd_smds, qd_mrc_smds, qd_mrc_smds_iterative])
+def test_solver_rejects_non_finite_kernel(solve, bad):
+    rng = np.random.default_rng(152)
+    geo, _, ms, st = exact_setup(rng, "II", n_targets=4)
+    if solve is smds:
+        k = build_real_gek(ms).k.copy()
+        k[3, 17] = bad
+        kernel = RealGek(k)
+    else:
+        # an anchor-target entry, which every quaternion solver reads
+        kq = quat_gek_from_measurements(ms)
+        a, b = kq.k.a.copy(), kq.k.b.copy()
+        b[12, 15] = bad
+        kernel = QuatGek(QuaternionMatrix(a, b))
+    with pytest.raises(OutOfRange):
+        solve(kernel, geo.anchors, st)
 
 
 # ---- Scenario I pipeline ----
