@@ -338,8 +338,8 @@ class _Instance:
     time.
     """
 
-    def __init__(self, config, scenario, sigma_d, epsilon, trial_index, structure):
-        self.config, self.structure = config, structure
+    def __init__(self, config, scenario, sigma_d, epsilon, trial_index):
+        self.config, self.structure = config, _structure(config)
         self.key = (scenario, sigma_d, epsilon, trial_index)
         self._built: dict[str, object] = {}  # name -> value or its error
         self._ms: dict[str, float] = {}
@@ -367,12 +367,13 @@ class _Instance:
             self.config.master_seed, _SCENARIO_CODE[scenario],
             int(round(sigma_d * 1e6)), int(round(epsilon * 1e6)), trial_index,
         ))
-        geo_rng, meas_rng, mask_rng = map(np.random.default_rng, ss.spawn(3))
+        geo_rng, meas_rng = map(np.random.default_rng, ss.spawn(2))
         geometry, params = _sample_geometry(self.config, self.structure, geo_rng)
         noise = NoiseConfig(sigma_d=sigma_d, epsilon_deg=epsilon)
         ms = synthesize(params, noise, scenario, meas_rng)
-        fraction = self.config.missing_fraction
-        mask = missing_mask(ms.m, fraction, mask_rng) if fraction > 0 else None
+        fraction, mask = self.config.missing_fraction, None
+        if fraction > 0:  # the mask stream is the key's third child either way
+            mask = missing_mask(ms.m, fraction, np.random.default_rng(ss.spawn(1)[0]))
         return geometry, ms, mask
 
     def raw_real(self):
@@ -429,7 +430,6 @@ def run_trial(
     sigma_d: float,
     epsilon: float,
     trial_index: int,
-    structure: StructureMatrices | None = None,
 ) -> TrialResult:
     """Run one seeded trial end to end.
 
@@ -438,9 +438,7 @@ def run_trial(
     the identical geometry, measurement set, and mask, and gives the same
     result that `run_grid` records for that trial.
     """
-    structure = _structure(config) if structure is None else structure
-    instance = _Instance(config, scenario, sigma_d, epsilon, trial_index, structure)
-    return instance.run(algorithm)
+    return _Instance(config, scenario, sigma_d, epsilon, trial_index).run(algorithm)
 
 
 def _aggregate_cell(
@@ -484,14 +482,13 @@ def run_grid(config: ExperimentConfig) -> list[dict[str, object]]:
     config. Instances draw only from their own seed streams, so neither
     order changes a value.
     """
-    structure = _structure(config)
     rows = {}
     for scenario, sigma_d, epsilon in dict.fromkeys(
         product(config.scenarios, config.sigma_d_grid, config.epsilon_grid)
     ):
         results: dict[str, list[TrialResult]] = {a: [] for a in config.algorithms}
         for t in range(config.trials):
-            instance = _Instance(config, scenario, sigma_d, epsilon, t, structure)
+            instance = _Instance(config, scenario, sigma_d, epsilon, t)
             for algorithm, trials in results.items():
                 trials.append(instance.run(algorithm))
         for algorithm, trials in results.items():
@@ -502,41 +499,34 @@ def run_grid(config: ExperimentConfig) -> list[dict[str, object]]:
                                            config.sigma_d_grid, config.epsilon_grid)]
 
 
-def run_convergence(
-    config: ExperimentConfig,
-    tau_max: int | None = None,
-) -> list[dict[str, object]]:
+def run_convergence(config: ExperimentConfig) -> list[dict[str, object]]:
     """Track the iterative solver's error over refinement sweeps.
 
     Runs scenario II trials on the config's grid, recording xi after every
-    sweep 0..tau_max of a single solve per trial (one pass records the whole
-    trajectory). The solve reads the same measured kernel as a grid run's
-    scenario II trial: completed first when `missing_fraction` hides
-    entries. Returns one row per (sigma_d, epsilon, tau).
+    sweep 0..`config.tau_max` of a single solve per trial: the solver's
+    `diagnostics["trajectory"]` holds every sweep's targets. The solve reads
+    the same measured kernel as a grid run's scenario II trial: completed
+    first when `missing_fraction` hides entries. Returns one row per
+    (sigma_d, epsilon, tau).
     """
-    if tau_max is None:
-        tau_max = config.tau_max
-    if tau_max < 0:
-        raise OutOfRange("tau_max must be nonnegative")
+    tau_max = config.tau_max
     structure = _structure(config)
     rows: list[dict[str, object]] = []
     for sigma_d in config.sigma_d_grid:
         for epsilon in config.epsilon_grid:
             per_tau = np.full((config.trials, tau_max + 1), np.nan)
             for t in range(config.trials):
-                instance = _Instance(config, "II", sigma_d, epsilon, t, structure)
+                instance = _Instance(config, "II", sigma_d, epsilon, t)
                 try:
                     geometry, ms, mask = instance.data()
                     kq, _ = instance._piece("quat", _quat_kernel, ms,
                                             instance.raw_real(), mask)
-                    est = qd_mrc_smds_iterative(
-                        kq, geometry.anchors, structure,
-                        tau_max=tau_max, record_trajectory=True,
-                    )
+                    est = qd_mrc_smds_iterative(kq, geometry.anchors, structure,
+                                                tau_max)
                 except _TRIAL_ERRORS:
                     continue
                 # metric_xi of every sweep's targets at once
-                misfit = np.asarray(est.diagnostics["trajectory"]) - geometry.targets
+                misfit = est.diagnostics["trajectory"] - geometry.targets
                 per_tau[t] = np.linalg.norm(misfit, axis=(1, 2)) / config.n_targets
             ok = np.isfinite(per_tau).all(axis=1)
             n_ok = int(ok.sum())

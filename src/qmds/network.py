@@ -150,10 +150,6 @@ class TrueParameters:
         for name in self.__dataclass_fields__:
             getattr(self, name).setflags(write=False)
 
-    @property
-    def any_degenerate(self) -> bool:
-        return bool(np.any(self.degenerate))
-
 
 def true_parameters(geometry: NetworkGeometry) -> TrueParameters:
     """Compute exact per-edge distances and angles from node positions."""

@@ -148,14 +148,17 @@ class QuaternionMatrix:
 
     Instances are immutable: the backing arrays are frozen at construction,
     and every operation returns a new object. `@` is the quaternion matrix
-    product; the left or right operand may instead be a real ndarray, which
-    acts componentwise on the pair. Entry products by a scalar quaternion are
-    side-explicit (`left_mul` / `right_mul`) because they differ.
+    product of two quaternion matrices; an ndarray operand on either side
+    raises TypeError. The entrywise product by a scalar quaternion is taken
+    on the right (`right_mul`), the side that fixes an eigenvector's free
+    unit-quaternion factor.
     """
 
     __slots__ = ("_a", "_b")
 
-    # Defer mixed ndarray expressions to this class's reflected operators.
+    # numpy defers every mixed ndarray expression back to this class, which
+    # defines no reflected operators, so `ndarray @ q` raises TypeError
+    # instead of building an object array.
     __array_ufunc__ = None
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
@@ -171,20 +174,6 @@ class QuaternionMatrix:
     def from_components(cls, w, x, y, z) -> "QuaternionMatrix":
         w, x, y, z = (np.asarray(t, dtype=float) for t in (w, x, y, z))
         return cls(w + 1j * x, y + 1j * z)
-
-    @classmethod
-    def from_real(cls, arr) -> "QuaternionMatrix":
-        arr = np.asarray(arr, dtype=float)
-        return cls(arr.astype(complex), np.zeros_like(arr, dtype=complex))
-
-    @classmethod
-    def zeros(cls, shape) -> "QuaternionMatrix":
-        z = np.zeros(shape, dtype=complex)
-        return cls(z, z.copy())
-
-    @classmethod
-    def eye(cls, n: int) -> "QuaternionMatrix":
-        return cls(np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex))
 
     # ---- views ----
 
@@ -220,9 +209,6 @@ class QuaternionMatrix:
     def ndim(self) -> int:
         return self._a.ndim
 
-    def __len__(self) -> int:
-        return self._a.shape[0]
-
     def __getitem__(self, key) -> "Quaternion | QuaternionMatrix":
         a, b = self._a[key], self._b[key]
         if np.ndim(a) == 0:
@@ -231,13 +217,6 @@ class QuaternionMatrix:
         return QuaternionMatrix(a, b)
 
     # ---- algebra ----
-
-    def conj(self) -> "QuaternionMatrix":
-        return QuaternionMatrix(np.conj(self._a), -self._b)
-
-    @property
-    def T(self) -> "QuaternionMatrix":
-        return QuaternionMatrix(self._a.T, self._b.T)
 
     @property
     def H(self) -> "QuaternionMatrix":
@@ -250,24 +229,8 @@ class QuaternionMatrix:
     def __sub__(self, other: "QuaternionMatrix") -> "QuaternionMatrix":
         return QuaternionMatrix(self._a - other._a, self._b - other._b)
 
-    def __neg__(self) -> "QuaternionMatrix":
-        return QuaternionMatrix(-self._a, -self._b)
-
-    def __mul__(self, s: "float | int") -> "QuaternionMatrix":
-        if not isinstance(s, (int, float)):
-            return NotImplemented
-        return QuaternionMatrix(self._a * s, self._b * s)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, s: "float | int") -> "QuaternionMatrix":
         return QuaternionMatrix(self._a / s, self._b / s)
-
-    def left_mul(self, q: Quaternion) -> "QuaternionMatrix":
-        """Entrywise product q * self."""
-        qa, qb = q._pair
-        return QuaternionMatrix(qa * self._a - qb * np.conj(self._b),
-                                qa * self._b + qb * np.conj(self._a))
 
     def right_mul(self, q: Quaternion) -> "QuaternionMatrix":
         """Entrywise product self * q."""
@@ -275,29 +238,16 @@ class QuaternionMatrix:
         return QuaternionMatrix(self._a * qa - self._b * np.conj(qb),
                                 self._a * qb + self._b * np.conj(qa))
 
-    def __matmul__(self, other) -> "QuaternionMatrix":
-        if isinstance(other, QuaternionMatrix):
-            oa, ob = other._a, other._b
-        elif isinstance(other, np.ndarray):
-            oa = np.asarray(other, dtype=complex)
-            ob = np.zeros_like(oa)
-        else:
+    def __matmul__(self, other: "QuaternionMatrix") -> "QuaternionMatrix":
+        if not isinstance(other, QuaternionMatrix):
             return NotImplemented
+        oa, ob = other._a, other._b
         try:
             a = self._a @ oa - self._b @ np.conj(ob)
             b = self._a @ ob + self._b @ np.conj(oa)
         except ValueError as exc:
             raise DimensionMismatch(str(exc)) from None
         return QuaternionMatrix(a, b)
-
-    def __rmatmul__(self, other) -> "QuaternionMatrix":
-        if not isinstance(other, np.ndarray):
-            return NotImplemented
-        r = np.asarray(other, dtype=float)
-        try:
-            return QuaternionMatrix(r @ self._a, r @ self._b)
-        except ValueError as exc:
-            raise DimensionMismatch(str(exc)) from None
 
     # ---- measures ----
 
@@ -306,9 +256,6 @@ class QuaternionMatrix:
         return math.sqrt(float(np.sum(np.abs(self._a) ** 2)
                                + np.sum(np.abs(self._b) ** 2)))
 
-    def entry_norms(self) -> np.ndarray:
-        return np.sqrt(np.abs(self._a) ** 2 + np.abs(self._b) ** 2)
-
     def hermitian_defect(self) -> float:
         """Relative Frobenius distance to the conjugate transpose."""
         if self.ndim != 2 or self.shape[0] != self.shape[1]:
@@ -316,10 +263,6 @@ class QuaternionMatrix:
         num = (self - self.H).norm()
         den = max(self.norm(), np.finfo(float).tiny)
         return num / den
-
-    def allclose(self, other: "QuaternionMatrix", atol: float = 1e-12) -> bool:
-        return (np.allclose(self._a, other._a, atol=atol)
-                and np.allclose(self._b, other._b, atol=atol))
 
     def __repr__(self) -> str:
         return f"QuaternionMatrix(shape={self.shape})"

@@ -253,7 +253,6 @@ def _mrc_core(
     anchors: np.ndarray,
     structure: StructureMatrices,
     tau_max: int,
-    record_trajectory: bool,
 ) -> Estimate:
     _require_complete(kq)
     anchors = np.asarray(anchors, dtype=float)
@@ -284,9 +283,8 @@ def _mrc_core(
     targets = (anchors[:, None, :] - edges).mean(axis=1)
     targets.setflags(write=False)
 
-    diag: dict = {"tau": tau_max, "nu_residuals": residuals.tolist()}
-    if record_trajectory:
-        diag["trajectory"] = list(targets)
+    diag = {"tau": tau_max, "nu_residuals": residuals.tolist(),
+            "trajectory": targets}
     return Estimate(targets[-1], diag)
 
 
@@ -294,7 +292,7 @@ def qd_mrc_smds(
     kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices
 ) -> Estimate:
     """Closed-form target recovery from the kernel's cross block."""
-    return _mrc_core(kq, anchors, structure, tau_max=0, record_trajectory=False)
+    return _mrc_core(kq, anchors, structure, tau_max=0)
 
 
 def qd_mrc_smds_iterative(
@@ -302,12 +300,15 @@ def qd_mrc_smds_iterative(
     anchors: np.ndarray,
     structure: StructureMatrices,
     tau_max: int = 1,
-    record_trajectory: bool = False,
 ) -> Estimate:
-    """Closed-form recovery with a fixed-point refinement of the edges."""
+    """Closed-form recovery with a fixed-point refinement of the edges.
+
+    `diagnostics["trajectory"]` is the read-only (tau_max + 1, N_T, 3) array
+    of target estimates after every sweep 0..tau_max.
+    """
     if tau_max < 0:
         raise DimensionMismatch("tau_max must be nonnegative")
-    return _mrc_core(kq, anchors, structure, tau_max, record_trajectory)
+    return _mrc_core(kq, anchors, structure, tau_max)
 
 
 def _quat_solve(

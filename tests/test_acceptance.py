@@ -87,8 +87,8 @@ def paired_cell(scenario, alg_a, alg_b, sigma, eps, trials, seed, missing=0.0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonConvergenceWarning)
         for t in range(trials):
-            ra = run_trial(cfg, scenario, alg_a, sigma, eps, t, structure=STRUCTURE)
-            rb = run_trial(cfg, scenario, alg_b, sigma, eps, t, structure=STRUCTURE)
+            ra = run_trial(cfg, scenario, alg_a, sigma, eps, t)
+            rb = run_trial(cfg, scenario, alg_b, sigma, eps, t)
             if ra.ok and rb.ok:
                 xa.append(ra.xi)
                 xb.append(rb.xi)
@@ -155,11 +155,11 @@ def test_criterion_03_noiseless_exact_recovery():
     worst = {alg: 0.0 for alg in ("smds", "qdsmds", "mrc", "mrciter")}
     for t in range(100):
         worst["smds"] = max(
-            worst["smds"], run_trial(cfg, "I", "smds", 0.0, 0.0, t, STRUCTURE).xi
+            worst["smds"], run_trial(cfg, "I", "smds", 0.0, 0.0, t).xi
         )
         for alg in ("qdsmds", "mrc", "mrciter"):
             worst[alg] = max(
-                worst[alg], run_trial(cfg, "II", alg, 0.0, 0.0, t, STRUCTURE).xi
+                worst[alg], run_trial(cfg, "II", alg, 0.0, 0.0, t).xi
             )
     elapsed = time.perf_counter() - started
     ok = all(v < 1e-6 for v in worst.values()) and elapsed < 60
@@ -185,9 +185,7 @@ def refinement_sweep_data():
             geometry, _, kq = room_kernel(
                 (9004, int(sigma), t), NoiseConfig(sigma, 30.0)
             )
-            est = qd_mrc_smds_iterative(
-                kq, geometry.anchors, STRUCTURE, tau_max=5, record_trajectory=True
-            )
+            est = qd_mrc_smds_iterative(kq, geometry.anchors, STRUCTURE, tau_max=5)
             trajectory = est.diagnostics["trajectory"]
             xi_1.append(metric_xi(trajectory[1], geometry.targets))
             xi_5.append(metric_xi(trajectory[5], geometry.targets))
@@ -330,7 +328,7 @@ def test_criterion_09_masked_kernel_completion():
     cfg = ExperimentConfig(scenarios=("II",), missing_fraction=0.3, master_seed=9009)
     worst_clean = 0.0
     for t in range(5):
-        res = run_trial(cfg, "II", "qdsmds", 0.0, 0.0, t, STRUCTURE)
+        res = run_trial(cfg, "II", "qdsmds", 0.0, 0.0, t)
         worst_clean = max(worst_clean, res.xi)
     xs, xq = paired_cell("II", "smds", "qdsmds", 2.0, 50.0, 200, 9009, missing=0.3)
     diffs = xs - xq

@@ -1,6 +1,8 @@
 import importlib
 import importlib.util
+import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +44,20 @@ def test_library_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_example_runs():
+    # The README's python block is the package's first-contact example; an
+    # API trim must not break it without a failing test.
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    xi = float(out.strip().splitlines()[-1])
+    assert 0.0 <= xi < 1.5
 
 
 def test_every_traced_name_is_wrapped_and_restored(monkeypatch):

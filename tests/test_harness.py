@@ -264,9 +264,9 @@ def test_csv_floats_round_trip(tmp_path):
 
 def test_convergence_rows_and_monotone_start():
     cfg = small_config(
-        sigma_d_grid=(2.0,), epsilon_grid=(30.0,), trials=6,
+        sigma_d_grid=(2.0,), epsilon_grid=(30.0,), trials=6, tau_max=3,
     )
-    rows = run_convergence(cfg, tau_max=3)
+    rows = run_convergence(cfg)
     assert len(rows) == 4
     assert [r["tau"] for r in rows] == [0, 1, 2, 3]
     assert all(r["trials_ok"] == 6 for r in rows)
@@ -278,18 +278,18 @@ def test_convergence_stabilizes():
     # Under noise the sweeps settle near a fixed point but keep drifting by
     # a few percent; the mean error must stop moving in any one direction.
     cfg = small_config(
-        sigma_d_grid=(2.0,), epsilon_grid=(30.0,), trials=4,
+        sigma_d_grid=(2.0,), epsilon_grid=(30.0,), trials=4, tau_max=5,
     )
-    rows = run_convergence(cfg, tau_max=5)
+    rows = run_convergence(cfg)
     late = [r["mean_xi_m"] for r in rows if r["tau"] >= 3]
     assert max(late) - min(late) < 0.05 * max(late)
 
 
 def test_convergence_completes_masked_kernel():
     grid = dict(scenarios=("II",), sigma_d_grid=(2.0,), epsilon_grid=(30.0,),
-                trials=2)
-    plain = run_convergence(small_config(**grid), tau_max=2)
-    masked = run_convergence(small_config(missing_fraction=0.5, **grid), tau_max=2)
+                trials=2, tau_max=2)
+    plain = run_convergence(small_config(**grid))
+    masked = run_convergence(small_config(missing_fraction=0.5, **grid))
     assert [r["trials_ok"] for r in masked] == [2, 2, 2]
     assert [r["mean_xi_m"] for r in masked] != [r["mean_xi_m"] for r in plain]
 
@@ -373,7 +373,7 @@ def test_shared_piece_failure_fails_each_user_alike(monkeypatch):
         ("smds", 0), ("qdsmds", 2), ("mrc", 2), ("mrciter", 2)
     ]
     assert len(calls) == 2  # one attempt per instance, its error kept
-    instance = harness._Instance(cfg, "II", 2.0, 50.0, 0, harness._structure(cfg))
+    instance = harness._Instance(cfg, "II", 2.0, 50.0, 0)
     results = {a: instance.run(a) for a in cfg.algorithms}
     assert results["smds"].ok
     errors = {results[a].error for a in ("qdsmds", "mrc", "mrciter")}
@@ -386,7 +386,7 @@ def test_wall_time_adds_shared_stages():
     # In Scenario I every quaternion path contains the smds path (real
     # kernel and stage one), timed once and counted in full for each.
     cfg = small_config(timing="wall")
-    instance = harness._Instance(cfg, "I", 1.0, 30.0, 0, harness._structure(cfg))
+    instance = harness._Instance(cfg, "I", 1.0, 30.0, 0)
     results = {a: instance.run(a) for a in cfg.algorithms}
     for algorithm in ("qdsmds", "mrc", "mrciter"):
         assert results[algorithm].wall_ms > results["smds"].wall_ms > 0
@@ -407,7 +407,7 @@ def test_geometry_failure_fails_the_cell_not_the_grid():
     assert all(r["mean_xi_m"] is None for r in rows)
     res = run_trial(cfg, "II", "mrc", 1.0, 10.0, 0)
     assert res.error.startswith("DegenerateEdge: no generic target placement")
-    conv = run_convergence(cfg, tau_max=2)
+    conv = run_convergence(small_config(**DEGENERATE_ROOM, tau_max=2))
     assert all((r["trials_ok"], r["trials_failed"]) == (0, 2) for r in conv)
 
 
@@ -434,12 +434,12 @@ def test_bad_solver_output_is_a_failed_trial(monkeypatch, solver, error):
 
 @pytest.mark.parametrize("solver", [nan_estimate, singular], ids=["nan", "linalg"])
 def test_bad_trajectory_is_a_failed_convergence_trial(monkeypatch, solver):
-    def iterative(kq, anchors, structure, tau_max, record_trajectory):
+    def iterative(kq, anchors, structure, tau_max):
         est = solver(kq, anchors, structure)
-        return Estimate(est.targets, {"trajectory": [est.targets] * (tau_max + 1)})
+        trajectory = np.stack([est.targets] * (tau_max + 1))
+        return Estimate(est.targets, {"trajectory": trajectory})
 
     monkeypatch.setattr(harness, "qd_mrc_smds_iterative", iterative)
     rows = run_convergence(small_config(sigma_d_grid=(1.0,),
-                                        epsilon_grid=(30.0,), trials=2),
-                           tau_max=1)
+                                        epsilon_grid=(30.0,), trials=2, tau_max=1))
     assert [(r["trials_ok"], r["mean_xi_m"]) for r in rows] == [(0, None)] * 2

@@ -198,7 +198,7 @@ def test_axis_parallel_edges_tolerated():
         [[7.0, 11.0, 3.0], [22.0, 5.0, 8.0]],
     )
     params = true_parameters(geo)
-    assert params.any_degenerate
+    assert params.degenerate.any()
     ms = synthesize(params, NoiseConfig(1.0, 30.0), "II", np.random.default_rng(9))
     assert np.all(ms.distances > 0)
     for u, v in ms.plane_components():

@@ -224,7 +224,7 @@ def test_adoa_range_and_diagonal():
 def test_random_geometry_rarely_degenerate():
     rng = np.random.default_rng(68)
     tp = true_parameters(random_geometry(rng))
-    assert not tp.any_degenerate
+    assert not tp.degenerate.any()
 
 
 def test_parameters_are_immutable():

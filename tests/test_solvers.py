@@ -307,11 +307,11 @@ def test_mrc_iterative_trajectory():
     geo, params, _, st = exact_setup(rng, "II", n_targets=6)
     noisy = synthesize(params, NoiseConfig(1.0, 30.0), "II", rng)
     est = qd_mrc_smds_iterative(
-        quat_gek_from_measurements(noisy), geo.anchors, st,
-        tau_max=3, record_trajectory=True,
+        quat_gek_from_measurements(noisy), geo.anchors, st, tau_max=3,
     )
     traj = est.diagnostics["trajectory"]
     assert len(traj) == 4
+    assert traj.shape == (4, 6, 3) and not traj.flags.writeable
     np.testing.assert_array_equal(traj[-1], est.targets)
 
 
@@ -356,8 +356,7 @@ def test_mrc_sweeps_match_quaternion_algebra(seed, n_targets, tau_max, scale):
     m = st.c.shape[0]
     kq = QuatGek(QuaternionMatrix.from_components(
         *(scale * rng.standard_normal((4, m, m)))))
-    est = qd_mrc_smds_iterative(kq, ROOM_ANCHORS, st, tau_max=tau_max,
-                                record_trajectory=True)
+    est = qd_mrc_smds_iterative(kq, ROOM_ANCHORS, st, tau_max=tau_max)
     trajectory, residuals = _quaternion_algebra_mrc(kq, ROOM_ANCHORS, st, tau_max)
 
     edges = [ROOM_ANCHORS.mean(axis=0) - t for t in trajectory]
