@@ -107,8 +107,13 @@ def build_quat_gek(
     """
     if any(u.shape != (kr.m,) or v.shape != (kr.m,) for u, v in planes):
         raise ShapeMismatch("plane components do not match the edge count")
-    s_xy, s_xz, s_yz = (np.outer(v, u) - np.outer(u, v) for u, v in planes)
-    return QuatGek(QuaternionMatrix.from_components(kr.k, s_xy, s_xz, s_yz))
+    # Parts go straight into the complex halves, which are adopted uncopied.
+    a, b = np.empty((kr.m, kr.m), dtype=complex), np.empty((kr.m, kr.m), dtype=complex)
+    a.real = kr.k
+    for part, (u, v) in zip((a.imag, b.real, b.imag), planes):
+        np.multiply.outer(v, u, out=part)
+        part -= np.multiply.outer(u, v)
+    return QuatGek(QuaternionMatrix._adopt(a, b))
 
 
 def quat_gek_from_measurements(ms: MeasurementSet) -> QuatGek:
@@ -128,18 +133,17 @@ def extract_blocks(
 
     The split follows the structure's edge layout, anchor-anchor block
     first. Returns (K1, K2, K3) where K1 is n_aa x n_aa, K2 is n_aa x n_at,
-    and K3 is n_at x n_at.
+    and K3 is n_at x n_at, each a read-only view of the kernel's halves.
     """
     n_aa = structure.n_aa
     if gek.m != structure.c.shape[0]:
         raise DimensionMismatch(
             f"kernel size {gek.m} does not match {structure.c.shape[0]} edges"
         )
-    k = gek.k
-    k1 = QuaternionMatrix(k.a[:n_aa, :n_aa], k.b[:n_aa, :n_aa])
-    k2 = QuaternionMatrix(k.a[:n_aa, n_aa:], k.b[:n_aa, n_aa:])
-    k3 = QuaternionMatrix(k.a[n_aa:, n_aa:], k.b[n_aa:, n_aa:])
-    return k1, k2, k3
+    a, b = gek.k.a, gek.k.b
+    head, tail = slice(n_aa), slice(n_aa, None)
+    return tuple(QuaternionMatrix._adopt(a[r, c], b[r, c])
+                 for r, c in ((head, head), (head, tail), (tail, tail)))
 
 
 def apply_mask(gek: "RealGek | QuatGek", mask: np.ndarray) -> "RealGek | QuatGek":

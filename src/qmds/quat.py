@@ -18,9 +18,9 @@ complex adjoint of an M x N quaternion matrix is the 2M x 2N complex matrix
      [-conj(B),  conj(A)]],
 
 an algebra homomorphism (products and conjugate transposes map through it).
-Its first column carries a quaternion vector u = u1 + u2 j as the complex
-column w = [u1; -conj(u2)], so K u in column form is complex_adjoint(K) @ w,
-and u pulls back as u1 = w[:n], u2 = -conj(w[n:]).
+Its first column carries a quaternion vector u = u1 + u2 j as [u1; -conj(u2)].
+Products K u and K^H u need no adjoint: the solvers take them from transposed
+views of A and B, conjugating only vectors.
 Every singular value of the adjoint appears exactly twice, and the SVD of a
 quaternion matrix is read off the adjoint's SVD by keeping the odd-indexed
 (1-based) singular values and columns; `qsvd` implements that extraction.
@@ -174,6 +174,15 @@ class QuaternionMatrix:
     def from_components(cls, w, x, y, z) -> "QuaternionMatrix":
         w, x, y, z = (np.asarray(t, dtype=float) for t in (w, x, y, z))
         return cls(w + 1j * x, y + 1j * z)
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray, b: np.ndarray) -> "QuaternionMatrix":
+        """Freeze and keep a fresh complex pair, without `__init__`'s copy."""
+        q = cls.__new__(cls)
+        q._a, q._b = a, b
+        a.setflags(write=False)
+        b.setflags(write=False)
+        return q
 
     # ---- views ----
 

@@ -14,10 +14,8 @@ diagnostics dict):
   combined with the known anchor edge vector, estimates the anchor-target
   edges directly, and averaging over the anchors yields target coordinates
   in absolute position with no eigensolve, inversion, or alignment.
-* `qd_mrc_smds_iterative` refines that edge estimate with fixed-point
-  sweeps before the same averaging step. The estimate is held as its complex
-  adjoint column (see `quat`), so a sweep is one complex matrix-vector
-  product with the adjoint of the target block, built once per solve.
+* `qd_mrc_smds_iterative` adds fixed-point sweeps on transposed views of
+  the kernel's target block before the same averaging step.
 
 Factorization-based solvers recover geometry only up to an orthogonal
 transform, and a pseudo-inverse step does not restore it, so the kernel
@@ -31,6 +29,7 @@ masked. A kernel with a non-finite entry is rejected with `OutOfRange`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,7 +48,6 @@ from .measurement import MeasurementSet
 from .network import StructureMatrices
 from .quat import (
     QuaternionMatrix,
-    complex_adjoint,
     dominant_eigpair,
     embed_r3,
     r3_components,
@@ -96,6 +94,18 @@ def _anchor_edges(anchors: np.ndarray, structure: StructureMatrices) -> np.ndarr
 # ---- shared plumbing ----
 
 
+@lru_cache(maxsize=16)
+def _inversion_operator(structure: StructureMatrices) -> np.ndarray:
+    """Read-only pseudo-inverse of the stacked system [I 0; C], rank-checked."""
+    n = structure.c.shape[1]
+    stacked = np.vstack([np.eye(structure.n_anchors, n), structure.c])
+    if (rank := np.linalg.matrix_rank(stacked)) < n:
+        raise SingularSystem(f"stacked system rank {rank} < {n} unknowns")
+    op = np.linalg.pinv(stacked)
+    op.setflags(write=False)
+    return op
+
+
 def anchored_inversion(
     v_hat: np.ndarray, anchors: np.ndarray, structure: StructureMatrices
 ) -> np.ndarray:
@@ -104,19 +114,13 @@ def anchored_inversion(
     Solves the stacked least-squares system that places each anchor at its
     known position and each edge difference at its estimated vector. The
     stack has full column rank whenever the incidence rows connect every
-    target to an anchor, so the solution is unique.
+    target to an anchor, so the solution is unique; it is applied through
+    the stack's pseudo-inverse, computed once per structure.
     """
-    n_a = anchors.shape[0]
-    n = structure.c.shape[1]
-    if v_hat.shape != (structure.c.shape[0], 3):
-        raise DimensionMismatch("edge estimate does not match the structure")
-    top = np.hstack([np.eye(n_a), np.zeros((n_a, n - n_a))])
-    stacked = np.vstack([top, structure.c])
-    rhs = np.vstack([anchors, v_hat])
-    x_hat, _, rank, _ = np.linalg.lstsq(stacked, rhs, rcond=None)
-    if rank < n:
-        raise SingularSystem(f"stacked system rank {rank} < {n} unknowns")
-    return x_hat
+    if (v_hat.shape, anchors.shape) != ((structure.c.shape[0], 3),
+                                        (structure.n_anchors, 3)):
+        raise DimensionMismatch("edges or anchors do not match the structure")
+    return _inversion_operator(structure) @ np.vstack([anchors, v_hat])
 
 
 def procrustes_align(
@@ -248,6 +252,13 @@ def qd_smds(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices) -> E
     return Estimate(aligned[anchors.shape[0]:], diag)
 
 
+def _kh_rows(k: QuaternionMatrix, v: np.ndarray) -> np.ndarray:
+    """conj(K^H u) for K = A + B j and the rows v = conj([u1; u2]) of u = u1 + u2 j:
+    [P0 + conj(Q1); P1 - conj(Q0)] with P = v A, Q = v B, since K^H u =
+    (A^H u1 + B^T conj(u2)) + (A^H u2 - B^T conj(u1)) j. No adjoint is formed."""
+    return v @ k.a + (v @ k.b)[::-1].conj() * ((1.0,), (-1.0,))
+
+
 def _mrc_core(
     kq: QuatGek,
     anchors: np.ndarray,
@@ -263,23 +274,19 @@ def _mrc_core(
     if aa_energy == 0:
         raise ZeroAnchorEdges("anchor-anchor edges are all zero length")
 
-    # The edge estimate u lives as its adjoint column w = [u1; -conj(u2)]
-    # (|w| = |u|), so each sweep is one complex matrix-vector product.
-    drive = complex_adjoint(k2.H @ nu_aa)[:, 0]
-    states = np.empty((tau_max + 1, drive.size), dtype=complex)
-    states[0] = w = drive / aa_energy
-    if tau_max:  # chi(K3^H) = chi(K3)^H, made in place: no second 2N x 2N copy
-        k3h = complex_adjoint(k3)
-        k3h = np.conjugate(k3h, out=k3h).T
+    # The edge estimate u = u1 + u2 j is held as v = conj([u1; u2]), |v| = |u|.
+    drive = _kh_rows(k2, np.conj((nu_aa.a, nu_aa.b)))
+    states = np.empty((tau_max + 1, *drive.shape), dtype=complex)
+    states[0] = v = drive / aa_energy
     for tau in range(1, tau_max + 1):
-        states[tau] = w = (drive + k3h @ w) / (aa_energy + np.vdot(w, w).real)
-    residuals = np.linalg.norm(np.diff(states, axis=0), axis=1) / np.maximum(
-        np.linalg.norm(states[:-1], axis=1), np.finfo(float).tiny)
+        states[tau] = v = (drive + _kh_rows(k3, v)) / (aa_energy + np.vdot(v, v).real)
+    residuals = np.linalg.norm(np.diff(states, axis=0), axis=(1, 2)) / np.maximum(
+        np.linalg.norm(states[:-1], axis=(1, 2)), np.finfo(float).tiny)
 
-    # Edge i * n_t + t runs from anchor i to target t, its coordinates are
-    # (Re w[:n], Im w[:n], -Re w[n:]), and the anchors' estimates are averaged.
+    # Edge i * n_t + t (anchor i to target t) has coordinates (Re u1, Im u1,
+    # Re u2) = (Re v0, -Im v0, Re v1); the anchors' estimates are averaged.
     halves = states.reshape(tau_max + 1, 2, structure.n_anchors, structure.n_targets)
-    edges = np.stack((halves[:, 0].real, halves[:, 0].imag, -halves[:, 1].real), -1)
+    edges = np.stack((halves[:, 0].real, -halves[:, 0].imag, halves[:, 1].real), -1)
     targets = (anchors[:, None, :] - edges).mean(axis=1)
     targets.setflags(write=False)
 

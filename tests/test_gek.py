@@ -156,6 +156,25 @@ def test_stage_two_kernel_exactly_hermitian():
     assert np.all(kq.k.x[zero_edge] == 0) and np.all(kq.k.b[:, zero_edge] == 0)
 
 
+def test_quat_kernel_built_in_place_matches_components():
+    # The halves are written in place and kept uncopied; the entries must
+    # still equal the textbook assembly bit for bit, and the kernel must not
+    # alias anything the caller can write.
+    rng = np.random.default_rng(107)
+    ms = synthesize(true_parameters(geometry(rng)), NoiseConfig(2.0, 50.0), "II", rng)
+    kr = build_real_gek(ms)
+    planes = tuple((u.copy(), v.copy()) for u, v in ms.plane_components())
+    k = build_quat_gek(kr, planes).k
+    want = QuaternionMatrix.from_components(
+        kr.k, *(np.outer(v, u) - np.outer(u, v) for u, v in planes))
+    assert np.array_equal(k.a, want.a) and np.array_equal(k.b, want.b)
+    assert not k.a.flags.writeable and not k.b.flags.writeable
+    for u, v in planes:
+        u *= 2.0
+        v[:] = 1.0
+    assert np.array_equal(k.a, want.a) and np.array_equal(k.b, want.b)
+
+
 def test_quat_kernel_rejects_scenario_one():
     rng = np.random.default_rng(97)
     _, ms = exact_measurements(rng, "I")
@@ -174,6 +193,10 @@ def test_block_shapes():
     assert k1.shape == (10, 10)
     assert k2.shape == (10, 75)
     assert k3.shape == (75, 75)
+    # read-only views of the kernel, not copies
+    for block in (k1, k2, k3):
+        assert np.shares_memory(block.a, kq.k.a) and np.shares_memory(block.b, kq.k.b)
+        assert not block.a.flags.writeable and not block.b.flags.writeable
 
 
 def test_cross_block_is_mixed_outer_product():

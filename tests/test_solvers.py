@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as hst
 from qmds.errors import (
     AmbiguityResolutionFailure,
     DegenerateAnchors,
+    DimensionMismatch,
     OutOfRange,
     RankDeficient,
     ShapeMismatch,
@@ -29,6 +32,7 @@ from qmds.network import (
 )
 from qmds.quat import Quaternion, QuaternionMatrix, embed_r3, r3_components
 from qmds.solvers import (
+    _inversion_operator,
     anchored_inversion,
     procrustes_align,
     qd_mrc_smds,
@@ -100,6 +104,33 @@ def test_anchored_inversion_bounded_sensitivity():
     )
     gain = np.linalg.norm(np.linalg.pinv(stacked), 2)
     assert np.linalg.norm(moved - base) <= gain * np.linalg.norm(delta) + 1e-12
+
+
+@pytest.mark.parametrize("n_a, n_t", [(1, 3), (4, 1), (5, 6), (7, 15)])
+def test_anchored_inversion_matches_lstsq_with_cached_operator(monkeypatch, n_a, n_t):
+    rng = np.random.default_rng(1000 + 10 * n_a + n_t)
+    st = structure_matrices(n_a, n_t)
+    anchors = rng.uniform(0, 30, size=(n_a, 3))
+    v = 10 * rng.standard_normal((st.c.shape[0], 3))  # inconsistent edges
+    stacked = np.vstack([np.hstack([np.eye(n_a), np.zeros((n_a, n_t))]), st.c])
+    want = np.linalg.lstsq(stacked, np.vstack([anchors, v]), rcond=None)[0]
+    got = anchored_inversion(v, anchors, st)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    op = _inversion_operator(st)
+    assert op is _inversion_operator(structure_matrices(n_a, n_t))
+    assert not op.flags.writeable
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("anchored_inversion factored the system again")
+
+    for name in ("lstsq", "pinv", "matrix_rank", "svd"):
+        monkeypatch.setattr(np.linalg, name, no_factorization)
+    np.testing.assert_array_equal(anchored_inversion(v, anchors, st), got)
+    with pytest.raises(DimensionMismatch):
+        anchored_inversion(v[1:], anchors, st)
+    with pytest.raises(DimensionMismatch):
+        anchored_inversion(v, np.vstack([anchors, anchors[:1]]), st)
 
 
 # ---- Procrustes alignment ----
@@ -368,6 +399,32 @@ def test_mrc_sweeps_match_quaternion_algebra(seed, n_targets, tau_max, scale):
     assert est.diagnostics["tau"] == tau_max
     np.testing.assert_allclose(est.diagnostics["nu_residuals"], residuals,
                                rtol=1e-12, atol=1e-15)
+
+
+def _peak_bytes(call):
+    call()  # warm up: cached operators, lazy imports
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_direct_path_makes_no_adjoint_sized_temporaries():
+    # 5 anchors, 15 targets: the 2N x 2N adjoint of the target block alone
+    # would take 360 KB, and a copy of both kernel halves 226 KiB.
+    rng = np.random.default_rng(153)
+    geo, params, _, st = exact_setup(rng, "II")
+    ms = synthesize(params, NoiseConfig(2.0, 30.0), "II", rng)
+    kr = build_real_gek(ms)
+    planes = ms.plane_components()
+    kq = build_quat_gek(kr, planes)
+    assert _peak_bytes(lambda: qd_mrc_smds(kq, geo.anchors, st)) < 64 * 1024
+    assert _peak_bytes(
+        lambda: qd_mrc_smds_iterative(kq, geo.anchors, st, tau_max=1)) < 64 * 1024
+    halves = kq.k.a.nbytes + kq.k.b.nbytes
+    assert _peak_bytes(lambda: build_quat_gek(kr, planes)) < 2 * halves
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
