@@ -3,51 +3,52 @@
 An alternating projection: overwrite observed entries with their data,
 replace the iterate by its best rank-r approximation, repeat. The distance
 between the data-consistent iterate and its low-rank approximation never
-increases, and the returned matrix always carries the observed entries
-verbatim (the hard data constraint is re-imposed after the last truncation
-step).
+increases, and the returned matrix carries the observed entries verbatim
+(the data constraint is re-imposed after the last truncation).
 
-A Hermitian iterate under a symmetric mask (the real kernel, and the first
-complex half of the quaternion kernel) keeps its r eigenpairs of largest
-|lambda|, rebuilt as V Theta V^H and symmetrized, so every iterate is
-Hermitian to the bit. Any other matrix keeps its r leading singular
-triplets. The singular values of a Hermitian matrix are its |lambda|, so
-both are the same best rank-r approximation.
+Every truncation is a Hermitian eigenproblem on an operator op. A
+Hermitian iterate under a symmetric mask (the real kernel, and the first
+complex half of the quaternion kernel) is its own op: it keeps its r
+eigenpairs of largest |lambda|, rebuilt as V Theta V^H and symmetrized, so
+every iterate is Hermitian to the bit. Any other iterate x takes
+op = x^H x, whose r leading eigenvectors V_r are right singular vectors of
+x, and keeps (x V_r) V_r^H. Both are the best rank-r approximation. The
+Gram route squares sigma_1 / sigma_r, which costs nothing on the
+antisymmetric second half of the quaternion kernel: its top two singular
+values are an equal pair.
 
 The iterate moves little between sweeps, so each sweep's truncation starts
 from the bases the last few sweeps found (the previous sweep's r + 2
 leading vectors and the r leading vectors of the three before it) and
 refines them without a full factorization:
 
-1. Rayleigh-Ritz on the span of those bases, which holds their linear
-   extrapolation along the iterate's path.
-2. If that is not certified: one shift-and-invert solve per wanted pair,
-   just off its Ritz value (on x if Hermitian, on x^H x otherwise), then
-   Rayleigh-Ritz on the Ritz basis plus the solves. At most two solves run.
+1. Rayleigh-Ritz of op on the span of those bases, which holds their
+   linear extrapolation along the iterate's path.
+2. If that is not certified: one shift-and-invert solve of op per wanted
+   pair, just off its Ritz value, then Rayleigh-Ritz on the Ritz basis plus
+   the solves. At most two solves run.
 
 A refined truncation is used only under a certificate. Let res be the Ritz
-residual on the side that is not zero by construction
-(||x V_r - V_r Theta_r||_F, or ||x^H U_r - V_r S_r||_F), and b an upper
-bound on sigma_{r+1}(x). The certificate is
+residual ||op V_r - V_r Theta_r||_F, s_r the r-th Ritz value by magnitude,
+and b an upper bound on |lambda_{r+1}(op)|. The certificate is
 
     res < 1e-13 (s_r - b).
 
-By the Davis-Kahan and Wedin theorems, the angle between the found and the
-exact rank-r subspaces is then below 1e-13, so the truncation is the same
+By the Davis-Kahan theorem, the angle between the found and the exact
+rank-r eigenspaces of op is then below 1e-13, so the truncation is the same
 projection a dense factorization gives, up to rounding. The bound b is the
-smaller of two bounds. One is the Weyl chain b_prev + ||x - x_prev||_F.
-The other is the Frobenius tail sqrt(||x||_F^2 - sum_{i != r+1} s_i^2) over
+smaller of two bounds. One is the Weyl chain b_prev + ||op - op_prev||_F.
+The other is the Frobenius tail sqrt(||op||_F^2 - sum_{i != r+1} s_i^2) over
 all Ritz values; it holds because each Ritz value is at most the singular
-value of the same index. Without a certificate, and on the first sweep, one
-dense factorization gives the truncation: `eigh` for a Hermitian iterate,
-`svd` otherwise. It also resets the basis and sets b to the exact
-sigma_{r+1}.
+value of op of the same index. Without a certificate, and on the first
+sweep, one dense `eigh` of op gives the truncation, resets the basis and
+sets b to the exact |lambda_{r+1}(op)|.
 
 The real kernel completes at rank 3. The quaternion kernel is completed
 through its Cayley-Dickson pair: each complex half of a rank-1 quaternion
-kernel has rank at most 2, so both halves complete at rank 2. The merged
-result is re-Hermitized at the quaternion level, because the second half
-is antisymmetric, not Hermitian, and takes the singular-value route.
+kernel has rank at most 2, so both halves complete at rank 2. The first
+half comes back Hermitian to the bit; the second is antisymmetrized, which
+makes the merged kernel Hermitian.
 """
 
 from __future__ import annotations
@@ -57,7 +58,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AsymmetricMask, NonConvergenceWarning, RankDeficient, ShapeMismatch
+from .errors import (
+    AsymmetricMask,
+    NonConvergenceWarning,
+    OutOfRange,
+    RankDeficient,
+    ShapeMismatch,
+)
 from .gek import QuatGek, RealGek
 from .quat import QuaternionMatrix
 
@@ -97,12 +104,11 @@ class CompletionResult:
 @dataclass(frozen=True)
 class _Warm:
     """What one sweep's truncation hands the next: rank + 2 orthonormal
-    leading vectors (eigenvectors, or right singular vectors) of the iterate
-    `x`, an upper bound on sigma_{rank+1}(x), and the `rank` leading vectors
-    of the sweeps before, most recent first."""
+    leading eigenvectors of `op`, an upper bound on |lambda_{rank+1}(op)|,
+    and the `rank` leading vectors of earlier sweeps, most recent first."""
 
     basis: np.ndarray
-    x: np.ndarray
+    op: np.ndarray
     bound: float
     earlier: tuple[np.ndarray, ...] = ()
 
@@ -117,79 +123,72 @@ def _hermitian_low(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return (low + low.conj().T) / 2
 
 
-def _dense(x: np.ndarray, rank: int, hermitian: bool) -> tuple[np.ndarray, _Warm]:
-    """Best rank-`rank` approximation from a full factorization."""
-    if hermitian:
-        theta, v = _by_magnitude(*np.linalg.eigh(x))
-        low = _hermitian_low(v[:, :rank], theta[:rank])
-        s = np.abs(theta)
-    else:
-        u, s, vh = np.linalg.svd(x, full_matrices=False)
-        low = (u[:, :rank] * s[:rank]) @ vh[:rank]
-        v = vh.conj().T
-    bound = float(s[rank]) if rank < s.size else 0.0
-    return low, _Warm(v[:, : rank + 2], x, bound)
+def _dense(op: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, _Warm]:
+    """The `rank` leading eigenpairs of `op` from a full factorization, and
+    the warm state they start."""
+    theta, v = _by_magnitude(*np.linalg.eigh(op))
+    bound = float(abs(theta[rank])) if rank < theta.size else 0.0
+    return v[:, :rank], theta[:rank], _Warm(v[:, : rank + 2], op, bound)
 
 
 def _rayleigh_ritz(
-    x: np.ndarray, q: np.ndarray, rank: int, hermitian: bool, warm: _Warm
-) -> tuple[np.ndarray | None, _Warm, np.ndarray]:
-    """Ritz pairs of `x` on the orthonormal columns of `q`: the truncation
-    if certified (else None), the Ritz basis with a bound on
-    sigma_{rank+1}(x), and the `rank` leading Ritz values."""
-    xq = x @ q
-    if hermitian:
-        # eigh reads one triangle of the projected matrix, so no mirroring
-        theta, w = _by_magnitude(*np.linalg.eigh(q.conj().T @ xq))
-        s, v = np.abs(theta), q @ w
-        res = np.linalg.norm(xq @ w[:, :rank] - v[:, :rank] * theta[:rank])
-    else:
-        u, s, wh = np.linalg.svd(xq, full_matrices=False)
-        theta, v = s, q @ wh.conj().T
-        res = np.linalg.norm(x.conj().T @ u[:, :rank] - v[:, :rank] * s[:rank])
-    # sigma_i(x) >= s_i for every i, so all other Ritz values come off the
-    # Frobenius norm in a bound on sigma_{rank+1}(x).
-    tail = np.sqrt(max(np.vdot(x, x).real - np.sum(s**2) + s[rank] ** 2, 0.0))
-    moved = 0.0 if warm.x is x else np.linalg.norm(x - warm.x)
+    op: np.ndarray, q: np.ndarray, rank: int, warm: _Warm
+) -> tuple[bool, np.ndarray, np.ndarray, _Warm]:
+    """Whether the `rank` leading Ritz pairs of `op` on the orthonormal
+    columns of `q` are certified, the pairs, and the next warm state."""
+    opq = op @ q
+    # eigh reads one triangle of the projected matrix, so no mirroring
+    theta, w = _by_magnitude(*np.linalg.eigh(q.conj().T @ opq))
+    s, v = np.abs(theta), q @ w
+    res = np.linalg.norm(opq @ w[:, :rank] - v[:, :rank] * theta[:rank])
+    # |lambda_i(op)| >= s_i for every i, so all other Ritz values come off
+    # the Frobenius norm in a bound on |lambda_{rank+1}(op)|.
+    tail = np.sqrt(max(np.vdot(op, op).real - np.sum(s**2) + s[rank] ** 2, 0.0))
+    moved = 0.0 if warm.op is op else np.linalg.norm(op - warm.op)
     bound = float(min(warm.bound + moved, tail))
-    nxt = replace(warm, basis=v[:, : rank + 2], x=x, bound=bound)
-    if not res < _CERTIFIED_ANGLE * (s[rank - 1] - bound):
-        return None, nxt, theta[:rank]
-    if hermitian:
-        return _hermitian_low(v[:, :rank], theta[:rank]), nxt, theta[:rank]
-    return (u[:, :rank] * s[:rank]) @ v[:, :rank].conj().T, nxt, theta[:rank]
+    nxt = replace(warm, basis=v[:, : rank + 2], op=op, bound=bound)
+    certified = res < _CERTIFIED_ANGLE * (s[rank - 1] - bound)
+    return certified, v[:, :rank], theta[:rank], nxt
 
 
-def _truncate(
-    x: np.ndarray, rank: int, hermitian: bool, warm: _Warm | None
-) -> tuple[np.ndarray, _Warm]:
-    """One sweep's best rank-`rank` approximation of `x`, refined from the
-    previous sweeps' `warm` state when there is one, and the state to hand
-    on."""
-    if warm is None or 2 * rank + 2 >= min(x.shape):
-        return _dense(x, rank, hermitian)  # first sweep, or no room to save
+def _leading(
+    op: np.ndarray, rank: int, warm: _Warm | None
+) -> tuple[np.ndarray, np.ndarray, _Warm]:
+    """The `rank` leading eigenpairs of `op`, refined from the previous
+    sweeps' `warm` state when there is one, and the state to hand on."""
+    if warm is None or 2 * rank + 2 >= len(op):
+        return _dense(op, rank)  # first sweep, or no room to save
     bases = (warm.basis, *warm.earlier)
     warm = replace(warm, earlier=tuple(b[:, :rank] for b in bases[: _HISTORY - 1]))
     q, _ = np.linalg.qr(np.hstack(bases))
-    op = x if hermitian else x.conj().T @ x
     for solves in range(_WARM_SOLVES + 1):
-        low, warm, theta = _rayleigh_ritz(x, q, rank, hermitian, warm)
-        if low is not None:
-            return low, warm
+        certified, v, theta, warm = _rayleigh_ritz(op, q, rank, warm)
+        if certified:
+            return v, theta, warm
         if solves == _WARM_SOLVES or not abs(theta[-1]) > warm.bound:
             break
         # off the Ritz values by 2^-40 of the largest, so no LU is exactly singular
-        shifts = theta if hermitian else theta**2
         shifted = np.repeat(op[None], rank, axis=0)
         diagonal = np.arange(len(op))
-        shifted[:, diagonal, diagonal] -= (shifts + 2.0**-40 * abs(shifts[0]))[:, None]
+        shifted[:, diagonal, diagonal] -= (theta + 2.0**-40 * abs(theta[0]))[:, None]
         try:
             z = np.linalg.solve(shifted, warm.basis[:, :rank].T[:, :, None])
         except np.linalg.LinAlgError:
             break  # a shift equal to an eigenvalue: nothing left to refine
         q, _ = np.linalg.qr(np.hstack([warm.basis, z[:, :, 0].T]))
-    low, dense = _dense(x, rank, hermitian)
-    return low, replace(dense, earlier=warm.earlier)
+    v, theta, dense = _dense(op, rank)
+    return v, theta, replace(dense, earlier=warm.earlier)
+
+
+def _truncate(
+    x: np.ndarray, rank: int, hermitian: bool, warm: _Warm | None
+) -> tuple[np.ndarray, _Warm]:
+    """One sweep's best rank-`rank` approximation of `x`, and the next state."""
+    op = x if hermitian else x.conj().T @ x
+    v, theta, warm = _leading(op, rank, warm)
+    if hermitian:
+        return _hermitian_low(v, theta), warm
+    return (x @ v) @ v.conj().T, warm
 
 
 def complete_lowrank(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionResult:
@@ -199,6 +198,8 @@ def complete_lowrank(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionRe
         raise AsymmetricMask("mask shape does not match the matrix")
     if rank < 1:
         raise ShapeMismatch("rank must be at least 1")
+    if not np.isfinite(k[mask]).all():
+        raise OutOfRange("observed entries must be finite")
     if mask.all():
         return CompletionResult(k.copy(), 0, True, 0.0)
 
@@ -234,11 +235,8 @@ def complete_lowrank(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionRe
 
 
 def complete_real_gek(gek: RealGek) -> tuple[RealGek, CompletionResult]:
-    """Complete a masked real kernel at rank 3.
-
-    No symmetrization step follows: a symmetric kernel under a symmetric
-    mask takes the eigenvalue route, whose iterates are symmetric to the
-    bit."""
+    """Complete a masked real kernel at rank 3. Its iterates are symmetric
+    to the bit, so no symmetrization step follows."""
     if gek.mask is None:
         return gek, CompletionResult(gek.k, 0, True, 0.0)
     res = complete_lowrank(gek.k, gek.mask, REAL_KERNEL_RANK)
@@ -251,10 +249,10 @@ def complete_quat_gek(gek: QuatGek) -> tuple[QuatGek, dict]:
         return gek, {"iterations": 0, "converged": True}
     res_a = complete_lowrank(gek.k.a, gek.mask, SPLIT_RANK)
     res_b = complete_lowrank(gek.k.b, gek.mask, SPLIT_RANK)
-    merged = QuaternionMatrix(res_a.matrix, res_b.matrix)
-    hermitized = (merged + merged.H) / 2
+    b = res_b.matrix
+    k = QuaternionMatrix._adopt(res_a.matrix, (b - b.T) / 2)
     info = {
         "iterations": max(res_a.iterations, res_b.iterations),
         "converged": res_a.converged and res_b.converged,
     }
-    return QuatGek(hermitized), info
+    return QuatGek(k), info
