@@ -192,7 +192,15 @@ def _truncate(
 
 
 def complete_lowrank(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionResult:
-    """Fill unobserved entries of a real or complex matrix at fixed rank."""
+    """Fill unobserved entries of a real or complex matrix at fixed rank.
+
+    Raises `RankDeficient` before the first sweep when the observed real
+    values are fewer than the rank-r model's degrees of freedom. For a
+    Hermitian input that is the observed diagonal plus the observed entries
+    above it (twice when complex) against r n - r(r-1)/2, or 2 r n - r^2
+    when complex; for any other input, every observed entry against
+    r(m + n - r), both doubled when complex.
+    """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != k.shape:
         raise AsymmetricMask("mask shape does not match the matrix")
@@ -205,6 +213,17 @@ def complete_lowrank(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionRe
 
     data = np.where(mask, k, 0)
     hermitian = np.array_equal(mask, mask.T) and np.array_equal(data, data.conj().T)
+    c = 2 if np.iscomplexobj(k) else 1
+    if hermitian:
+        n = len(k)
+        observed = mask.diagonal().sum() + c * np.triu(mask, 1).sum()
+        dof = 2 * rank * n - rank**2 if c == 2 else rank * n - rank * (rank - 1) // 2
+    else:
+        observed = c * mask.sum()
+        dof = c * rank * (sum(k.shape) - rank)
+    if observed < dof:
+        raise RankDeficient(f"{observed} observed real values cannot fix the "
+                            f"{dof} degrees of freedom of a rank-{rank} completion")
     x = data.copy()
     warm = None
     gap = np.inf  # ||x - low||_F, the monotone quantity

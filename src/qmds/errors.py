@@ -7,10 +7,6 @@ class QmdsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ZeroQuaternion(QmdsError):
-    """Inverse or normalization of a quaternion with zero norm."""
-
-
 class ShapeMismatch(QmdsError):
     """Operands or fields whose array shapes are incompatible."""
 
@@ -37,7 +33,9 @@ class AsymmetricMask(QmdsError):
 
 class RankDeficient(QmdsError):
     """Factorization input without the required number of usable eigenvalues,
-    or a low-rank truncation that failed to act as a rank projection."""
+    a low-rank truncation that failed to act as a rank projection, or a
+    completion whose observed values are fewer than the rank-r model's
+    degrees of freedom, so that no completion can be unique."""
 
 
 class AmbiguityResolutionFailure(QmdsError):

@@ -1,9 +1,8 @@
-"""Quaternion scalars, quaternion matrices, and the SVD over the quaternions.
+"""Quaternion matrices and the SVD over the quaternions.
 
 A quaternion q = w + x i + y j + z k multiplies by the Hamilton rules
 i^2 = j^2 = k^2 = -1, ij = -ji = k, jk = -kj = i, ki = -ik = j. The product
-is associative but not commutative, so "divide" always means multiplication
-by an explicit inverse on a stated side.
+is associative but not commutative.
 
 Matrices are stored in Cayley-Dickson form: a pair of complex arrays (A, B)
 with entry q = A + B j, where A = w + x i and B = y + z i. With j on the
@@ -34,21 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    HermitianDefectWarning,
-    ShapeMismatch,
-    ZeroQuaternion,
-)
+from .errors import DimensionMismatch, HermitianDefectWarning, ShapeMismatch
 
 __all__ = [
-    "Quaternion",
     "QuaternionMatrix",
     "QsvdResult",
     "complex_adjoint",
     "qsvd",
     "dominant_eigpair",
-    "vdot",
     "embed_r3",
     "r3_components",
 ]
@@ -60,77 +52,6 @@ _DEFECT_TOL = 1e-12
 # (eps <= 50 deg) certify in at most about 40 steps.
 _CERT_TOL = 1e-13
 _POWER_STEPS = 100
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """A single quaternion w + x i + y j + z k with float components."""
-
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other: "Quaternion | float | int") -> "Quaternion":
-        """Hamilton product, or scaling when `other` is a real number."""
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
-        a, b, c, d = self.w, self.x, self.y, self.z
-        e, f, g, h = other.w, other.x, other.y, other.z
-        return Quaternion(
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
-
-    def __rmul__(self, other: "float | int") -> "Quaternion":
-        if isinstance(other, (int, float)):
-            return self * other
-        return NotImplemented
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm(self) -> float:
-        return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
-
-    __abs__ = norm
-
-    def inverse(self) -> "Quaternion":
-        n2 = self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
-        if n2 == 0.0:
-            raise ZeroQuaternion("zero quaternion has no inverse")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
-
-    def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroQuaternion("cannot normalize the zero quaternion")
-        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-    def isclose(self, other: "Quaternion", atol: float = 1e-12) -> bool:
-        return (self - other).norm() <= atol
-
-    # Cayley-Dickson pair of this scalar, used when scaling matrices.
-    @property
-    def _pair(self) -> tuple[complex, complex]:
-        return complex(self.w, self.x), complex(self.y, self.z)
 
 
 def _as_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,9 +70,7 @@ class QuaternionMatrix:
     Instances are immutable: the backing arrays are frozen at construction,
     and every operation returns a new object. `@` is the quaternion matrix
     product of two quaternion matrices; an ndarray operand on either side
-    raises TypeError. The entrywise product by a scalar quaternion is taken
-    on the right (`right_mul`), the side that fixes an eigenvector's free
-    unit-quaternion factor.
+    raises TypeError.
     """
 
     __slots__ = ("_a", "_b")
@@ -218,13 +137,6 @@ class QuaternionMatrix:
     def ndim(self) -> int:
         return self._a.ndim
 
-    def __getitem__(self, key) -> "Quaternion | QuaternionMatrix":
-        a, b = self._a[key], self._b[key]
-        if np.ndim(a) == 0:
-            return Quaternion(float(a.real), float(a.imag),
-                              float(b.real), float(b.imag))
-        return QuaternionMatrix(a, b)
-
     # ---- algebra ----
 
     @property
@@ -240,12 +152,6 @@ class QuaternionMatrix:
 
     def __truediv__(self, s: "float | int") -> "QuaternionMatrix":
         return QuaternionMatrix(self._a / s, self._b / s)
-
-    def right_mul(self, q: Quaternion) -> "QuaternionMatrix":
-        """Entrywise product self * q."""
-        qa, qb = q._pair
-        return QuaternionMatrix(self._a * qa - self._b * np.conj(qb),
-                                self._a * qb + self._b * np.conj(qa))
 
     def __matmul__(self, other: "QuaternionMatrix") -> "QuaternionMatrix":
         if not isinstance(other, QuaternionMatrix):
@@ -423,15 +329,6 @@ def dominant_eigpair(k: QuaternionMatrix) -> tuple[float, QuaternionMatrix]:
     m = k.shape[0]
     top = v[:, -1]
     return float(w[-1]), QuaternionMatrix(top[:m], -np.conj(top[m:]))
-
-
-def vdot(u: QuaternionMatrix, v: QuaternionMatrix) -> Quaternion:
-    """Inner product sum_m conj(u_m) v_m of two quaternion vectors."""
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise ShapeMismatch("vdot needs two equal-length quaternion vectors")
-    a = np.sum(np.conj(u.a) * v.a + u.b * np.conj(v.b))
-    b = np.sum(np.conj(u.a) * v.b - u.b * np.conj(v.a))
-    return Quaternion(float(a.real), float(a.imag), float(b.real), float(b.imag))
 
 
 def embed_r3(rows: np.ndarray) -> QuaternionMatrix:

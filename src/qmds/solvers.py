@@ -28,6 +28,7 @@ masked. A kernel with a non-finite entry is rejected with `OutOfRange`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,13 +47,7 @@ from .errors import (
 from .gek import QuatGek, RealGek, build_quat_gek, build_real_gek, extract_blocks
 from .measurement import MeasurementSet
 from .network import StructureMatrices
-from .quat import (
-    QuaternionMatrix,
-    dominant_eigpair,
-    embed_r3,
-    r3_components,
-    vdot,
-)
+from .quat import QuaternionMatrix, dominant_eigpair, embed_r3, r3_components
 
 __all__ = [
     "Estimate",
@@ -178,23 +173,34 @@ def resolve_edge_ambiguity(
 
     An eigenvector is defined only up to a right unit-quaternion factor.
     The factor g minimizing the misfit of the leading anchor-anchor entries
-    against their known values is the normalized sum of
-    conj(nu_hat_m) * nu_m over those entries; the whole vector is
-    right-multiplied by it.
+    against their known values is s / |s| for the correlation
+    s = sum conj(nu_hat_m) nu_m over those entries; the whole vector is
+    right-multiplied by it. Everything is computed on the complex halves:
+    with nu_hat = A + B j and g = g_a + g_b j,
+    nu_hat g = (A g_a - B conj(g_b)) + (A g_b + B conj(g_a)) j.
+    `info["phase"]` holds g as a read-only (w, x, y, z) array.
     """
     n_aa = nu_aa_known.shape[0]
-    hat_aa = nu_hat[:n_aa]
-    s = vdot(hat_aa, nu_aa_known)
-    floor = 1e-12 * hat_aa.norm() * nu_aa_known.norm()
-    if s.norm() <= floor:
+    ha, hb = nu_hat.a[:n_aa], nu_hat.b[:n_aa]
+    ka, kb = nu_aa_known.a, nu_aa_known.b
+    s_a = np.sum(np.conj(ha) * ka + hb * np.conj(kb))
+    s_b = np.sum(np.conj(ha) * kb - hb * np.conj(ka))
+    w, x, y, z = float(s_a.real), float(s_a.imag), float(s_b.real), float(s_b.imag)
+    size = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    floor = 1e-12 * QuaternionMatrix(ha, hb).norm() * nu_aa_known.norm()
+    if size <= floor:
         raise AmbiguityResolutionFailure(
             "anchor edges give no usable phase reference"
         )
-    g = s.normalized()
-    corrected = nu_hat.right_mul(g)
-    resid = (corrected[:n_aa] - nu_aa_known).norm()
+    phase = np.array([w, x, y, z]) / size
+    phase.setflags(write=False)
+    g_a, g_b = complex(*phase[:2]), complex(*phase[2:])
+    a, b = nu_hat.a, nu_hat.b
+    corrected = QuaternionMatrix(a * g_a - b * np.conj(g_b),
+                                 a * g_b + b * np.conj(g_a))
+    misfit = QuaternionMatrix(corrected.a[:n_aa] - ka, corrected.b[:n_aa] - kb)
     denom = max(nu_aa_known.norm(), np.finfo(float).tiny)
-    return corrected, {"phase": g, "phase_residual": resid / denom}
+    return corrected, {"phase": phase, "phase_residual": misfit.norm() / denom}
 
 
 # ---- the four algorithms ----
@@ -244,7 +250,7 @@ def qd_smds(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices) -> E
     aligned, fit = procrustes_align(x_hat, anchors)
     k_abs = np.abs(nu_hat.z)
     diag = {
-        "top_singular_value": lam,
+        "top_eigenvalue": lam,
         "k_component_max": float(k_abs.max(initial=0.0)),
         "procrustes": fit,
         **phase_info,

@@ -145,6 +145,60 @@ def test_non_finite_observed_entry_raises(bad):
         complete_lowrank(k, mask, 2)
 
 
+def kept_pairs_mask(rng, n, kept):
+    """Symmetric mask: full diagonal plus `kept` observed pairs above it."""
+    mask = np.eye(n, dtype=bool)
+    rows, cols = np.triu_indices(n, 1)
+    pick = rng.choice(len(rows), size=kept, replace=False)
+    mask[rows[pick], cols[pick]] = mask[cols[pick], rows[pick]] = True
+    return mask
+
+
+def identifiability_case(route, rng, short):
+    """A rank-r matrix and a mask observing exactly as many real values as
+    the route's model has degrees of freedom, or one entry fewer."""
+    n, rank = 12, 3 if route == "real-symmetric" else 2
+    if route == "general":
+        # 12 x 8 complex: 2 r (m + n - r) = 72 real values, 36 entries
+        k = rng.standard_normal((12, rank)) @ rng.standard_normal((rank, 8)) * (1 + 1j)
+        mask = np.zeros(k.shape, dtype=bool)
+        mask.flat[rng.choice(k.size, size=36 - short, replace=False)] = True
+        return k, mask, rank
+    g = rng.standard_normal((n, rank))
+    if route == "real-symmetric":  # 12 + kept against r n - r(r-1)/2 = 33
+        kept = 21 - short
+    else:  # 12 + 2 kept against 2 r n - r^2 = 44
+        g = g + 1j * rng.standard_normal((n, rank))
+        kept = 16 - short
+    return g @ g.conj().T, kept_pairs_mask(rng, n, kept), rank
+
+
+@pytest.mark.parametrize("route", ["real-symmetric", "complex-hermitian", "general"])
+def test_unidentifiable_completion_raises(route):
+    rng = np.random.default_rng(125)
+    k, mask, rank = identifiability_case(route, rng, short=1)
+    with pytest.raises(RankDeficient, match="degrees of freedom"):
+        complete_lowrank(k, mask, rank)
+    k, mask, rank = identifiability_case(route, rng, short=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonConvergenceWarning)
+        res = complete_lowrank(k, mask, rank)
+    np.testing.assert_array_equal(res.matrix[mask], k[mask])
+
+
+def test_unidentifiable_mask_fails_every_algorithm():
+    # Scenario II at 97% hidden: M = 85 edges and 107 observed pairs. The
+    # real kernel keeps 85 + 107 = 192 values against 3 M - 3 = 252, the
+    # quaternion kernel's first half 85 + 2 * 107 = 299 against 4 M - 4 = 336.
+    cfg = ExperimentConfig(scenarios=("II",), missing_fraction=0.97,
+                           sigma_d_grid=(0.0,), epsilon_grid=(10.0,), trials=1,
+                           master_seed=1)
+    for algorithm in harness.ALGORITHMS:
+        res = run_trial(cfg, "II", algorithm, 0.0, 10.0, 0)
+        values = "192" if algorithm == "smds" else "299"
+        assert res.error.startswith(f"RankDeficient: {values} observed real values")
+
+
 # ---- kernel-level wrappers ----
 
 

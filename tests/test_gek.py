@@ -74,11 +74,11 @@ def test_real_kernel_exactly_symmetric_under_noise():
 def test_quat_kernel_unit_oracle():
     # edges (1,0,0) and (0,1,0): pure -i coupling
     kr, planes = _kernel_inputs(np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-    q = build_quat_gek(kr, planes).k[0, 1]
-    assert q.w == pytest.approx(0.0, abs=1e-15)
-    assert q.x == pytest.approx(-1.0, abs=1e-15)
-    assert q.y == pytest.approx(0.0, abs=1e-15)
-    assert q.z == pytest.approx(0.0, abs=1e-15)
+    k = build_quat_gek(kr, planes).k
+    assert k.w[0, 1] == pytest.approx(0.0, abs=1e-15)
+    assert k.x[0, 1] == pytest.approx(-1.0, abs=1e-15)
+    assert k.y[0, 1] == pytest.approx(0.0, abs=1e-15)
+    assert k.z[0, 1] == pytest.approx(0.0, abs=1e-15)
 
 
 def _kernel_inputs(v):

@@ -1,9 +1,12 @@
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qmds import gek, harness
+from qmds import errors, gek, harness
 from qmds.errors import DegenerateAnchors, OutOfRange, RankDeficient, ShapeMismatch
 from qmds.harness import (
     CSV_COLUMNS,
@@ -443,3 +446,45 @@ def test_bad_trajectory_is_a_failed_convergence_trial(monkeypatch, solver):
     rows = run_convergence(small_config(sigma_d_grid=(1.0,),
                                         epsilon_grid=(30.0,), trials=2, tau_max=1))
     assert [(r["trials_ok"], r["mean_xi_m"]) for r in rows] == [(0, None)] * 2
+
+
+# ---- degenerate inputs ----
+
+
+grid_points = st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 10))
+
+
+@st.composite
+def degenerate_configs(draw):
+    """Four anchors (all in one horizontal plane when the flag is drawn),
+    1-3 targets, noise up to sigma_d 100 m and eps 161.9 deg, and in
+    Scenario II up to 97% of the kernel hidden."""
+    anchors = draw(st.lists(grid_points, min_size=4, max_size=4))
+    if draw(st.booleans()):
+        anchors = [(x, y, anchors[0][2]) for x, y, _ in anchors]
+    assume(len(set(anchors)) == 4)
+    scenario = draw(st.sampled_from(harness.SCENARIOS))
+    return ExperimentConfig(
+        anchors=anchors, n_targets=draw(st.integers(1, 3)), scenarios=(scenario,),
+        missing_fraction=draw(st.floats(0.0, 0.97)) if scenario == "II" else 0.0,
+        sigma_d_grid=(draw(st.floats(0.0, 100.0)),),
+        # below about 0.0094 deg the config itself raises OutOfRange
+        epsilon_grid=(draw(st.one_of(st.just(0.0), st.floats(0.01, 161.9))),),
+        trials=1, master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(degenerate_configs())
+def test_every_trial_is_finite_or_a_typed_failure(cfg):
+    (scenario,), (sigma_d,), (epsilon,) = cfg.scenarios, cfg.sigma_d_grid, cfg.epsilon_grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", errors.NonConvergenceWarning)
+        for algorithm in harness.ALGORITHMS:
+            res = run_trial(cfg, scenario, algorithm, sigma_d, epsilon, 0)
+            if res.ok:
+                assert np.isfinite(res.xi)
+            else:
+                name = res.error.split(":")[0]
+                assert issubclass(getattr(errors, name, type(None)), errors.QmdsError), \
+                    res.error
