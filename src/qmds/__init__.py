@@ -37,7 +37,6 @@ from .gek import (
     apply_mask,
     build_quat_gek,
     build_real_gek,
-    extract_blocks,
     quat_gek_from_measurements,
 )
 from .harness import (
@@ -132,7 +131,6 @@ __all__ = [
     "edge_matrix",
     "embed_r3",
     "epsilon_to_rho",
-    "extract_blocks",
     "metric_xi",
     "missing_mask",
     "procrustes_align",

@@ -12,7 +12,7 @@ class ShapeMismatch(QmdsError):
 
 
 class DimensionMismatch(QmdsError):
-    """Matrix product or block extraction with inconsistent dimensions."""
+    """Matrix product, kernel or edge set with inconsistent dimensions."""
 
 
 class OutOfRange(QmdsError):

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricMask, DimensionMismatch, ShapeMismatch
+from .errors import AsymmetricMask, ShapeMismatch
 from .measurement import MeasurementSet
-from .network import StructureMatrices
 from .quat import QuaternionMatrix
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "build_real_gek",
     "build_quat_gek",
     "quat_gek_from_measurements",
-    "extract_blocks",
     "apply_mask",
 ]
 
@@ -124,26 +122,6 @@ def quat_gek_from_measurements(ms: MeasurementSet) -> QuatGek:
             "estimated edge vectors instead"
         )
     return build_quat_gek(build_real_gek(ms), ms.plane_components())
-
-
-def extract_blocks(
-    gek: QuatGek, structure: StructureMatrices
-) -> tuple[QuaternionMatrix, QuaternionMatrix, QuaternionMatrix]:
-    """Split the kernel into anchor-anchor / cross / anchor-target blocks.
-
-    The split follows the structure's edge layout, anchor-anchor block
-    first. Returns (K1, K2, K3) where K1 is n_aa x n_aa, K2 is n_aa x n_at,
-    and K3 is n_at x n_at, each a read-only view of the kernel's halves.
-    """
-    n_aa = structure.n_aa
-    if gek.m != structure.c.shape[0]:
-        raise DimensionMismatch(
-            f"kernel size {gek.m} does not match {structure.c.shape[0]} edges"
-        )
-    a, b = gek.k.a, gek.k.b
-    head, tail = slice(n_aa), slice(n_aa, None)
-    return tuple(QuaternionMatrix._adopt(a[r, c], b[r, c])
-                 for r, c in ((head, head), (head, tail), (tail, tail)))
 
 
 def apply_mask(gek: "RealGek | QuatGek", mask: np.ndarray) -> "RealGek | QuatGek":

@@ -120,11 +120,14 @@ def sample_distance(d, sigma_d: float, rng: np.random.Generator):
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise NonPositiveDistance("true distances must be positive")
-    if sigma_d == 0:
+    # An infinite shape (sigma_d = 0, or sigma_d below about 1e-154 m) means a
+    # relative spread sigma_d / d far below one ulp: d is returned undrawn.
+    var = sigma_d**2
+    with np.errstate(divide="ignore", over="ignore"):
+        shape = d**2 / var
+    if not np.isfinite(shape).all():
         return d.copy()
-    shape = d**2 / sigma_d**2
-    scale = sigma_d**2 / d
-    return rng.gamma(shape, scale)
+    return rng.gamma(shape, var / d)
 
 
 def sample_angle(theta, rho: float, rng: np.random.Generator):

@@ -96,7 +96,7 @@ class QuaternionMatrix:
 
     @classmethod
     def _adopt(cls, a: np.ndarray, b: np.ndarray) -> "QuaternionMatrix":
-        """Freeze and keep a fresh complex pair, without `__init__`'s copy."""
+        """Freeze and keep a fresh pair, or views of frozen arrays, uncopied."""
         q = cls.__new__(cls)
         q._a, q._b = a, b
         a.setflags(write=False)

@@ -44,7 +44,7 @@ from .errors import (
     SingularSystem,
     ZeroAnchorEdges,
 )
-from .gek import QuatGek, RealGek, build_quat_gek, build_real_gek, extract_blocks
+from .gek import QuatGek, RealGek, build_quat_gek, build_real_gek
 from .measurement import MeasurementSet
 from .network import StructureMatrices
 from .quat import QuaternionMatrix, dominant_eigpair, embed_r3, r3_components
@@ -187,7 +187,7 @@ def resolve_edge_ambiguity(
     s_b = np.sum(np.conj(ha) * kb - hb * np.conj(ka))
     w, x, y, z = float(s_a.real), float(s_a.imag), float(s_b.real), float(s_b.imag)
     size = math.sqrt(w**2 + x**2 + y**2 + z**2)
-    floor = 1e-12 * QuaternionMatrix(ha, hb).norm() * nu_aa_known.norm()
+    floor = 1e-12 * QuaternionMatrix._adopt(ha, hb).norm() * nu_aa_known.norm()
     if size <= floor:
         raise AmbiguityResolutionFailure(
             "anchor edges give no usable phase reference"
@@ -196,9 +196,9 @@ def resolve_edge_ambiguity(
     phase.setflags(write=False)
     g_a, g_b = complex(*phase[:2]), complex(*phase[2:])
     a, b = nu_hat.a, nu_hat.b
-    corrected = QuaternionMatrix(a * g_a - b * np.conj(g_b),
-                                 a * g_b + b * np.conj(g_a))
-    misfit = QuaternionMatrix(corrected.a[:n_aa] - ka, corrected.b[:n_aa] - kb)
+    corrected = QuaternionMatrix._adopt(a * g_a - b * np.conj(g_b),
+                                        a * g_b + b * np.conj(g_a))
+    misfit = QuaternionMatrix._adopt(corrected.a[:n_aa] - ka, corrected.b[:n_aa] - kb)
     denom = max(nu_aa_known.norm(), np.finfo(float).tiny)
     return corrected, {"phase": phase, "phase_residual": misfit.norm() / denom}
 
@@ -240,7 +240,7 @@ def qd_smds(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices) -> E
     _require_complete(kq)
     anchors = np.asarray(anchors, dtype=float)
     lam, u_vec = dominant_eigpair(kq.k)
-    nu_hat = QuaternionMatrix(u_vec.a * np.sqrt(lam), u_vec.b * np.sqrt(lam))
+    nu_hat = QuaternionMatrix._adopt(u_vec.a * np.sqrt(lam), u_vec.b * np.sqrt(lam))
 
     nu_known = embed_r3(_anchor_edges(anchors, structure))
     nu_hat, phase_info = resolve_edge_ambiguity(nu_hat, nu_known)
@@ -258,11 +258,11 @@ def qd_smds(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices) -> E
     return Estimate(aligned[anchors.shape[0]:], diag)
 
 
-def _kh_rows(k: QuaternionMatrix, v: np.ndarray) -> np.ndarray:
+def _kh_rows(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
     """conj(K^H u) for K = A + B j and the rows v = conj([u1; u2]) of u = u1 + u2 j:
     [P0 + conj(Q1); P1 - conj(Q0)] with P = v A, Q = v B, since K^H u =
     (A^H u1 + B^T conj(u2)) + (A^H u2 - B^T conj(u1)) j. No adjoint is formed."""
-    return v @ k.a + (v @ k.b)[::-1].conj() * ((1.0,), (-1.0,))
+    return v @ a + (v @ b)[::-1].conj() * ((1.0,), (-1.0,))
 
 
 def _mrc_core(
@@ -273,7 +273,12 @@ def _mrc_core(
 ) -> Estimate:
     _require_complete(kq)
     anchors = np.asarray(anchors, dtype=float)
-    _, k2, k3 = extract_blocks(kq, structure)
+    if kq.m != (n_edges := structure.c.shape[0]):
+        raise DimensionMismatch(f"kernel size {kq.m} does not match {n_edges} edges")
+    # Views of the halves' cross block K2 (anchor-anchor rows) and target block K3.
+    n_aa, a, b = structure.n_aa, kq.k.a, kq.k.b
+    k2 = a[:n_aa, n_aa:], b[:n_aa, n_aa:]
+    k3 = a[n_aa:, n_aa:], b[n_aa:, n_aa:]
 
     nu_aa = embed_r3(_anchor_edges(anchors, structure))
     aa_energy = nu_aa.norm() ** 2
@@ -281,11 +286,11 @@ def _mrc_core(
         raise ZeroAnchorEdges("anchor-anchor edges are all zero length")
 
     # The edge estimate u = u1 + u2 j is held as v = conj([u1; u2]), |v| = |u|.
-    drive = _kh_rows(k2, np.conj((nu_aa.a, nu_aa.b)))
+    drive = _kh_rows(*k2, np.conj((nu_aa.a, nu_aa.b)))
     states = np.empty((tau_max + 1, *drive.shape), dtype=complex)
     states[0] = v = drive / aa_energy
     for tau in range(1, tau_max + 1):
-        states[tau] = v = (drive + _kh_rows(k3, v)) / (aa_energy + np.vdot(v, v).real)
+        states[tau] = v = (drive + _kh_rows(*k3, v)) / (aa_energy + np.vdot(v, v).real)
     residuals = np.linalg.norm(np.diff(states, axis=0), axis=(1, 2)) / np.maximum(
         np.linalg.norm(states[:-1], axis=(1, 2)), np.finfo(float).tiny)
 

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from qmds.errors import AsymmetricMask, DimensionMismatch, ShapeMismatch
+from qmds.errors import AsymmetricMask, ShapeMismatch
 from qmds.gek import (
     RealGek,
     apply_mask,
     build_quat_gek,
     build_real_gek,
-    extract_blocks,
     quat_gek_from_measurements,
 )
 from qmds.measurement import MeasurementSet, NoiseConfig, missing_mask, synthesize
@@ -182,29 +181,19 @@ def test_quat_kernel_rejects_scenario_one():
         quat_gek_from_measurements(ms)
 
 
-# ---- block extraction ----
-
-
-def test_block_shapes():
-    rng = np.random.default_rng(98)
-    _, ms = exact_measurements(rng)
-    kq = quat_gek_from_measurements(ms)
-    k1, k2, k3 = extract_blocks(kq, structure_matrices(5, 15))
-    assert k1.shape == (10, 10)
-    assert k2.shape == (10, 75)
-    assert k3.shape == (75, 75)
-    # read-only views of the kernel, not copies
-    for block in (k1, k2, k3):
-        assert np.shares_memory(block.a, kq.k.a) and np.shares_memory(block.b, kq.k.b)
-        assert not block.a.flags.writeable and not block.b.flags.writeable
+# ---- kernel blocks ----
 
 
 def test_cross_block_is_mixed_outer_product():
+    # On exact data the cross block K2 (anchor-anchor rows, anchor-target
+    # columns of the kernel's halves, as the MRC solvers slice it) is
+    # nu_aa nu_at^H.
     rng = np.random.default_rng(99)
     params, ms = exact_measurements(rng, n_anchors=4, n_targets=6)
-    _, k2, _ = extract_blocks(quat_gek_from_measurements(ms), structure_matrices(4, 6))
+    kq = quat_gek_from_measurements(ms)
+    n_aa = structure_matrices(4, 6).n_aa
+    k2 = QuaternionMatrix(kq.k.a[:n_aa, n_aa:], kq.k.b[:n_aa, n_aa:])
     nu = embed_r3(params.vectors)
-    n_aa = 6
     nu_aa = QuaternionMatrix(nu.a[:n_aa, None], nu.b[:n_aa, None])
     nu_at = QuaternionMatrix(nu.a[n_aa:, None], nu.b[n_aa:, None])
     expected = nu_aa @ nu_at.H
@@ -214,16 +203,11 @@ def test_cross_block_is_mixed_outer_product():
 def test_diagonal_blocks_hermitian():
     rng = np.random.default_rng(100)
     _, ms = exact_measurements(rng, n_anchors=4, n_targets=5)
-    k1, _, k3 = extract_blocks(quat_gek_from_measurements(ms), structure_matrices(4, 5))
-    assert (k1 - k1.H).norm() == 0.0
-    assert (k3 - k3.H).norm() == 0.0
-
-
-def test_block_extraction_size_check():
-    rng = np.random.default_rng(101)
-    _, ms = exact_measurements(rng, n_anchors=4, n_targets=5)
-    with pytest.raises(DimensionMismatch):
-        extract_blocks(quat_gek_from_measurements(ms), structure_matrices(5, 15))
+    kq = quat_gek_from_measurements(ms)
+    n_aa = structure_matrices(4, 5).n_aa
+    for rows in (slice(None, n_aa), slice(n_aa, None)):
+        block = QuaternionMatrix(kq.k.a[rows, rows], kq.k.b[rows, rows])
+        assert (block - block.H).norm() == 0.0
 
 
 # ---- masks ----

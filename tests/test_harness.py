@@ -134,6 +134,17 @@ def test_trial_noiseless_every_algorithm():
             assert res.xi < 1e-6, (scenario, algorithm)
 
 
+def test_tiny_sigma_trial_matches_zero_sigma():
+    # round(sigma_d * 1e6) keys both trials alike, and a ranging std of
+    # 1e-160 m draws nothing, so every algorithm gives the noiseless answer.
+    cfg = small_config()
+    for scenario in ("I", "II"):
+        for algorithm in ("smds", "qdsmds", "mrc", "mrciter"):
+            tiny = run_trial(cfg, scenario, algorithm, 1e-160, 10.0, 1)
+            exact = run_trial(cfg, scenario, algorithm, 0.0, 10.0, 1)
+            assert tiny.ok and tiny.xi == exact.xi, (scenario, algorithm)
+
+
 def test_trial_deterministic():
     cfg = small_config()
     a = run_trial(cfg, "II", "qdsmds", 1.0, 30.0, 3)

@@ -42,6 +42,17 @@ def test_zero_sigma_is_exact():
     np.testing.assert_array_equal(sample_distance(d, 0.0, rng), d)
 
 
+@pytest.mark.parametrize("sigma_d", [1e-160, 1e-170])
+def test_tiny_sigma_returns_distances_undrawn(sigma_d):
+    # sigma_d^2 / d^2 is far below one ulp, and the Gamma parameters would
+    # overflow or divide by zero: d comes back unchanged, nothing drawn.
+    rng = np.random.default_rng(74)
+    state = rng.bit_generator.state
+    np.testing.assert_array_equal(sample_distance([1.0, 30.0], sigma_d, rng),
+                                  [1.0, 30.0])
+    assert rng.bit_generator.state == state
+
+
 def test_nonpositive_distance_rejected():
     rng = np.random.default_rng(73)
     with pytest.raises(NonPositiveDistance):

@@ -20,7 +20,6 @@ from qmds.gek import (
     apply_mask,
     build_quat_gek,
     build_real_gek,
-    extract_blocks,
     quat_gek_from_measurements,
 )
 from qmds.measurement import NoiseConfig, missing_mask, synthesize
@@ -373,11 +372,21 @@ def test_mrc_zero_anchor_edges():
         qd_mrc_smds(kq, anchors, st)
 
 
+@pytest.mark.parametrize("solve", [qd_mrc_smds, qd_mrc_smds_iterative])
+def test_mrc_rejects_kernel_size_mismatch(solve):
+    rng = np.random.default_rng(101)
+    geo, _, ms, _ = exact_setup(rng, "II", n_targets=5)
+    with pytest.raises(DimensionMismatch):
+        solve(quat_gek_from_measurements(ms), geo.anchors, structure_matrices(5, 15))
+
+
 def _quaternion_algebra_mrc(kq, anchors, structure, tau_max):
     """The refinement loop written in QuaternionMatrix algebra, as the oracle
     for the solver's column-form sweeps: (trajectory, nu_residuals)."""
-    n_a, n_t = structure.n_anchors, structure.n_targets
-    _, k2, k3 = extract_blocks(kq, structure)
+    n_a, n_t, n_aa = structure.n_anchors, structure.n_targets, structure.n_aa
+    a, b = kq.k.a, kq.k.b
+    k2 = QuaternionMatrix(a[:n_aa, n_aa:], b[:n_aa, n_aa:])
+    k3 = QuaternionMatrix(a[n_aa:, n_aa:], b[n_aa:, n_aa:])
     nu_aa = embed_r3(structure.c[:structure.n_aa, :n_a] @ anchors)
     aa_energy = nu_aa.norm() ** 2
     k2h_nu = k2.H @ nu_aa
