@@ -21,7 +21,6 @@ from .errors import (
     DegenerateAnchors,
     DegenerateEdge,
     DimensionMismatch,
-    HermitianDefectWarning,
     NonConvergenceWarning,
     NonPositiveDistance,
     OutOfRange,
@@ -99,7 +98,6 @@ __all__ = [
     "EPSILON_LIMIT_DEG",
     "Estimate",
     "ExperimentConfig",
-    "HermitianDefectWarning",
     "MeasurementSet",
     "NetworkGeometry",
     "NoiseConfig",

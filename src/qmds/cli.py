@@ -110,6 +110,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         mapping = _apply_overrides(_load_mapping(args.config), args)
+        if args.command == "converge":
+            mapping["scenarios"] = ("II",)  # the only scenario converge runs
         config = config_from_mapping(mapping)
         if args.command == "run":
             rows = run_grid(config)

@@ -16,7 +16,9 @@ class DimensionMismatch(QmdsError):
 
 
 class OutOfRange(QmdsError):
-    """Scalar parameter outside its documented domain."""
+    """Value outside its documented domain: an out-of-range or non-finite
+    parameter, measurement, kernel entry or estimate, a pair-angle matrix
+    that is not exactly symmetric, or a kernel not Hermitian to the bit."""
 
 
 class NonPositiveDistance(QmdsError):
@@ -56,7 +58,3 @@ class ZeroAnchorEdges(QmdsError):
 
 class NonConvergenceWarning(UserWarning):
     """Iteration stopped at its sweep budget before reaching its tolerance."""
-
-
-class HermitianDefectWarning(UserWarning):
-    """Input expected Hermitian deviates beyond tolerance; it was symmetrized."""

@@ -131,5 +131,5 @@ def apply_mask(gek: "RealGek | QuatGek", mask: np.ndarray) -> "RealGek | QuatGek
         return RealGek(np.where(mask, gek.k, 0.0), mask)
     a = np.where(mask, gek.k.a, 0.0)
     b = np.where(mask, gek.k.b, 0.0)
-    return QuatGek(QuaternionMatrix(a, b), mask)
+    return QuatGek(QuaternionMatrix._adopt(a, b), mask)
 

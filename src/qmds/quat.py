@@ -28,12 +28,11 @@ quaternion matrix is read off the adjoint's SVD by keeping the odd-indexed
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, HermitianDefectWarning, ShapeMismatch
+from .errors import DimensionMismatch, OutOfRange, ShapeMismatch
 
 __all__ = [
     "QuaternionMatrix",
@@ -45,8 +44,6 @@ __all__ = [
     "r3_components",
 ]
 
-# Relative Hermitian defect above which `dominant_eigpair` warns.
-_DEFECT_TOL = 1e-12
 # `dominant_eigpair` power steps: the certified eigenvector error r / g, and
 # the steps tried before the dense solve. Kernels of the paper's grid
 # (eps <= 50 deg) certify in at most about 40 steps.
@@ -171,14 +168,6 @@ class QuaternionMatrix:
         return math.sqrt(float(np.sum(np.abs(self._a) ** 2)
                                + np.sum(np.abs(self._b) ** 2)))
 
-    def hermitian_defect(self) -> float:
-        """Relative Frobenius distance to the conjugate transpose."""
-        if self.ndim != 2 or self.shape[0] != self.shape[1]:
-            raise ShapeMismatch("hermitian_defect needs a square matrix")
-        num = (self - self.H).norm()
-        den = max(self.norm(), np.finfo(float).tiny)
-        return num / den
-
     def __repr__(self) -> str:
         return f"QuaternionMatrix(shape={self.shape})"
 
@@ -288,10 +277,9 @@ def dominant_eigpair(k: QuaternionMatrix) -> tuple[float, QuaternionMatrix]:
 
     Returns the algebraically largest eigenvalue and a unit right
     eigenvector, K u = u lambda; u is defined only up to a right
-    unit-quaternion factor. An input that is not Hermitian to the bit is
-    symmetrized to (K + K^H)/2 first. A relative Frobenius defect beyond
-    1e-12 is reported with a warning rather than an error, since
-    measurement noise routinely lands just outside exact symmetry.
+    unit-quaternion factor. An input that is not Hermitian to the bit
+    (A = A^H and B = -B^T) is rejected with OutOfRange; every kernel this
+    package builds or completes is.
 
     Quaternion power steps, started from the column of K with the largest
     diagonal entry, return the pair once a certificate holds: with Rayleigh
@@ -310,18 +298,8 @@ def dominant_eigpair(k: QuaternionMatrix) -> tuple[float, QuaternionMatrix]:
     """
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ShapeMismatch("dominant_eigpair needs a square matrix")
-    # Both kernel builders produce bit-Hermitian kernels, which skip the
-    # defect measure and the copy.
     if not (np.array_equal(k.a, k.a.conj().T) and np.array_equal(k.b, -k.b.T)):
-        defect = k.hermitian_defect()
-        if defect > _DEFECT_TOL:
-            warnings.warn(
-                f"hermitian defect {defect:.3e} exceeds {_DEFECT_TOL:.1e}; "
-                "input symmetrized",
-                HermitianDefectWarning,
-                stacklevel=2,
-            )
-        k = (k + k.H) / 2
+        raise OutOfRange("dominant_eigpair needs a matrix Hermitian to the bit")
     pair = _certified_power(k)
     if pair is not None:
         return pair

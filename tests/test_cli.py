@@ -66,6 +66,21 @@ def test_converge_emits_per_sweep_rows(tmp_path):
     assert [line.split(",")[2] for line in lines[1:]] == ["0", "1", "2", "3"]
 
 
+def test_converge_accepts_masked_config(tmp_path):
+    # converge runs Scenario II only, so a masked config needs no
+    # `scenarios` field to pass the Scenario I mask check.
+    cfg = tmp_path / "masked.json"
+    cfg.write_text(json.dumps({"missing_fraction": 0.3, "n_targets": 6}))
+    out = tmp_path / "conv.csv"
+    code = main(["converge", "--config", str(cfg), "--out", str(out),
+                 "--sigma-d", "2", "--epsilon", "30", "--tau-max", "2",
+                 "--trials", "2", "--seed", "4"])
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[2] for row in rows] == ["0", "1", "2"]
+    assert all(int(row[3]) + int(row[4]) == 2 and row[5] for row in rows)
+
+
 def test_bad_grid_value_fails_cleanly(tmp_path, capsys):
     code, _ = run_args(tmp_path, "--epsilon", "170")
     assert code == 2

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmds import errors, gek, harness
+from qmds.completion import complete_quat_gek, complete_real_gek
 from qmds.errors import DegenerateAnchors, OutOfRange, RankDeficient, ShapeMismatch
 from qmds.harness import (
     CSV_COLUMNS,
@@ -19,7 +20,7 @@ from qmds.harness import (
     run_trial,
     write_csv,
 )
-from qmds.solvers import Estimate
+from qmds.solvers import Estimate, _stage_two_kernel, smds
 
 SMALL = dict(n_targets=6, trials=4)
 
@@ -466,10 +467,10 @@ grid_points = st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 1
 
 
 @st.composite
-def degenerate_configs(draw):
+def degenerate_configs(draw, max_missing=0.97):
     """Four anchors (all in one horizontal plane when the flag is drawn),
     1-3 targets, noise up to sigma_d 100 m and eps 161.9 deg, and in
-    Scenario II up to 97% of the kernel hidden."""
+    Scenario II up to `max_missing` of the kernel hidden."""
     anchors = draw(st.lists(grid_points, min_size=4, max_size=4))
     if draw(st.booleans()):
         anchors = [(x, y, anchors[0][2]) for x, y, _ in anchors]
@@ -477,7 +478,7 @@ def degenerate_configs(draw):
     scenario = draw(st.sampled_from(harness.SCENARIOS))
     return ExperimentConfig(
         anchors=anchors, n_targets=draw(st.integers(1, 3)), scenarios=(scenario,),
-        missing_fraction=draw(st.floats(0.0, 0.97)) if scenario == "II" else 0.0,
+        missing_fraction=draw(st.floats(0.0, max_missing)) if scenario == "II" else 0.0,
         sigma_d_grid=(draw(st.floats(0.0, 100.0)),),
         # below about 0.0094 deg the config itself raises OutOfRange
         epsilon_grid=(draw(st.one_of(st.just(0.0), st.floats(0.01, 161.9))),),
@@ -499,3 +500,44 @@ def test_every_trial_is_finite_or_a_typed_failure(cfg):
                 name = res.error.split(":")[0]
                 assert issubclass(getattr(errors, name, type(None)), errors.QmdsError), \
                     res.error
+
+
+def _is_hermitian(gek_):
+    """Exact Hermitian test: K = K^T for the real kernel, A = A^H and
+    B = -B^T for the quaternion kernel."""
+    if isinstance(gek_, gek.RealGek):
+        return np.array_equal(gek_.k, gek_.k.T)
+    a, b = gek_.k.a, gek_.k.b
+    return np.array_equal(a, a.conj().T) and np.array_equal(b, -b.T)
+
+
+@settings(max_examples=30, deadline=None)
+@given(degenerate_configs(max_missing=0.6))
+def test_every_library_kernel_is_hermitian_to_the_bit(cfg):
+    # dominant_eigpair rejects a kernel that is not Hermitian to the bit, so
+    # every path that hands a kernel to a solver must build one. A draw
+    # stops at the first piece that raises a typed error.
+    (scenario,), (sigma_d,), (epsilon,) = cfg.scenarios, cfg.sigma_d_grid, cfg.epsilon_grid
+    instance = harness._Instance(cfg, scenario, sigma_d, epsilon, 0)
+    structure = instance.structure
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", errors.NonConvergenceWarning)
+        try:
+            geometry, ms, mask = instance.data()
+            kr = gek.build_real_gek(ms)
+            assert _is_hermitian(kr)
+            if scenario == "I":
+                est = smds(kr, geometry.anchors, structure)
+                assert _is_hermitian(_stage_two_kernel(
+                    ms, kr, geometry.anchors, est.targets, structure))
+                return
+            kq = gek.quat_gek_from_measurements(ms)
+            assert _is_hermitian(kq)
+            if mask is None:
+                return
+            for masked, complete in ((gek.apply_mask(kr, mask), complete_real_gek),
+                                     (gek.apply_mask(kq, mask), complete_quat_gek)):
+                assert _is_hermitian(masked)
+                assert _is_hermitian(complete(masked)[0])
+        except errors.QmdsError:
+            return

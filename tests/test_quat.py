@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmds.errors import HermitianDefectWarning, ShapeMismatch
+from qmds.errors import OutOfRange, ShapeMismatch
 from qmds.gek import quat_gek_from_measurements
 from qmds.harness import DEFAULT_ANCHORS, DEFAULT_ROOM
 from qmds.measurement import NoiseConfig, synthesize
@@ -376,6 +376,7 @@ def test_dominant_eigpair_residual_on_gram_matrices():
     for _ in range(10):
         q = rand_qm(rng, 6, 6)
         k = q @ q.H
+        k = (k + k.H) / 2  # Hermitian to the bit
         lam, u = dominant_eigpair(k)
         assert eigen_residual(k, lam, u) <= 1e-8 * k.norm()
         assert abs(u.norm() - 1.0) <= 1e-12
@@ -469,11 +470,11 @@ def test_dominant_eigpair_matches_dense_solve(n, kind, noise, seed):
     assert eigen_residual(k, lam, u) <= 1e-10 * scale
 
 
-def test_dominant_eigpair_warns_on_defect():
+def test_dominant_eigpair_rejects_non_hermitian():
     k = QuaternionMatrix.from_components(
         [[1.0, 0.5], [0.0, 1.0]], np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))
     )
-    with pytest.warns(HermitianDefectWarning):
+    with pytest.raises(OutOfRange):
         dominant_eigpair(k)
 
 

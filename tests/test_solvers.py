@@ -472,6 +472,19 @@ def test_solver_rejects_non_finite_kernel(solve, bad):
         solve(kernel, geo.anchors, st)
 
 
+def test_qd_smds_rejects_non_hermitian_kernel():
+    # One B entry changed, its mirror -B^T left alone: the kernel stays
+    # finite but is no longer Hermitian, and is rejected, not symmetrized.
+    rng = np.random.default_rng(154)
+    geo, _, _, st = exact_setup(rng, "II", n_targets=4)
+    ms = synthesize(true_parameters(geo), NoiseConfig(2.0, 30.0), "II", rng)
+    kq = quat_gek_from_measurements(ms)
+    b = kq.k.b.copy()
+    b[12, 15] += 1.0
+    with pytest.raises(OutOfRange):
+        qd_smds(QuatGek(QuaternionMatrix(kq.k.a, b)), geo.anchors, st)
+
+
 # ---- Scenario I pipeline ----
 
 
