@@ -36,13 +36,12 @@ and b an upper bound on |lambda_{r+1}(op)|. The certificate is
 
 By the Davis-Kahan theorem, the angle between the found and the exact
 rank-r eigenspaces of op is then below 1e-13, so the truncation is the same
-projection a dense factorization gives, up to rounding. The bound b is the
-smaller of two bounds. One is the Weyl chain b_prev + ||op - op_prev||_F.
-The other is the Frobenius tail sqrt(||op||_F^2 - sum_{i != r+1} s_i^2) over
-all Ritz values; it holds because each Ritz value is at most the singular
-value of op of the same index. Without a certificate, and on the first
+projection a dense factorization gives, up to rounding. The bound b is a
+Weyl chain: each sweep adds ||op - op_prev||_F to the last sweep's bound.
+For a Hermitian iterate that is the sweep-to-sweep change of the iterate,
+which the loop measures anyway. Without a certificate, and on the first
 sweep, one dense `eigh` of op gives the truncation, resets the basis and
-sets b to the exact |lambda_{r+1}(op)|.
+resets b to the exact |lambda_{r+1}(op)|.
 
 The real kernel completes at rank 3. The quaternion kernel is completed
 through its Cayley-Dickson pair: each complex half of a rank-1 quaternion
@@ -54,7 +53,7 @@ makes the merged kernel Hermitian.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,94 +100,66 @@ class CompletionResult:
     rel_change: float
 
 
-@dataclass(frozen=True)
-class _Warm:
-    """What one sweep's truncation hands the next: rank + 2 orthonormal
-    leading eigenvectors of `op`, an upper bound on |lambda_{rank+1}(op)|,
-    and the `rank` leading vectors of earlier sweeps, most recent first."""
-
-    basis: np.ndarray
-    op: np.ndarray
-    bound: float
-    earlier: tuple[np.ndarray, ...] = ()
-
-
 def _by_magnitude(theta: np.ndarray, vectors: np.ndarray):
     order = np.argsort(-np.abs(theta), kind="stable")
     return theta[order], vectors[:, order]
 
 
-def _hermitian_low(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    low = (v * theta) @ v.conj().T
-    return (low + low.conj().T) / 2
+class _Truncation:
+    """One completion's truncation state, which each sweep updates in place:
+    rank + 2 orthonormal leading eigenvectors of the last operator, the
+    `rank` leading vectors of earlier sweeps (most recent first), an upper
+    bound on |lambda_{rank+1}| of the last operator, and a stack for the
+    shifted systems."""
 
+    def __init__(self, n: int, rank: int, dtype):
+        self.rank = rank
+        self.basis: np.ndarray | None = None
+        self.earlier: list[np.ndarray] = []
+        self.bound = 0.0
+        self.shifted = np.empty((rank, n, n), dtype)
 
-def _dense(op: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, _Warm]:
-    """The `rank` leading eigenpairs of `op` from a full factorization, and
-    the warm state they start."""
-    theta, v = _by_magnitude(*np.linalg.eigh(op))
-    bound = float(abs(theta[rank])) if rank < theta.size else 0.0
-    return v[:, :rank], theta[:rank], _Warm(v[:, : rank + 2], op, bound)
+    def dense(self, op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The `rank` leading eigenpairs of `op` from a full factorization;
+        resets the basis and the bound."""
+        rank = self.rank
+        theta, v = _by_magnitude(*np.linalg.eigh(op))
+        self.bound = float(abs(theta[rank])) if rank < theta.size else 0.0
+        self.basis = v[:, : rank + 2]
+        return v[:, :rank], theta[:rank]
 
-
-def _rayleigh_ritz(
-    op: np.ndarray, q: np.ndarray, rank: int, warm: _Warm
-) -> tuple[bool, np.ndarray, np.ndarray, _Warm]:
-    """Whether the `rank` leading Ritz pairs of `op` on the orthonormal
-    columns of `q` are certified, the pairs, and the next warm state."""
-    opq = op @ q
-    # eigh reads one triangle of the projected matrix, so no mirroring
-    theta, w = _by_magnitude(*np.linalg.eigh(q.conj().T @ opq))
-    s, v = np.abs(theta), q @ w
-    res = np.linalg.norm(opq @ w[:, :rank] - v[:, :rank] * theta[:rank])
-    # |lambda_i(op)| >= s_i for every i, so all other Ritz values come off
-    # the Frobenius norm in a bound on |lambda_{rank+1}(op)|.
-    tail = np.sqrt(max(np.vdot(op, op).real - np.sum(s**2) + s[rank] ** 2, 0.0))
-    moved = 0.0 if warm.op is op else np.linalg.norm(op - warm.op)
-    bound = float(min(warm.bound + moved, tail))
-    nxt = replace(warm, basis=v[:, : rank + 2], op=op, bound=bound)
-    certified = res < _CERTIFIED_ANGLE * (s[rank - 1] - bound)
-    return certified, v[:, :rank], theta[:rank], nxt
-
-
-def _leading(
-    op: np.ndarray, rank: int, warm: _Warm | None
-) -> tuple[np.ndarray, np.ndarray, _Warm]:
-    """The `rank` leading eigenpairs of `op`, refined from the previous
-    sweeps' `warm` state when there is one, and the state to hand on."""
-    if warm is None or 2 * rank + 2 >= len(op):
-        return _dense(op, rank)  # first sweep, or no room to save
-    bases = (warm.basis, *warm.earlier)
-    warm = replace(warm, earlier=tuple(b[:, :rank] for b in bases[: _HISTORY - 1]))
-    q, _ = np.linalg.qr(np.hstack(bases))
-    for solves in range(_WARM_SOLVES + 1):
-        certified, v, theta, warm = _rayleigh_ritz(op, q, rank, warm)
-        if certified:
-            return v, theta, warm
-        if solves == _WARM_SOLVES or not abs(theta[-1]) > warm.bound:
-            break
-        # off the Ritz values by 2^-40 of the largest, so no LU is exactly singular
-        shifted = np.repeat(op[None], rank, axis=0)
-        diagonal = np.arange(len(op))
-        shifted[:, diagonal, diagonal] -= (theta + 2.0**-40 * abs(theta[0]))[:, None]
-        try:
-            z = np.linalg.solve(shifted, warm.basis[:, :rank].T[:, :, None])
-        except np.linalg.LinAlgError:
-            break  # a shift equal to an eigenvalue: nothing left to refine
-        q, _ = np.linalg.qr(np.hstack([warm.basis, z[:, :, 0].T]))
-    v, theta, dense = _dense(op, rank)
-    return v, theta, replace(dense, earlier=warm.earlier)
-
-
-def _truncate(
-    x: np.ndarray, rank: int, hermitian: bool, warm: _Warm | None
-) -> tuple[np.ndarray, _Warm]:
-    """One sweep's best rank-`rank` approximation of `x`, and the next state."""
-    op = x if hermitian else x.conj().T @ x
-    v, theta, warm = _leading(op, rank, warm)
-    if hermitian:
-        return _hermitian_low(v, theta), warm
-    return (x @ v) @ v.conj().T, warm
+    def leading(self, op: np.ndarray, moved: float) -> tuple[np.ndarray, np.ndarray]:
+        """The `rank` leading eigenpairs of `op`, refined from the earlier
+        sweeps' bases when certified; `moved` bounds ||op - op_prev||_F."""
+        rank, n = self.rank, len(op)
+        if self.basis is None or 2 * rank + 2 >= n:
+            return self.dense(op)  # first sweep, or no room to save
+        bases = [self.basis, *self.earlier]
+        self.earlier = [b[:, :rank] for b in bases[: _HISTORY - 1]]
+        self.bound += moved
+        q, _ = np.linalg.qr(np.hstack(bases))
+        for solves in range(_WARM_SOLVES + 1):
+            opq = op @ q
+            # eigh reads one triangle of the projected matrix, so no mirroring
+            theta, w = _by_magnitude(*np.linalg.eigh(q.conj().T @ opq))
+            v = q @ w
+            self.basis = v[:, : rank + 2]
+            v, theta = v[:, :rank], theta[:rank]
+            res = np.linalg.norm(opq @ w[:, :rank] - v * theta)
+            if res < _CERTIFIED_ANGLE * (abs(theta[-1]) - self.bound):
+                return v, theta
+            if solves == _WARM_SOLVES or not abs(theta[-1]) > self.bound:
+                break
+            # off the Ritz values by 2^-40 of the largest, so no LU is exactly singular
+            self.shifted[:] = op
+            diagonal = self.shifted.reshape(rank, -1)[:, :: n + 1]
+            diagonal -= (theta + 2.0**-40 * abs(theta[0]))[:, None]
+            try:
+                z = np.linalg.solve(self.shifted, v.T[:, :, None])
+            except np.linalg.LinAlgError:
+                break  # a shift equal to an eigenvalue: nothing left to refine
+            q, _ = np.linalg.qr(np.hstack([self.basis, z[:, :, 0].T]))
+        return self.dense(op)
 
 
 def complete_lowrank(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionResult:
@@ -225,22 +196,30 @@ def complete_lowrank(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionRe
         raise RankDeficient(f"{observed} observed real values cannot fix the "
                             f"{dof} degrees of freedom of a rank-{rank} completion")
     x = data.copy()
-    warm = None
+    state = _Truncation(k.shape[1], rank, np.result_type(data, 1.0))
+    step = np.inf  # ||x - x_prev||_F
+    gram = 0.0  # the Gram route's previous x^H x
     gap = np.inf  # ||x - low||_F, the monotone quantity
     rel_change = np.inf
     it = 0
     for it in range(1, _MAX_SWEEPS + 1):
-        new_low, warm = _truncate(x, rank, hermitian, warm)
-        new_x = np.where(mask, data, new_low)
-        new_gap = float(np.linalg.norm(new_x - new_low))
+        if hermitian:
+            v, theta = state.leading(x, step)
+            low = (v * theta) @ v.conj().T
+            low = (low + low.conj().T) / 2
+        else:
+            gram, previous = x.conj().T @ x, gram
+            v, theta = state.leading(gram, np.linalg.norm(gram - previous))
+            low = (x @ v) @ v.conj().T
+        new_x = np.where(mask, data, low)
+        new_gap = float(np.linalg.norm(new_x - low))
         if not new_gap <= gap * (1 + 1e-9) + 1e-12:
             # A true rank projection cannot raise the gap; this one did.
             raise RankDeficient(
                 f"completion gap rose from {gap:.6e} to {new_gap:.6e} at sweep {it}"
             )
-        rel_change = float(
-            np.linalg.norm(new_x - x) / max(np.linalg.norm(x), np.finfo(float).tiny)
-        )
+        step = float(np.linalg.norm(new_x - x))
+        rel_change = float(step / max(np.linalg.norm(x), np.finfo(float).tiny))
         x, gap = new_x, new_gap
         if rel_change < _TOL:
             return CompletionResult(x, it, True, rel_change)

@@ -82,16 +82,16 @@ def test_rank_validation():
 
 
 def worsening_truncation(monkeypatch):
-    """Truncate correctly once, then return zeros, which raises the gap."""
+    """Truncate correctly once, then keep zero eigenvalues, which raises the gap."""
     calls = []
-    real = completion._truncate
+    real = completion._Truncation.leading
 
-    def truncate(x, rank, *state):
-        calls.append(rank)
-        low, warm = real(x, rank, *state)
-        return (low if len(calls) == 1 else np.zeros_like(x)), warm
+    def leading(self, op, moved):
+        calls.append(moved)
+        v, theta = real(self, op, moved)
+        return v, (theta if len(calls) == 1 else np.zeros_like(theta))
 
-    monkeypatch.setattr(completion, "_truncate", truncate)
+    monkeypatch.setattr(completion._Truncation, "leading", leading)
 
 
 def test_rising_gap_raises_typed_error(monkeypatch):
@@ -325,26 +325,32 @@ def reference_truncation(x, rank, hermitian):
     return (u[:, :rank] * s[:rank]) @ vh[:rank]
 
 
+def low_from(x, v, theta, hermitian):
+    """The rank-r approximation of `x` from the r leading pairs of its operator."""
+    return (v * theta) @ v.conj().T if hermitian else (x @ v) @ v.conj().T
+
+
 def warm_against_dense(monkeypatch, kind, seed, spectrum, noise, step):
-    """Truncate x warm-started from a perturbed copy's state; return x, the
-    result and whether the dense path ran."""
+    """Truncate x from the state a perturbed copy left; return x, the result
+    and whether the dense path ran."""
     rank, hermitian = KINDS[kind]
     rng = np.random.default_rng(seed)
     x = structured(kind, rng, 30, spectrum, noise)
     nearby = x + step * structured(kind, rng, 30, np.zeros(rank), 1.0)
-    _, warm = completion._truncate(nearby, rank, hermitian, None)
+    op, near_op = (x, nearby) if hermitian else (x.conj().T @ x,
+                                                 nearby.conj().T @ nearby)
+    state = completion._Truncation(len(op), rank, op.dtype)
+    state.leading(near_op, np.inf)
     dense_calls = []
-    real_dense = completion._dense
+    real_dense = completion._Truncation.dense
 
-    def counted(*args):
+    def counted(self, *args):
         dense_calls.append(args)
-        return real_dense(*args)
+        return real_dense(self, *args)
 
-    monkeypatch.setattr(completion, "_dense", counted)
-    low, _ = completion._truncate(x, rank, hermitian, warm)
-    if hermitian:
-        np.testing.assert_array_equal(low, low.conj().T)
-    return x, low, bool(dense_calls)
+    monkeypatch.setattr(completion._Truncation, "dense", counted)
+    v, theta = state.leading(op, np.linalg.norm(op - near_op))
+    return x, low_from(x, v, theta, hermitian), bool(dense_calls)
 
 
 @settings(max_examples=60, deadline=None)
@@ -378,7 +384,9 @@ def test_flat_spectrum_falls_back_to_dense(kind, seed, step):
         x, low, dense = warm_against_dense(mp, kind, seed, np.array(spectrum),
                                            1e-12, step)
     assert dense
-    cold, _ = completion._truncate(x, rank, hermitian, None)
+    op = x if hermitian else x.conj().T @ x
+    cold = low_from(x, *completion._Truncation(len(op), rank, op.dtype).dense(op),
+                    hermitian)
     assert np.linalg.norm(low - cold) <= 1e-12 * np.linalg.norm(cold)
     # The noise splits sigma_r from sigma_{r+1} by about 1e-12, so the rank-r
     # subspace is fixed only to about 1e-4 and another factorization may pick
@@ -386,3 +394,18 @@ def test_flat_spectrum_falls_back_to_dense(kind, seed, step):
     ref = reference_truncation(x, rank, hermitian)
     assert np.linalg.svd(low, compute_uv=False)[rank] <= 1e-12 * np.linalg.norm(low)
     assert np.linalg.norm(x - low) <= (1 + 1e-12) * np.linalg.norm(x - ref)
+
+
+def test_unseen_leading_direction_falls_back_to_dense():
+    # x gains an eigenvalue larger than any the state has seen, along a
+    # direction orthogonal to its basis. Rayleigh-Ritz on the old span then
+    # has zero residual, and only the Weyl bound keeps the old eigenspace
+    # from being certified.
+    rng = np.random.default_rng(126)
+    u = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+    nearby = (u[:, :5] * [3.0, 2.0, 1.0, 1e-3, 1e-3]) @ u[:, :5].T
+    x = nearby + 5.0 * np.outer(u[:, 10], u[:, 10])
+    state = completion._Truncation(30, 3, x.dtype)
+    state.leading(nearby, np.inf)
+    _, theta = state.leading(x, np.linalg.norm(x - nearby))
+    np.testing.assert_allclose(theta, [5.0, 3.0, 2.0], rtol=1e-12)

@@ -65,6 +65,10 @@ RUN_MASKED = (
     ],
 )
 
+# mean_iterations of each RUN_MASKED row (completion plus refinement sweeps),
+# compared exactly: a completion change that moves any sweep count fails.
+RUN_MASKED_ITERATIONS = [102.0, 49.5, 49.5, 50.5]
+
 CONVERGE = (
     ["converge", "--sigma-d", "2", "--epsilon", "30", "--tau-max", "5",
      "--trials", "3", "--seed", "3"],
@@ -91,17 +95,22 @@ def _parse(value):
         return value
 
 
-@pytest.mark.parametrize("argv, keys, expected", [RUN_GRID, RUN_MASKED, CONVERGE],
+@pytest.mark.parametrize("argv, keys, expected, iterations",
+                         [RUN_GRID + (None,), RUN_MASKED + (RUN_MASKED_ITERATIONS,),
+                          CONVERGE + (None,)],
                          ids=["run-grid", "run-masked", "converge"])
-def test_cli_results_match_pinned_rows(tmp_path, argv, keys, expected):
+def test_cli_results_match_pinned_rows(tmp_path, argv, keys, expected, iterations):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     with open(out, newline="") as fh:
-        got = [
-            tuple(_parse(row[c]) for c in keys + ("trials_ok", "trials_failed"))
-            + (float(row["mean_xi_m"]),)
-            for row in csv.DictReader(fh)
-        ]
+        rows = list(csv.DictReader(fh))
+    got = [
+        tuple(_parse(row[c]) for c in keys + ("trials_ok", "trials_failed"))
+        + (float(row["mean_xi_m"]),)
+        for row in rows
+    ]
     assert [row[:-1] for row in got] == [row[:-1] for row in expected]
     assert [row[-1] for row in got] == pytest.approx(
         [row[-1] for row in expected], rel=1e-9, abs=0)
+    if iterations is not None:
+        assert [float(row["mean_iterations"]) for row in rows] == iterations
