@@ -11,7 +11,6 @@ surface; everything else is internal.
 
 from .completion import (
     CompletionResult,
-    complete_lowrank,
     complete_quat_gek,
     complete_real_gek,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "apply_mask",
     "build_quat_gek",
     "build_real_gek",
-    "complete_lowrank",
     "complete_quat_gek",
     "complete_real_gek",
     "complex_adjoint",

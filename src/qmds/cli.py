@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .errors import QmdsError
 from .harness import (
@@ -113,6 +114,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "converge":
             mapping["scenarios"] = ("II",)  # the only scenario converge runs
         config = config_from_mapping(mapping)
+        if not (out_dir := Path(args.out).parent).is_dir():
+            # checked before the grid runs, so a bad path loses no work
+            raise FileNotFoundError(f"output directory does not exist: {out_dir}")
         if args.command == "run":
             rows = run_grid(config)
             write_csv(rows, args.out, CSV_COLUMNS)

@@ -7,8 +7,8 @@ increases, and the returned matrix carries the observed entries verbatim
 (the data constraint is re-imposed after the last truncation).
 
 Every truncation is a Hermitian eigenproblem on an operator op. A
-Hermitian iterate under a symmetric mask (the real kernel, and the first
-complex half of the quaternion kernel) is its own op: it keeps its r
+Hermitian iterate (the real kernel, and the first complex half of the
+quaternion kernel) is its own op: it keeps its r
 eigenpairs of largest |lambda|, rebuilt as V Theta V^H and symmetrized, so
 every iterate is Hermitian to the bit. Any other iterate x takes
 op = x^H x, whose r leading eigenvectors V_r are right singular vectors of
@@ -48,6 +48,10 @@ through its Cayley-Dickson pair: each complex half of a rank-1 quaternion
 kernel has rank at most 2, so both halves complete at rank 2. The first
 half comes back Hermitian to the bit; the second is antisymmetrized, which
 makes the merged kernel Hermitian.
+
+The kernel types guarantee a square, finite kernel and a symmetric mask with
+an observed diagonal. Each wrapper checks once, before the first sweep, that
+the observed real values can fix the rank-r model's degrees of freedom.
 """
 
 from __future__ import annotations
@@ -57,27 +61,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AsymmetricMask,
-    NonConvergenceWarning,
-    OutOfRange,
-    RankDeficient,
-    ShapeMismatch,
-)
+from .errors import NonConvergenceWarning, RankDeficient
 from .gek import QuatGek, RealGek
 from .quat import QuaternionMatrix
 
 __all__ = [
     "CompletionResult",
-    "complete_lowrank",
     "complete_real_gek",
     "complete_quat_gek",
-    "REAL_KERNEL_RANK",
-    "SPLIT_RANK",
 ]
 
-REAL_KERNEL_RANK = 3
-SPLIT_RANK = 2
+# The real kernel's rank, and each complex half's of a rank-1 quaternion kernel.
+_REAL_RANK = 3
+_SPLIT_RANK = 2
 
 # Sweep budget, and the relative change between sweeps that counts as done.
 _MAX_SWEEPS = 500
@@ -162,41 +158,26 @@ class _Truncation:
         return self.dense(op)
 
 
-def complete_lowrank(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionResult:
-    """Fill unobserved entries of a real or complex matrix at fixed rank.
-
-    Raises `RankDeficient` before the first sweep when the observed real
-    values are fewer than the rank-r model's degrees of freedom. For a
-    Hermitian input that is the observed diagonal plus the observed entries
-    above it (twice when complex) against r n - r(r-1)/2, or 2 r n - r^2
-    when complex; for any other input, every observed entry against
-    r(m + n - r), both doubled when complex.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != k.shape:
-        raise AsymmetricMask("mask shape does not match the matrix")
-    if rank < 1:
-        raise ShapeMismatch("rank must be at least 1")
-    if not np.isfinite(k[mask]).all():
-        raise OutOfRange("observed entries must be finite")
-    if mask.all():
-        return CompletionResult(k.copy(), 0, True, 0.0)
-
-    data = np.where(mask, k, 0)
-    hermitian = np.array_equal(mask, mask.T) and np.array_equal(data, data.conj().T)
-    c = 2 if np.iscomplexobj(k) else 1
-    if hermitian:
-        n = len(k)
-        observed = mask.diagonal().sum() + c * np.triu(mask, 1).sum()
-        dof = 2 * rank * n - rank**2 if c == 2 else rank * n - rank * (rank - 1) // 2
-    else:
-        observed = c * mask.sum()
-        dof = c * rank * (sum(k.shape) - rank)
+def _require_identifiable(mask: np.ndarray, rank: int, c: int) -> None:
+    """Raise `RankDeficient` unless the diagonal plus c values per observed pair
+    (c = 2 when complex) reach r n - r(r-1)/2 real, or 2 r n - r^2 complex."""
+    n = len(mask)
+    observed = n + c * np.triu(mask, 1).sum()
+    dof = 2 * rank * n - rank**2 if c == 2 else rank * n - rank * (rank - 1) // 2
     if observed < dof:
         raise RankDeficient(f"{observed} observed real values cannot fix the "
                             f"{dof} degrees of freedom of a rank-{rank} completion")
+
+
+def _complete(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionResult:
+    """Fill the entries a kernel's symmetric mask hides in `k` (the real
+    kernel or one complex half) at fixed rank."""
+    if mask.all():
+        return CompletionResult(k.copy(), 0, True, 0.0)
+    data = np.where(mask, k, 0)
+    hermitian = np.array_equal(data, data.conj().T)
     x = data.copy()
-    state = _Truncation(k.shape[1], rank, np.result_type(data, 1.0))
+    state = _Truncation(len(k), rank, np.result_type(data, 1.0))
     step = np.inf  # ||x - x_prev||_F
     gram = 0.0  # the Gram route's previous x^H x
     gap = np.inf  # ||x - low||_F, the monotone quantity
@@ -237,16 +218,20 @@ def complete_real_gek(gek: RealGek) -> tuple[RealGek, CompletionResult]:
     to the bit, so no symmetrization step follows."""
     if gek.mask is None:
         return gek, CompletionResult(gek.k, 0, True, 0.0)
-    res = complete_lowrank(gek.k, gek.mask, REAL_KERNEL_RANK)
+    _require_identifiable(gek.mask, _REAL_RANK, 1)
+    res = _complete(gek.k, gek.mask, _REAL_RANK)
     return RealGek(res.matrix), res
 
 
 def complete_quat_gek(gek: QuatGek) -> tuple[QuatGek, dict]:
-    """Complete a masked quaternion kernel through its complex halves."""
+    """Complete a masked quaternion kernel through its complex halves. One
+    check covers both: the second half's count, 2 |mask| against
+    2 r (2n - r), is the first half's inequality."""
     if gek.mask is None:
         return gek, {"iterations": 0, "converged": True}
-    res_a = complete_lowrank(gek.k.a, gek.mask, SPLIT_RANK)
-    res_b = complete_lowrank(gek.k.b, gek.mask, SPLIT_RANK)
+    _require_identifiable(gek.mask, _SPLIT_RANK, 2)
+    res_a = _complete(gek.k.a, gek.mask, _SPLIT_RANK)
+    res_b = _complete(gek.k.b, gek.mask, _SPLIT_RANK)
     b = res_b.matrix
     k = QuaternionMatrix._adopt(res_a.matrix, (b - b.T) / 2)
     info = {

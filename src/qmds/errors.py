@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "QmdsError", "ShapeMismatch", "DimensionMismatch", "OutOfRange",
+    "NonPositiveDistance", "DegenerateEdge", "AsymmetricMask", "RankDeficient",
+    "AmbiguityResolutionFailure", "SingularSystem", "DegenerateAnchors",
+    "ZeroAnchorEdges", "NonConvergenceWarning",
+]
+
 
 class QmdsError(Exception):
     """Base class for all errors raised by this package."""
@@ -30,7 +37,8 @@ class DegenerateEdge(QmdsError):
 
 
 class AsymmetricMask(QmdsError):
-    """Observation mask that is not symmetric with a fully observed diagonal."""
+    """Observation mask that is not a bool array of its kernel's shape,
+    symmetric, with a fully observed diagonal."""
 
 
 class RankDeficient(QmdsError):

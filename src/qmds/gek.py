@@ -21,6 +21,10 @@ Nothing is mirrored. The real kernel is symmetric because a measurement set
 holds an exactly symmetric pair-angle matrix, and each S is antisymmetric
 with a zero diagonal in IEEE arithmetic (v_m u_p and u_p v_m round alike),
 so both kernels are Hermitian to the bit even under noise.
+
+Both kernel types check their contract once, at construction: a square,
+finite kernel, and a mask (if any) that is a symmetric bool (M, M) array
+with an observed diagonal. Completion and the solvers check none of it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricMask, ShapeMismatch
+from .errors import AsymmetricMask, DimensionMismatch, OutOfRange, ShapeMismatch
 from .measurement import MeasurementSet
 from .quat import QuaternionMatrix
 
@@ -43,6 +47,24 @@ __all__ = [
 ]
 
 
+def _check_contract(shape: tuple, parts: tuple, mask) -> None:
+    """Raise unless the kernel is square and finite and `mask` is None or a
+    symmetric bool array of its shape with an observed diagonal."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatch(f"kernel must be square, got shape {shape}")
+    if not all(np.isfinite(part).all() for part in parts):
+        raise OutOfRange("kernel holds non-finite entries")
+    if mask is None:
+        return
+    if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != shape:
+        raise AsymmetricMask(f"mask must be a bool array of shape {shape}")
+    if not np.array_equal(mask, mask.T):
+        raise AsymmetricMask("observation mask must be symmetric")
+    if not mask.diagonal().all():
+        raise AsymmetricMask("diagonal entries must be observed")
+    mask.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class RealGek:
     """Real symmetric kernel with an optional observation mask."""
@@ -51,9 +73,8 @@ class RealGek:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_contract(self.k.shape, (self.k,), self.mask)
         self.k.setflags(write=False)
-        if self.mask is not None:
-            self.mask.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -68,23 +89,11 @@ class QuatGek:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mask is not None:
-            self.mask.setflags(write=False)
+        _check_contract(self.k.shape, (self.k.a, self.k.b), self.mask)
 
     @property
     def m(self) -> int:
         return self.k.shape[0]
-
-
-def _check_mask(mask: np.ndarray, m: int) -> np.ndarray:
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (m, m):
-        raise AsymmetricMask(f"mask shape {mask.shape} does not match M={m}")
-    if not np.array_equal(mask, mask.T):
-        raise AsymmetricMask("observation mask must be symmetric")
-    if not np.all(np.diag(mask)):
-        raise AsymmetricMask("diagonal entries must be observed")
-    return mask
 
 
 def build_real_gek(ms: MeasurementSet) -> RealGek:
@@ -125,8 +134,10 @@ def quat_gek_from_measurements(ms: MeasurementSet) -> QuatGek:
 
 
 def apply_mask(gek: "RealGek | QuatGek", mask: np.ndarray) -> "RealGek | QuatGek":
-    """Zero unobserved entries and retain the mask on the kernel."""
-    mask = _check_mask(mask, gek.m)
+    """Zero unobserved entries and retain the mask on the kernel, which checks it."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (gek.m, gek.m):  # else np.where broadcasts or fails untyped
+        raise AsymmetricMask(f"mask shape {mask.shape} does not match M={gek.m}")
     if isinstance(gek, RealGek):
         return RealGek(np.where(mask, gek.k, 0.0), mask)
     a = np.where(mask, gek.k.a, 0.0)

@@ -30,6 +30,7 @@ from .errors import DegenerateEdge, NonPositiveDistance, OutOfRange, ShapeMismat
 from .network import DEGENERATE_LENGTH, TrueParameters
 
 __all__ = [
+    "EPSILON_LIMIT_DEG",
     "NoiseConfig",
     "MeasurementSet",
     "Scenario",

@@ -210,10 +210,10 @@ def qsvd(q: QuaternionMatrix) -> QsvdResult:
 
     Computed through the complex adjoint: its 2 min(M, N) singular values
     come in equal pairs, and one column of each pair maps back to a
-    quaternion singular vector. The backend returns values nonincreasing; a
-    stable re-sort is applied anyway so that equal pairs stay adjacent before
-    the odd-index extraction. A complex column u = [u1; u2] pulls back to the
-    quaternion column u1 - conj(u2) j.
+    quaternion singular vector. `np.linalg.svd` returns the values
+    nonincreasing, so equal pairs are adjacent and every other column is
+    taken. A complex column u = [u1; u2] pulls back to the quaternion column
+    u1 - conj(u2) j.
     """
     if q.ndim != 2:
         raise ShapeMismatch("qsvd needs a 2-D quaternion matrix")
@@ -221,12 +221,6 @@ def qsvd(q: QuaternionMatrix) -> QsvdResult:
     qc = complex_adjoint(q)
     uc, s, vh = np.linalg.svd(qc, full_matrices=True)
     vc = np.conj(vh).T
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    # Only the leading 2*min(m,n) columns carry singular values; columns past
-    # them span null spaces and stay where the backend put them.
-    uc[:, : len(order)] = uc[:, order]
-    vc[:, : len(order)] = vc[:, order]
 
     u1, u2 = uc[:m], uc[m:]
     v1, v2 = vc[:n], vc[n:]

@@ -23,7 +23,8 @@ estimates are aligned on the anchor-anchor edges first and the final
 coordinates are aligned on the anchors; both alignments permit reflections.
 
 Kernels must be complete: run the completion module first when entries are
-masked. A kernel with a non-finite entry is rejected with `OutOfRange`.
+masked. The kernel types reject a non-finite entry at construction, so the
+solvers do not scan for one.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .errors import (
     AmbiguityResolutionFailure,
     DegenerateAnchors,
     DimensionMismatch,
-    OutOfRange,
     RankDeficient,
     ShapeMismatch,
     SingularSystem,
@@ -76,9 +76,6 @@ class Estimate:
 def _require_complete(gek: "RealGek | QuatGek") -> None:
     if gek.mask is not None and not gek.mask.all():
         raise ShapeMismatch("kernel carries unobserved entries; complete it first")
-    parts = (gek.k,) if isinstance(gek, RealGek) else (gek.k.a, gek.k.b)
-    if not all(np.isfinite(part).all() for part in parts):
-        raise OutOfRange("kernel holds non-finite entries")
 
 
 def _anchor_edges(anchors: np.ndarray, structure: StructureMatrices) -> np.ndarray:

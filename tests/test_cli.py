@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qmds import cli
 from qmds.cli import main
 
 FAST = [
@@ -145,3 +146,17 @@ def test_masking_with_scenario_one_rejected(tmp_path, capsys):
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         main(["plot"])
+
+
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_missing_output_directory_fails_before_the_grid(tmp_path, capsys,
+                                                        monkeypatch, command):
+    def never(config):
+        raise AssertionError("the grid ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_grid", never)
+    monkeypatch.setattr(cli, "run_convergence", never)
+    out = tmp_path / "missing-dir" / "x.csv"
+    code = main([command, "--out", str(out), *FAST])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("qmds: output directory does not exist")

@@ -6,13 +6,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmds import completion, harness
-from qmds.completion import complete_lowrank, complete_quat_gek, complete_real_gek
-from qmds.errors import NonConvergenceWarning, OutOfRange, RankDeficient, ShapeMismatch
+from qmds.completion import _complete, complete_quat_gek, complete_real_gek
+from qmds.errors import NonConvergenceWarning, OutOfRange, RankDeficient
 from qmds.harness import ExperimentConfig, run_trial
-from qmds.gek import apply_mask, build_real_gek, quat_gek_from_measurements
-from qmds.measurement import MeasurementSet, NoiseConfig, missing_mask, synthesize
+from qmds.gek import (
+    QuatGek,
+    RealGek,
+    apply_mask,
+    build_real_gek,
+    quat_gek_from_measurements,
+)
+from qmds.measurement import NoiseConfig, missing_mask, synthesize
 from qmds.network import NetworkGeometry, true_parameters
-from qmds.quat import qsvd
+from qmds.quat import QuaternionMatrix, qsvd
 
 
 def masked_rank_k(rng, n, rank, fraction):
@@ -22,13 +28,13 @@ def masked_rank_k(rng, n, rank, fraction):
     return k, mask
 
 
-# ---- generic low-rank completion ----
+# ---- the completion loop, on symmetric masks ----
 
 
 def test_full_mask_returns_input():
     rng = np.random.default_rng(111)
     k, _ = masked_rank_k(rng, 12, 3, 0.0)
-    res = complete_lowrank(k, np.ones_like(k, dtype=bool), 3)
+    res = _complete(k, np.ones_like(k, dtype=bool), 3)
     np.testing.assert_array_equal(res.matrix, k)
     assert res.iterations == 0 and res.converged
 
@@ -36,7 +42,7 @@ def test_full_mask_returns_input():
 def test_rank_one_recovery():
     rng = np.random.default_rng(112)
     k, mask = masked_rank_k(rng, 40, 1, 0.3)
-    res = complete_lowrank(k, mask, 1)
+    res = _complete(k, mask, 1)
     assert res.converged
     assert np.linalg.norm(res.matrix - k) / np.linalg.norm(k) < 1e-3
 
@@ -44,7 +50,7 @@ def test_rank_one_recovery():
 def test_rank_three_beats_zero_fill():
     rng = np.random.default_rng(113)
     k, mask = masked_rank_k(rng, 40, 3, 0.3)
-    res = complete_lowrank(k, mask, 3)
+    res = _complete(k, mask, 3)
     zero_fill_err = np.linalg.norm(np.where(mask, k, 0.0) - k)
     assert np.linalg.norm(res.matrix - k) < zero_fill_err
 
@@ -52,7 +58,7 @@ def test_rank_three_beats_zero_fill():
 def test_observed_entries_never_change():
     rng = np.random.default_rng(114)
     k, mask = masked_rank_k(rng, 30, 2, 0.4)
-    res = complete_lowrank(k, mask, 2)
+    res = _complete(k, mask, 2)
     np.testing.assert_array_equal(res.matrix[mask], k[mask])
 
 
@@ -61,24 +67,10 @@ def test_nonconvergence_warns_and_returns(monkeypatch):
     k, mask = masked_rank_k(rng, 25, 3, 0.3)
     monkeypatch.setattr(completion, "_MAX_SWEEPS", 2)
     with pytest.warns(NonConvergenceWarning):
-        res = complete_lowrank(k, mask, 3)
+        res = _complete(k, mask, 3)
     assert not res.converged
     assert res.iterations == 2
     np.testing.assert_array_equal(res.matrix[mask], k[mask])
-
-
-def test_mask_shape_checked():
-    rng = np.random.default_rng(116)
-    k, _ = masked_rank_k(rng, 10, 2, 0.0)
-    with pytest.raises(Exception):
-        complete_lowrank(k, np.ones((4, 4), dtype=bool), 3)
-
-
-def test_rank_validation():
-    rng = np.random.default_rng(116)
-    k, mask = masked_rank_k(rng, 10, 2, 0.3)
-    with pytest.raises(ShapeMismatch):
-        complete_lowrank(k, mask, 0)
 
 
 def worsening_truncation(monkeypatch):
@@ -99,7 +91,7 @@ def test_rising_gap_raises_typed_error(monkeypatch):
     k, mask = masked_rank_k(rng, 20, 3, 0.3)
     worsening_truncation(monkeypatch)
     with pytest.raises(RankDeficient, match="gap rose"):
-        complete_lowrank(k, mask, 3)
+        _complete(k, mask, 3)
 
 
 def test_rising_gap_is_a_failed_trial(monkeypatch):
@@ -116,21 +108,8 @@ def test_complex_matrix_completion():
     g = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
     k = g @ np.conj(g).T
     mask = missing_mask(30, 0.3, rng)
-    res = complete_lowrank(k, mask, 2)
+    res = _complete(k, mask, 2)
     assert np.linalg.norm(res.matrix - k) / np.linalg.norm(k) < 1e-3
-
-
-@pytest.mark.parametrize("shape", [(40, 40), (40, 25), (25, 40)])
-def test_general_complex_matrix_completion(shape):
-    # not Hermitian, so every truncation goes through x^H x
-    rng = np.random.default_rng(123)
-    g = [rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)) for n in shape]
-    k = g[0] @ g[1].T
-    mask = rng.random(shape) >= 0.3
-    res = complete_lowrank(k, mask, 2)
-    assert res.converged
-    assert np.linalg.norm(res.matrix - k) <= 1e-6 * np.linalg.norm(k)
-    np.testing.assert_array_equal(res.matrix[mask], k[mask])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -138,11 +117,12 @@ def test_non_finite_observed_entry_raises(bad):
     rng = np.random.default_rng(124)
     k, mask = masked_rank_k(rng, 20, 2, 0.3)
     hidden = tuple(np.argwhere(~mask)[0])
-    k[hidden] = bad  # hidden entries are never read
-    assert complete_lowrank(k, mask, 2).converged
-    k[0, 0] = bad
+    k[hidden] = bad  # the loop never reads a hidden entry
+    assert _complete(k, mask, 2).converged
+    k[hidden] = 0.0
+    k[0, 0] = bad  # an observed one never gets past the kernel
     with pytest.raises(OutOfRange, match="finite"):
-        complete_lowrank(k, mask, 2)
+        complete_real_gek(RealGek(k, mask))
 
 
 def kept_pairs_mask(rng, n, kept):
@@ -155,35 +135,35 @@ def kept_pairs_mask(rng, n, kept):
 
 
 def identifiability_case(route, rng, short):
-    """A rank-r matrix and a mask observing exactly as many real values as
-    the route's model has degrees of freedom, or one entry fewer."""
-    n, rank = 12, 3 if route == "real-symmetric" else 2
-    if route == "general":
-        # 12 x 8 complex: 2 r (m + n - r) = 72 real values, 36 entries
-        k = rng.standard_normal((12, rank)) @ rng.standard_normal((rank, 8)) * (1 + 1j)
-        mask = np.zeros(k.shape, dtype=bool)
-        mask.flat[rng.choice(k.size, size=36 - short, replace=False)] = True
-        return k, mask, rank
-    g = rng.standard_normal((n, rank))
-    if route == "real-symmetric":  # 12 + kept against r n - r(r-1)/2 = 33
+    """A masked kernel observing exactly as many real values as its model
+    has degrees of freedom, or one entry fewer, and its completion."""
+    n = 12
+    if route == "real-symmetric":  # 12 + kept against 3 n - 3 = 33
+        g = rng.standard_normal((n, 3))
+        kernel, complete = RealGek(g @ g.T), complete_real_gek
         kept = 21 - short
-    else:  # 12 + 2 kept against 2 r n - r^2 = 44
-        g = g + 1j * rng.standard_normal((n, rank))
+    else:  # the first half's 12 + 2 kept against 2 r n - r^2 = 44 at r = 2
+        a, b = rng.standard_normal((2, n, 1)) + 1j * rng.standard_normal((2, n, 1))
+        nu = QuaternionMatrix(a, b)
+        kernel, complete = QuatGek(nu @ nu.H), complete_quat_gek
         kept = 16 - short
-    return g @ g.conj().T, kept_pairs_mask(rng, n, kept), rank
+    return apply_mask(kernel, kept_pairs_mask(rng, n, kept)), complete
 
 
-@pytest.mark.parametrize("route", ["real-symmetric", "complex-hermitian", "general"])
+@pytest.mark.parametrize("route", ["real-symmetric", "complex-hermitian"])
 def test_unidentifiable_completion_raises(route):
     rng = np.random.default_rng(125)
-    k, mask, rank = identifiability_case(route, rng, short=1)
+    masked, complete = identifiability_case(route, rng, short=1)
     with pytest.raises(RankDeficient, match="degrees of freedom"):
-        complete_lowrank(k, mask, rank)
-    k, mask, rank = identifiability_case(route, rng, short=0)
+        complete(masked)
+    masked, complete = identifiability_case(route, rng, short=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonConvergenceWarning)
-        res = complete_lowrank(k, mask, rank)
-    np.testing.assert_array_equal(res.matrix[mask], k[mask])
+        done, _ = complete(masked)
+    halves = (done.k,) if route == "real-symmetric" else (done.k.a, done.k.b)
+    observed = (masked.k,) if route == "real-symmetric" else (masked.k.a, masked.k.b)
+    for half, data in zip(halves, observed):
+        np.testing.assert_array_equal(half[masked.mask], data[masked.mask])
 
 
 def test_unidentifiable_mask_fails_every_algorithm():
@@ -239,7 +219,7 @@ def test_real_completion_iterate_stays_symmetric(trial):
     kr = apply_mask(build_real_gek(ms), mask)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonConvergenceWarning)
-        x = complete_lowrank(kr.k, kr.mask, completion.REAL_KERNEL_RANK).matrix
+        x = _complete(kr.k, kr.mask, completion._REAL_RANK).matrix
     assert np.linalg.norm(x - x.T) <= 1e-12 * np.linalg.norm(x)
 
 

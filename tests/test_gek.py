@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from qmds.errors import AsymmetricMask, ShapeMismatch
+from qmds import harness
+from qmds.errors import AsymmetricMask, DimensionMismatch, OutOfRange, ShapeMismatch
 from qmds.gek import (
+    QuatGek,
     RealGek,
     apply_mask,
     build_quat_gek,
@@ -245,3 +247,73 @@ def test_asymmetric_mask_rejected():
     with pytest.raises(AsymmetricMask):
         apply_mask(gek, hole)
 
+
+
+# ---- the kernel contract, checked at construction ----
+
+
+def small_kernels(rng):
+    _, ms = exact_measurements(rng, "II", 3, 4)
+    return build_real_gek(ms), quat_gek_from_measurements(ms)
+
+
+def with_mask(gek, mask):
+    """The same kernel through its public constructor, with `mask` attached."""
+    return RealGek(gek.k, mask) if isinstance(gek, RealGek) else QuatGek(gek.k, mask)
+
+
+def test_asymmetric_mask_rejected_at_construction():
+    # Default config, Scenario II, sigma_d 2 m, eps 50 deg, 30% hidden,
+    # trial 0: a mask that hides (3, 40) but not (40, 3) used to complete
+    # to a real kernel 176 m^2 away from symmetric, which smds symmetrized
+    # and qd_mrc_smds solved without a word.
+    cfg = harness.ExperimentConfig(scenarios=("II",), missing_fraction=0.3)
+    _, ms, mask = harness._Instance(cfg, "II", 2.0, 50.0, 0).data()
+    mask = mask.copy()
+    mask[3, 40], mask[40, 3] = False, True
+    for gek in (build_real_gek(ms), quat_gek_from_measurements(ms)):
+        with pytest.raises(AsymmetricMask, match="symmetric"):
+            with_mask(gek, mask)
+
+
+def test_mask_shape_checked():
+    rng = np.random.default_rng(116)
+    for gek in small_kernels(rng):
+        with pytest.raises(AsymmetricMask):
+            with_mask(gek, np.ones((4, 4), dtype=bool))
+        with pytest.raises(AsymmetricMask):
+            apply_mask(gek, np.ones((4, 4), dtype=bool))
+
+
+def test_hidden_diagonal_or_non_bool_mask_rejected():
+    rng = np.random.default_rng(108)
+    for gek in small_kernels(rng):
+        hole = np.ones((gek.m, gek.m), dtype=bool)
+        hole[2, 2] = False
+        with pytest.raises(AsymmetricMask, match="diagonal"):
+            with_mask(gek, hole)
+        with pytest.raises(AsymmetricMask, match="bool"):
+            with_mask(gek, np.ones((gek.m, gek.m), dtype=int))
+
+
+def test_non_square_kernel_rejected():
+    with pytest.raises(DimensionMismatch):
+        RealGek(np.ones((3, 4)))
+    with pytest.raises(DimensionMismatch):
+        QuatGek(QuaternionMatrix(np.ones((3, 4)), np.zeros((3, 4))))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_rejected(bad):
+    # observed or hidden, a non-finite entry never makes a kernel
+    rng = np.random.default_rng(109)
+    kr, kq = small_kernels(rng)
+    mask = missing_mask(kr.m, 0.3, rng)
+    k = kr.k.copy()
+    k[0, 1] = bad
+    with pytest.raises(OutOfRange, match="finite"):
+        RealGek(k, mask)
+    b = kq.k.b.copy()
+    b[tuple(np.argwhere(~mask)[0])] = bad
+    with pytest.raises(OutOfRange, match="finite"):
+        QuatGek(QuaternionMatrix(kq.k.a, b), mask)

@@ -458,17 +458,18 @@ def test_direct_path_makes_no_adjoint_sized_temporaries():
 def test_solver_rejects_non_finite_kernel(solve, bad):
     rng = np.random.default_rng(152)
     geo, _, ms, st = exact_setup(rng, "II", n_targets=4)
-    if solve is smds:
-        k = build_real_gek(ms).k.copy()
-        k[3, 17] = bad
-        kernel = RealGek(k)
-    else:
-        # an anchor-target entry, which every quaternion solver reads
-        kq = quat_gek_from_measurements(ms)
-        a, b = kq.k.a.copy(), kq.k.b.copy()
-        b[12, 15] = bad
-        kernel = QuatGek(QuaternionMatrix(a, b))
+    # The kernel types reject the entry at construction, so no solver sees it.
     with pytest.raises(OutOfRange):
+        if solve is smds:
+            k = build_real_gek(ms).k.copy()
+            k[3, 17] = bad
+            kernel = RealGek(k)
+        else:
+            # an anchor-target entry, which every quaternion solver reads
+            kq = quat_gek_from_measurements(ms)
+            a, b = kq.k.a.copy(), kq.k.b.copy()
+            b[12, 15] = bad
+            kernel = QuatGek(QuaternionMatrix(a, b))
         solve(kernel, geo.anchors, st)
 
 
