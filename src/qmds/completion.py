@@ -49,9 +49,9 @@ kernel has rank at most 2, so both halves complete at rank 2. The first
 half comes back Hermitian to the bit; the second is antisymmetrized, which
 makes the merged kernel Hermitian.
 
-The kernel types guarantee a square, finite kernel and a symmetric mask with
-an observed diagonal. Each wrapper checks once, before the first sweep, that
-the observed real values can fix the rank-r model's degrees of freedom.
+The kernel types guarantee a square, finite, Hermitian kernel and a
+symmetric mask with an observed diagonal. Each wrapper checks once, before
+the first sweep, that enough real values are observed for the rank-r model.
 """
 
 from __future__ import annotations
@@ -214,8 +214,7 @@ def _complete(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionResult:
 
 
 def complete_real_gek(gek: RealGek) -> tuple[RealGek, CompletionResult]:
-    """Complete a masked real kernel at rank 3. Its iterates are symmetric
-    to the bit, so no symmetrization step follows."""
+    """Complete a masked real kernel at rank 3; no symmetrization follows."""
     if gek.mask is None:
         return gek, CompletionResult(gek.k, 0, True, 0.0)
     _require_identifiable(gek.mask, _REAL_RANK, 1)

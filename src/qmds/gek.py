@@ -23,8 +23,9 @@ with a zero diagonal in IEEE arithmetic (v_m u_p and u_p v_m round alike),
 so both kernels are Hermitian to the bit even under noise.
 
 Both kernel types check their contract once, at construction: a square,
-finite kernel, and a mask (if any) that is a symmetric bool (M, M) array
-with an observed diagonal. Completion and the solvers check none of it.
+finite kernel, Hermitian to the bit, and a mask (if any) that is a symmetric
+bool (M, M) array with an observed diagonal. Completion and the solvers
+check none of it.
 """
 
 from __future__ import annotations
@@ -47,33 +48,38 @@ __all__ = [
 ]
 
 
-def _check_contract(shape: tuple, parts: tuple, mask) -> None:
-    """Raise unless the kernel is square and finite and `mask` is None or a
-    symmetric bool array of its shape with an observed diagonal."""
+def _check_contract(shape: tuple, sym: tuple, antisym: tuple, mask) -> None:
+    """Raise unless the kernel is square, finite and Hermitian to the bit and
+    `mask` is None or a symmetric bool array of its shape with an observed
+    diagonal (checked first, then frozen). The kernel comes as real planes,
+    each equal to its transpose (`sym`) or to its negative (`antisym`)."""
     if len(shape) != 2 or shape[0] != shape[1]:
         raise DimensionMismatch(f"kernel must be square, got shape {shape}")
-    if not all(np.isfinite(part).all() for part in parts):
+    if not all(np.isfinite(plane).all() for plane in sym + antisym):
         raise OutOfRange("kernel holds non-finite entries")
-    if mask is None:
-        return
-    if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != shape:
-        raise AsymmetricMask(f"mask must be a bool array of shape {shape}")
-    if not np.array_equal(mask, mask.T):
-        raise AsymmetricMask("observation mask must be symmetric")
-    if not mask.diagonal().all():
-        raise AsymmetricMask("diagonal entries must be observed")
-    mask.setflags(write=False)
+    if mask is not None:
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+                and mask.shape == shape):
+            raise AsymmetricMask(f"mask must be a bool array of shape {shape}")
+        if not np.array_equal(mask, mask.T):
+            raise AsymmetricMask("observation mask must be symmetric")
+        if not mask.diagonal().all():
+            raise AsymmetricMask("diagonal entries must be observed")
+        mask.setflags(write=False)
+    if not (all(np.array_equal(p, p.T) for p in sym)
+            and all(np.array_equal(p, -p.T) for p in antisym)):
+        raise OutOfRange("kernel must be Hermitian to the bit")
 
 
 @dataclass(frozen=True)
 class RealGek:
-    """Real symmetric kernel with an optional observation mask."""
+    """Real symmetric kernel with an optional mask; it owns and freezes both."""
 
     k: np.ndarray
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_contract(self.k.shape, (self.k,), self.mask)
+        _check_contract(self.k.shape, (self.k,), (), self.mask)
         self.k.setflags(write=False)
 
     @property
@@ -83,13 +89,14 @@ class RealGek:
 
 @dataclass(frozen=True)
 class QuatGek:
-    """Hermitian quaternion kernel with an optional observation mask."""
+    """Hermitian quaternion kernel with an optional mask, which it owns and freezes."""
 
     k: QuaternionMatrix
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_contract(self.k.shape, (self.k.a, self.k.b), self.mask)
+        a, b = self.k.a, self.k.b
+        _check_contract(self.k.shape, (a.real,), (a.imag, b.real, b.imag), self.mask)
 
     @property
     def m(self) -> int:
@@ -134,13 +141,12 @@ def quat_gek_from_measurements(ms: MeasurementSet) -> QuatGek:
 
 
 def apply_mask(gek: "RealGek | QuatGek", mask: np.ndarray) -> "RealGek | QuatGek":
-    """Zero unobserved entries and retain the mask on the kernel, which checks it."""
-    mask = np.asarray(mask, dtype=bool)
+    """Zero unobserved entries and keep a copy of the mask on the kernel."""
+    mask = np.array(mask, dtype=bool)
     if mask.shape != (gek.m, gek.m):  # else np.where broadcasts or fails untyped
         raise AsymmetricMask(f"mask shape {mask.shape} does not match M={gek.m}")
     if isinstance(gek, RealGek):
         return RealGek(np.where(mask, gek.k, 0.0), mask)
-    a = np.where(mask, gek.k.a, 0.0)
-    b = np.where(mask, gek.k.b, 0.0)
+    a, b = np.where(mask, gek.k.a, 0.0), np.where(mask, gek.k.b, 0.0)
     return QuatGek(QuaternionMatrix._adopt(a, b), mask)
 

@@ -148,10 +148,10 @@ class MeasurementSet:
 
     `adoa` is the full symmetric matrix of measured edge-to-edge angles with
     a zero diagonal: one draw per unordered pair, mirrored. Azimuth and
-    elevation arrays are None in Scenario I. Masks are applied to the
-    kernels built from a set (`gek.apply_mask`), not to the set itself.
-    A pair-angle matrix that is not symmetric to the bit, or any non-finite
-    value, is rejected with `OutOfRange`: the kernels rely on both.
+    elevation arrays are None in Scenario I. Masks apply to the kernels
+    built from a set, not to the set. A pair-angle matrix not symmetric to
+    the bit, or any non-finite value, raises `OutOfRange`: the kernels rely
+    on both. The set owns its arrays and freezes them in place.
     """
 
     scenario: Scenario

@@ -39,14 +39,14 @@ DEGENERATE_LENGTH = 1e-9
 
 @dataclass(frozen=True)
 class NetworkGeometry:
-    """Anchor and target positions in meters, each an (n, 3) array."""
+    """Anchor and target positions in meters, each an (n, 3) array, copied."""
 
     anchors: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
-        anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
-        targets = np.asarray(self.targets, dtype=float).reshape(-1, 3)
+        anchors = np.atleast_2d(np.array(self.anchors, dtype=float))
+        targets = np.array(self.targets, dtype=float).reshape(-1, 3)
         if anchors.ndim != 2 or anchors.shape[1] != 3:
             raise ShapeMismatch("anchors must be an (N_A, 3) array")
         if anchors.shape[0] < 1:

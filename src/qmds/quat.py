@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfRange, ShapeMismatch
+from .errors import DimensionMismatch, ShapeMismatch
 
 __all__ = [
     "QuaternionMatrix",
@@ -271,9 +271,9 @@ def dominant_eigpair(k: QuaternionMatrix) -> tuple[float, QuaternionMatrix]:
 
     Returns the algebraically largest eigenvalue and a unit right
     eigenvector, K u = u lambda; u is defined only up to a right
-    unit-quaternion factor. An input that is not Hermitian to the bit
-    (A = A^H and B = -B^T) is rejected with OutOfRange; every kernel this
-    package builds or completes is.
+    unit-quaternion factor. K must be square and Hermitian to the bit
+    (A = A^H and B = -B^T), as every `QuatGek` kernel is; like
+    `np.linalg.eigh`, this routine does not check.
 
     Quaternion power steps, started from the column of K with the largest
     diagonal entry, return the pair once a certificate holds: with Rayleigh
@@ -290,10 +290,6 @@ def dominant_eigpair(k: QuaternionMatrix) -> tuple[float, QuaternionMatrix]:
     the top eigenspace pulls back to the quaternion eigenvector
     u1 - conj(u2) j.
     """
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ShapeMismatch("dominant_eigpair needs a square matrix")
-    if not (np.array_equal(k.a, k.a.conj().T) and np.array_equal(k.b, -k.b.T)):
-        raise OutOfRange("dominant_eigpair needs a matrix Hermitian to the bit")
     pair = _certified_power(k)
     if pair is not None:
         return pair

@@ -23,8 +23,8 @@ estimates are aligned on the anchor-anchor edges first and the final
 coordinates are aligned on the anchors; both alignments permit reflections.
 
 Kernels must be complete: run the completion module first when entries are
-masked. The kernel types reject a non-finite entry at construction, so the
-solvers do not scan for one.
+masked. The kernel types reject a non-finite or non-Hermitian kernel at
+construction, so the solvers neither scan for one nor symmetrize.
 """
 
 from __future__ import annotations
@@ -207,8 +207,7 @@ def smds(kr: RealGek, anchors: np.ndarray, structure: StructureMatrices) -> Esti
     """Edge-kernel multidimensional scaling on the real kernel."""
     _require_complete(kr)
     anchors = np.asarray(anchors, dtype=float)
-    sym = (kr.k + kr.k.T) / 2
-    lam, u = np.linalg.eigh(sym)
+    lam, u = np.linalg.eigh(kr.k)
     if np.sum(lam > 0) < 3:
         raise RankDeficient(
             "kernel has fewer than 3 positive eigenvalues; no 3D embedding"

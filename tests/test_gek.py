@@ -14,7 +14,7 @@ from qmds.gek import (
 from qmds.measurement import MeasurementSet, NoiseConfig, missing_mask, synthesize
 from qmds.network import NetworkGeometry, structure_matrices, true_parameters
 from qmds.quat import QuaternionMatrix, embed_r3, qsvd
-from qmds.solvers import _stage_two_kernel
+from qmds.solvers import _stage_two_kernel, qd_mrc_smds
 
 
 def geometry(rng, n_anchors=5, n_targets=15):
@@ -301,6 +301,58 @@ def test_non_square_kernel_rejected():
         RealGek(np.ones((3, 4)))
     with pytest.raises(DimensionMismatch):
         QuatGek(QuaternionMatrix(np.ones((3, 4)), np.zeros((3, 4))))
+
+
+def default_instance():
+    """Default config, Scenario II, sigma_d 2 m, eps 50 deg, trial 0."""
+    cfg = harness.ExperimentConfig(scenarios=("II",))
+    instance = harness._Instance(cfg, "II", 2.0, 50.0, 0)
+    geometry, ms, _ = instance.data()
+    return geometry, ms, instance.structure
+
+
+def test_non_symmetric_real_kernel_rejected():
+    # 50 m^2 on one side of the diagonal used to pass, and smds symmetrized
+    # it away without a word (xi 1.1624 against 1.1626 m).
+    _, ms, _ = default_instance()
+    k = build_real_gek(ms).k.copy()
+    k[3, 40] += 50.0
+    with pytest.raises(OutOfRange, match="Hermitian"):
+        RealGek(k)
+
+
+def test_non_hermitian_quat_kernel_rejected_before_mrc():
+    # A[40, 3] lies in the block below the cross block, which qd_mrc_smds
+    # never reads, so the tampered kernel used to solve without a word.
+    geometry, ms, structure = default_instance()
+    kq = quat_gek_from_measurements(ms)
+    a = kq.k.a.copy()
+    a[40, 3] += 50.0
+    with pytest.raises(OutOfRange, match="Hermitian"):
+        qd_mrc_smds(QuatGek(QuaternionMatrix(a, kq.k.b)), geometry.anchors, structure)
+
+
+@pytest.mark.parametrize("part", ["w", "x", "y", "z"])
+def test_non_hermitian_quat_kernel_rejected(part):
+    # one entry off in the real part, or in i, j or k, breaks A = A^H or
+    # B = -B^T; each is tested plane by plane
+    rng = np.random.default_rng(117)
+    _, kq = small_kernels(rng)
+    parts = {name: getattr(kq.k, name).copy() for name in "wxyz"}
+    parts[part][1, 2] += 1.0
+    with pytest.raises(OutOfRange, match="Hermitian"):
+        QuatGek(QuaternionMatrix.from_components(*parts.values()))
+
+
+def test_apply_mask_leaves_callers_mask_writeable():
+    rng = np.random.default_rng(118)
+    for gek in small_kernels(rng):
+        mask = missing_mask(gek.m, 0.3, rng)
+        masked = apply_mask(gek, mask)
+        kept = masked.mask.copy()
+        mask[...] = missing_mask(gek.m, 0.3, rng)  # the buffer is reused
+        assert np.array_equal(masked.mask, kept)
+        assert not masked.mask.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

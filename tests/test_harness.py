@@ -514,9 +514,10 @@ def _is_hermitian(gek_):
 @settings(max_examples=30, deadline=None)
 @given(degenerate_configs(max_missing=0.6))
 def test_every_library_kernel_is_hermitian_to_the_bit(cfg):
-    # dominant_eigpair rejects a kernel that is not Hermitian to the bit, so
+    # The kernel types reject a kernel that is not Hermitian to the bit, so
     # every path that hands a kernel to a solver must build one. A draw
-    # stops at the first piece that raises a typed error.
+    # stops at the first piece that raises a typed error, unless that error
+    # is the Hermitian contract itself.
     (scenario,), (sigma_d,), (epsilon,) = cfg.scenarios, cfg.sigma_d_grid, cfg.epsilon_grid
     instance = harness._Instance(cfg, scenario, sigma_d, epsilon, 0)
     structure = instance.structure
@@ -539,5 +540,6 @@ def test_every_library_kernel_is_hermitian_to_the_bit(cfg):
                                      (gek.apply_mask(kq, mask), complete_quat_gek)):
                 assert _is_hermitian(masked)
                 assert _is_hermitian(complete(masked)[0])
-        except errors.QmdsError:
-            return
+        except errors.QmdsError as exc:
+            if "Hermitian" in str(exc):
+                raise

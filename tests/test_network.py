@@ -23,6 +23,17 @@ def edge_ends(st):
             for row in st.c]
 
 
+def test_geometry_copies_callers_arrays():
+    rng = np.random.default_rng(7)
+    anchors = rng.uniform(0, 30, size=(5, 3))
+    targets = rng.uniform(0, 30, size=(15, 3))
+    geo = NetworkGeometry(anchors, targets)
+    assert anchors.flags.writeable and targets.flags.writeable
+    assert not geo.anchors.flags.writeable and not geo.targets.flags.writeable
+    anchors[0], targets[0] = -1.0, -1.0
+    assert np.all(geo.anchors[0] != -1.0) and np.all(geo.targets[0] != -1.0)
+
+
 # ---- edge layout ----
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmds.errors import OutOfRange, ShapeMismatch
+from qmds.errors import ShapeMismatch
 from qmds.gek import quat_gek_from_measurements
 from qmds.harness import DEFAULT_ANCHORS, DEFAULT_ROOM
 from qmds.measurement import NoiseConfig, synthesize
@@ -468,20 +468,6 @@ def test_dominant_eigpair_matches_dense_solve(n, kind, noise, seed):
     assert abs(lam - top) <= 1e-12 * scale
     assert abs(u.norm() - 1.0) <= 1e-12
     assert eigen_residual(k, lam, u) <= 1e-10 * scale
-
-
-def test_dominant_eigpair_rejects_non_hermitian():
-    k = QuaternionMatrix.from_components(
-        [[1.0, 0.5], [0.0, 1.0]], np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))
-    )
-    with pytest.raises(OutOfRange):
-        dominant_eigpair(k)
-
-
-def test_dominant_eigpair_rejects_rectangular():
-    rng = np.random.default_rng(43)
-    with pytest.raises(ShapeMismatch):
-        dominant_eigpair(rand_qm(rng, 3, 4))
 
 
 # ---- misc shape behavior ----

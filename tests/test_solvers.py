@@ -321,10 +321,14 @@ def test_mrc_ignores_diagonal_blocks():
     kq = quat_gek_from_measurements(ms)
     base = qd_mrc_smds(kq, geo.anchors, st)
 
+    # Tampered Hermitianly, so the kernel still constructs: g + g^T keeps
+    # A = A^H and i (h - h^T) keeps B = -B^T, both to the bit.
     n_aa = 10
     ka, kb = kq.k.a.copy(), kq.k.b.copy()
-    ka[:n_aa, :n_aa] += rng.standard_normal((n_aa, n_aa))
-    kb[n_aa:, n_aa:] += 1j * rng.standard_normal((ka.shape[0] - n_aa,) * 2)
+    g = rng.standard_normal((n_aa, n_aa))
+    ka[:n_aa, :n_aa] += g + g.T
+    h = rng.standard_normal((ka.shape[0] - n_aa,) * 2)
+    kb[n_aa:, n_aa:] += 1j * (h - h.T)
     tampered = qd_mrc_smds(QuatGek(QuaternionMatrix(ka, kb)), geo.anchors, st)
     assert np.array_equal(tampered.targets, base.targets)
 
@@ -407,12 +411,12 @@ def _quaternion_algebra_mrc(kq, anchors, structure, tau_max):
 @given(seed=hst.integers(0, 2**32 - 1), n_targets=hst.integers(1, 8),
        tau_max=hst.integers(0, 5), scale=hst.floats(1.0, 1e4))
 def test_mrc_sweeps_match_quaternion_algebra(seed, n_targets, tau_max, scale):
-    # Any quaternion kernel, Hermitian or not, of the 5-anchor layout.
+    # Any Hermitian quaternion kernel of the 5-anchor layout.
     rng = np.random.default_rng(seed)
     st = structure_matrices(5, n_targets)
     m = st.c.shape[0]
-    kq = QuatGek(QuaternionMatrix.from_components(
-        *(scale * rng.standard_normal((4, m, m)))))
+    q = QuaternionMatrix.from_components(*(scale * rng.standard_normal((4, m, m))))
+    kq = QuatGek((q + q.H) / 2)
     est = qd_mrc_smds_iterative(kq, ROOM_ANCHORS, st, tau_max=tau_max)
     trajectory, residuals = _quaternion_algebra_mrc(kq, ROOM_ANCHORS, st, tau_max)
 
@@ -475,7 +479,7 @@ def test_solver_rejects_non_finite_kernel(solve, bad):
 
 def test_qd_smds_rejects_non_hermitian_kernel():
     # One B entry changed, its mirror -B^T left alone: the kernel stays
-    # finite but is no longer Hermitian, and is rejected, not symmetrized.
+    # finite but is no longer Hermitian, and QuatGek rejects it before qd_smds.
     rng = np.random.default_rng(154)
     geo, _, _, st = exact_setup(rng, "II", n_targets=4)
     ms = synthesize(true_parameters(geo), NoiseConfig(2.0, 30.0), "II", rng)
