@@ -232,7 +232,7 @@ def complete_quat_gek(gek: QuatGek) -> tuple[QuatGek, dict]:
     res_a = _complete(gek.k.a, gek.mask, _SPLIT_RANK)
     res_b = _complete(gek.k.b, gek.mask, _SPLIT_RANK)
     b = res_b.matrix
-    k = QuaternionMatrix._adopt(res_a.matrix, (b - b.T) / 2)
+    k = QuaternionMatrix(res_a.matrix, (b - b.T) / 2)
     info = {
         "iterations": max(res_a.iterations, res_b.iterations),
         "converged": res_a.converged and res_b.converged,

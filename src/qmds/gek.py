@@ -127,7 +127,7 @@ def build_quat_gek(
     for part, (u, v) in zip((a.imag, b.real, b.imag), planes):
         np.multiply.outer(v, u, out=part)
         part -= np.multiply.outer(u, v)
-    return QuatGek(QuaternionMatrix._adopt(a, b))
+    return QuatGek(QuaternionMatrix(a, b))
 
 
 def quat_gek_from_measurements(ms: MeasurementSet) -> QuatGek:
@@ -148,5 +148,5 @@ def apply_mask(gek: "RealGek | QuatGek", mask: np.ndarray) -> "RealGek | QuatGek
     if isinstance(gek, RealGek):
         return RealGek(np.where(mask, gek.k, 0.0), mask)
     a, b = np.where(mask, gek.k.a, 0.0), np.where(mask, gek.k.b, 0.0)
-    return QuatGek(QuaternionMatrix._adopt(a, b), mask)
+    return QuatGek(QuaternionMatrix(a, b), mask)
 

@@ -1,28 +1,19 @@
 """Quaternion matrices and the SVD over the quaternions.
 
 A quaternion q = w + x i + y j + z k multiplies by the Hamilton rules
-i^2 = j^2 = k^2 = -1, ij = -ji = k, jk = -kj = i, ki = -ik = j. The product
-is associative but not commutative.
-
-Matrices are stored in Cayley-Dickson form: a pair of complex arrays (A, B)
-with entry q = A + B j, where A = w + x i and B = y + z i. With j on the
-right of B, entrywise products obey
+i^2 = j^2 = k^2 = -1, ij = -ji = k, jk = -kj = i, ki = -ik = j. Matrices are
+stored in Cayley-Dickson form: a pair of complex arrays (A, B) with entry
+q = A + B j, where A = w + x i and B = y + z i. The halves encode the product,
 
     (A1 + B1 j)(A2 + B2 j) = (A1 A2 - B1 conj(B2)) + (A1 B2 + B1 conj(A2)) j,
 
-so a quaternion matrix product costs a handful of complex BLAS products. The
-complex adjoint of an M x N quaternion matrix is the 2M x 2N complex matrix
-
-    [[ A,        B      ],
-     [-conj(B),  conj(A)]],
-
-an algebra homomorphism (products and conjugate transposes map through it).
-Its first column carries a quaternion vector u = u1 + u2 j as [u1; -conj(u2)].
-Products K u and K^H u need no adjoint: the solvers take them from transposed
-views of A and B, conjugating only vectors.
-Every singular value of the adjoint appears exactly twice, and the SVD of a
-quaternion matrix is read off the adjoint's SVD by keeping the odd-indexed
-(1-based) singular values and columns; `qsvd` implements that extraction.
+but `QuaternionMatrix` does not implement it: the solve path expands each
+product it needs (K u, K^H u, a right unit-quaternion factor) by hand on the
+halves, from transposed views of A and B, conjugating only vectors. The
+complex adjoint [[A, B], [-conj(B), conj(A)]] of an M x N quaternion matrix
+maps products and conjugate transposes through; each of its singular values
+appears twice, and `qsvd` reads the quaternion SVD off the odd-indexed
+(1-based) ones.
 """
 
 from __future__ import annotations
@@ -32,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ShapeMismatch
+from .errors import ShapeMismatch
 
 __all__ = [
     "QuaternionMatrix",
@@ -51,54 +42,27 @@ _CERT_TOL = 1e-13
 _POWER_STEPS = 100
 
 
-def _as_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"pair shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim not in (1, 2):
-        raise ShapeMismatch("quaternion arrays must be 1-D or 2-D")
-    return a, b
-
-
 class QuaternionMatrix:
-    """Dense quaternion matrix (or vector) in Cayley-Dickson form.
+    """Frozen storage for a quaternion matrix (or vector) as the pair (A, B).
 
-    Instances are immutable: the backing arrays are frozen at construction,
-    and every operation returns a new object. `@` is the quaternion matrix
-    product of two quaternion matrices; an ndarray operand on either side
-    raises TypeError.
+    The constructor takes ownership: a complex128 half is kept uncopied and
+    frozen in place, any other half is converted to a new complex128 array
+    (`np.asarray`) and the caller's stays writeable. Both halves must have
+    one shape, 1-D or 2-D, else `ShapeMismatch`.
     """
 
     __slots__ = ("_a", "_b")
 
-    # numpy defers every mixed ndarray expression back to this class, which
-    # defines no reflected operators, so `ndarray @ q` raises TypeError
-    # instead of building an object array.
-    __array_ufunc__ = None
-
     def __init__(self, a: np.ndarray, b: np.ndarray):
-        a, b = _as_pair(a, b)
-        self._a = a.copy()
-        self._b = b.copy()
-        self._a.setflags(write=False)
-        self._b.setflags(write=False)
-
-    # ---- constructors ----
-
-    @classmethod
-    def from_components(cls, w, x, y, z) -> "QuaternionMatrix":
-        w, x, y, z = (np.asarray(t, dtype=float) for t in (w, x, y, z))
-        return cls(w + 1j * x, y + 1j * z)
-
-    @classmethod
-    def _adopt(cls, a: np.ndarray, b: np.ndarray) -> "QuaternionMatrix":
-        """Freeze and keep a fresh pair, or views of frozen arrays, uncopied."""
-        q = cls.__new__(cls)
-        q._a, q._b = a, b
+        a = np.asarray(a, dtype=np.complex128)
+        b = np.asarray(b, dtype=np.complex128)
+        if a.shape != b.shape:
+            raise ShapeMismatch(f"pair shapes differ: {a.shape} vs {b.shape}")
+        if a.ndim not in (1, 2):
+            raise ShapeMismatch("quaternion arrays must be 1-D or 2-D")
         a.setflags(write=False)
         b.setflags(write=False)
-        return q
+        self._a, self._b = a, b
 
     # ---- views ----
 
@@ -134,33 +98,6 @@ class QuaternionMatrix:
     def ndim(self) -> int:
         return self._a.ndim
 
-    # ---- algebra ----
-
-    @property
-    def H(self) -> "QuaternionMatrix":
-        """Conjugate transpose."""
-        return QuaternionMatrix(np.conj(self._a).T, -self._b.T)
-
-    def __add__(self, other: "QuaternionMatrix") -> "QuaternionMatrix":
-        return QuaternionMatrix(self._a + other._a, self._b + other._b)
-
-    def __sub__(self, other: "QuaternionMatrix") -> "QuaternionMatrix":
-        return QuaternionMatrix(self._a - other._a, self._b - other._b)
-
-    def __truediv__(self, s: "float | int") -> "QuaternionMatrix":
-        return QuaternionMatrix(self._a / s, self._b / s)
-
-    def __matmul__(self, other: "QuaternionMatrix") -> "QuaternionMatrix":
-        if not isinstance(other, QuaternionMatrix):
-            return NotImplemented
-        oa, ob = other._a, other._b
-        try:
-            a = self._a @ oa - self._b @ np.conj(ob)
-            b = self._a @ ob + self._b @ np.conj(oa)
-        except ValueError as exc:
-            raise DimensionMismatch(str(exc)) from None
-        return QuaternionMatrix(a, b)
-
     # ---- measures ----
 
     def norm(self) -> float:
@@ -190,19 +127,15 @@ class QsvdResult:
     """Quaternion SVD factors: `u` (M x M), `singular_values`, `v` (N x N).
 
     Singular values are real, nonnegative, nonincreasing, of length
-    min(M, N). `reconstruct` multiplies the truncated factors back together.
+    min(M, N). All three fields are read-only.
     """
 
     u: QuaternionMatrix
     singular_values: np.ndarray
     v: QuaternionMatrix
 
-    def reconstruct(self, rank: int | None = None) -> QuaternionMatrix:
-        k = len(self.singular_values) if rank is None else rank
-        uk = QuaternionMatrix(self.u.a[:, :k] * self.singular_values[:k],
-                              self.u.b[:, :k] * self.singular_values[:k])
-        vk = QuaternionMatrix(self.v.a[:, :k], self.v.b[:, :k])
-        return uk @ vk.H
+    def __post_init__(self):
+        self.singular_values.setflags(write=False)
 
 
 def qsvd(q: QuaternionMatrix) -> QsvdResult:
@@ -224,8 +157,8 @@ def qsvd(q: QuaternionMatrix) -> QsvdResult:
 
     u1, u2 = uc[:m], uc[m:]
     v1, v2 = vc[:n], vc[n:]
-    uq = QuaternionMatrix(u1[:, ::2], -np.conj(u2)[:, ::2])
-    vq = QuaternionMatrix(v1[:, ::2], -np.conj(v2)[:, ::2])
+    uq = QuaternionMatrix(u1[:, ::2].copy(), -np.conj(u2)[:, ::2])
+    vq = QuaternionMatrix(v1[:, ::2].copy(), -np.conj(v2)[:, ::2])
     return QsvdResult(uq, s[::2].copy(), vq)
 
 
@@ -295,7 +228,7 @@ def dominant_eigpair(k: QuaternionMatrix) -> tuple[float, QuaternionMatrix]:
         return pair
     w, v = np.linalg.eigh(complex_adjoint(k))
     m = k.shape[0]
-    top = v[:, -1]
+    top = v[:, -1].copy()  # so the vector does not keep all of v alive
     return float(w[-1]), QuaternionMatrix(top[:m], -np.conj(top[m:]))
 
 

@@ -175,16 +175,20 @@ def resolve_edge_ambiguity(
     right-multiplied by it. Everything is computed on the complex halves:
     with nu_hat = A + B j and g = g_a + g_b j,
     nu_hat g = (A g_a - B conj(g_b)) + (A g_b + B conj(g_a)) j.
-    `info["phase"]` holds g as a read-only (w, x, y, z) array.
+    `info["phase"]` holds g as a read-only (w, x, y, z) array. Both inputs
+    must be vectors, the known block no longer than the estimate, else
+    `DimensionMismatch`.
     """
     n_aa = nu_aa_known.shape[0]
+    if nu_hat.ndim != 1 or nu_aa_known.ndim != 1 or n_aa > nu_hat.shape[0]:
+        raise DimensionMismatch(f"edge vectors {nu_hat.shape}, {nu_aa_known.shape}")
     ha, hb = nu_hat.a[:n_aa], nu_hat.b[:n_aa]
     ka, kb = nu_aa_known.a, nu_aa_known.b
     s_a = np.sum(np.conj(ha) * ka + hb * np.conj(kb))
     s_b = np.sum(np.conj(ha) * kb - hb * np.conj(ka))
     w, x, y, z = float(s_a.real), float(s_a.imag), float(s_b.real), float(s_b.imag)
     size = math.sqrt(w**2 + x**2 + y**2 + z**2)
-    floor = 1e-12 * QuaternionMatrix._adopt(ha, hb).norm() * nu_aa_known.norm()
+    floor = 1e-12 * QuaternionMatrix(ha, hb).norm() * nu_aa_known.norm()
     if size <= floor:
         raise AmbiguityResolutionFailure(
             "anchor edges give no usable phase reference"
@@ -193,9 +197,9 @@ def resolve_edge_ambiguity(
     phase.setflags(write=False)
     g_a, g_b = complex(*phase[:2]), complex(*phase[2:])
     a, b = nu_hat.a, nu_hat.b
-    corrected = QuaternionMatrix._adopt(a * g_a - b * np.conj(g_b),
-                                        a * g_b + b * np.conj(g_a))
-    misfit = QuaternionMatrix._adopt(corrected.a[:n_aa] - ka, corrected.b[:n_aa] - kb)
+    corrected = QuaternionMatrix(a * g_a - b * np.conj(g_b),
+                                 a * g_b + b * np.conj(g_a))
+    misfit = QuaternionMatrix(corrected.a[:n_aa] - ka, corrected.b[:n_aa] - kb)
     denom = max(nu_aa_known.norm(), np.finfo(float).tiny)
     return corrected, {"phase": phase, "phase_residual": misfit.norm() / denom}
 
@@ -236,7 +240,7 @@ def qd_smds(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices) -> E
     _require_complete(kq)
     anchors = np.asarray(anchors, dtype=float)
     lam, u_vec = dominant_eigpair(kq.k)
-    nu_hat = QuaternionMatrix._adopt(u_vec.a * np.sqrt(lam), u_vec.b * np.sqrt(lam))
+    nu_hat = QuaternionMatrix(u_vec.a * np.sqrt(lam), u_vec.b * np.sqrt(lam))
 
     nu_known = embed_r3(_anchor_edges(anchors, structure))
     nu_hat, phase_info = resolve_edge_ambiguity(nu_hat, nu_known)

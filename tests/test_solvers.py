@@ -30,6 +30,16 @@ from qmds.network import (
     true_parameters,
 )
 from qmds.quat import QuaternionMatrix, embed_r3, r3_components
+from quaternion_oracle import (
+    add,
+    ctranspose,
+    div,
+    from_components,
+    hamilton,
+    hermitian_part,
+    matmul,
+    sub,
+)
 from qmds.solvers import (
     _inversion_operator,
     anchored_inversion,
@@ -181,17 +191,9 @@ def make_nu(rng, n):
     return embed_r3(rng.standard_normal((n, 3)))
 
 
-def hamilton(p, q):
-    """Hamilton product of (w, x, y, z) tuples, componentwise over arrays."""
-    a, b, c, d = p
-    e, f, g, h = q
-    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
-
-
 def right_mul(nu, g):
     """The entrywise product nu_m g by the Hamilton product oracle."""
-    return QuaternionMatrix.from_components(*hamilton((nu.w, nu.x, nu.y, nu.z), g))
+    return from_components(*hamilton((nu.w, nu.x, nu.y, nu.z), g))
 
 
 def random_unit_quaternion(rng):
@@ -205,18 +207,18 @@ def test_phase_resolution_recovers_true_vector():
     g0 = random_unit_quaternion(rng)
     spun = right_mul(nu, g0)
     fixed, info = resolve_edge_ambiguity(spun, QuaternionMatrix(nu.a[:5], nu.b[:5]))
-    assert (fixed - nu).norm() <= 1e-10 * nu.norm()
+    assert sub(fixed, nu).norm() <= 1e-10 * nu.norm()
     assert info["phase_residual"] < 1e-10
     # the factor undoes g0: it is the conjugate of the unit g0
     np.testing.assert_allclose(info["phase"], g0 * (1, -1, -1, -1), atol=1e-12)
-    assert (right_mul(spun, info["phase"]) - fixed).norm() <= 1e-12 * nu.norm()
+    assert sub(right_mul(spun, info["phase"]), fixed).norm() <= 1e-12 * nu.norm()
 
 
 def test_phase_resolution_identity():
     rng = np.random.default_rng(136)
     nu = make_nu(rng, 8)
     fixed, info = resolve_edge_ambiguity(nu, QuaternionMatrix(nu.a[:4], nu.b[:4]))
-    assert (fixed - nu).norm() <= 1e-12 * nu.norm()
+    assert sub(fixed, nu).norm() <= 1e-12 * nu.norm()
     np.testing.assert_allclose(info["phase"], [1, 0, 0, 0], atol=1e-12)
     assert not info["phase"].flags.writeable
 
@@ -228,7 +230,7 @@ def test_phase_resolution_invariant_to_extra_phase():
     g0, h = random_unit_quaternion(rng), random_unit_quaternion(rng)
     once, _ = resolve_edge_ambiguity(right_mul(nu, g0), known)
     twice, _ = resolve_edge_ambiguity(right_mul(right_mul(nu, g0), h), known)
-    assert (once - twice).norm() <= 1e-10 * nu.norm()
+    assert sub(once, twice).norm() <= 1e-10 * nu.norm()
 
 
 def test_phase_resolution_failure_on_zero():
@@ -237,6 +239,23 @@ def test_phase_resolution_failure_on_zero():
     zeros = QuaternionMatrix(np.zeros(6, complex), np.zeros(6, complex))
     with pytest.raises(AmbiguityResolutionFailure):
         resolve_edge_ambiguity(zeros, QuaternionMatrix(nu.a[:3], nu.b[:3]))
+
+
+def test_phase_resolution_rejects_longer_known_block():
+    # a 3-vector against 5 known edges used to fail as a broadcast ValueError
+    rng = np.random.default_rng(139)
+    nu = make_nu(rng, 5)
+    with pytest.raises(DimensionMismatch):
+        resolve_edge_ambiguity(QuaternionMatrix(nu.a[:3], nu.b[:3]), nu)
+
+
+def test_phase_resolution_rejects_columns():
+    # a 3 x 1 column against 2 known edges used to return a (3, 1) vector
+    rng = np.random.default_rng(140)
+    nu = make_nu(rng, 3)
+    column = QuaternionMatrix(nu.a[:, None], nu.b[:, None])
+    with pytest.raises(DimensionMismatch):
+        resolve_edge_ambiguity(column, QuaternionMatrix(nu.a[:2], nu.b[:2]))
 
 
 # ---- SMDS ----
@@ -385,20 +404,21 @@ def test_mrc_rejects_kernel_size_mismatch(solve):
 
 
 def _quaternion_algebra_mrc(kq, anchors, structure, tau_max):
-    """The refinement loop written in QuaternionMatrix algebra, as the oracle
-    for the solver's column-form sweeps: (trajectory, nu_residuals)."""
+    """The refinement loop written in the test oracle's quaternion algebra,
+    as the reference for the solver's column-form sweeps:
+    (trajectory, nu_residuals)."""
     n_a, n_t, n_aa = structure.n_anchors, structure.n_targets, structure.n_aa
     a, b = kq.k.a, kq.k.b
     k2 = QuaternionMatrix(a[:n_aa, n_aa:], b[:n_aa, n_aa:])
     k3 = QuaternionMatrix(a[n_aa:, n_aa:], b[n_aa:, n_aa:])
     nu_aa = embed_r3(structure.c[:structure.n_aa, :n_a] @ anchors)
     aa_energy = nu_aa.norm() ** 2
-    k2h_nu = k2.H @ nu_aa
-    states, residuals = [k2h_nu / aa_energy], []
+    k2h_nu = matmul(ctranspose(k2), nu_aa)
+    states, residuals = [div(k2h_nu, aa_energy)], []
     for _ in range(tau_max):
         prev = states[-1]
-        nu = (k2h_nu + k3.H @ prev) / (aa_energy + prev.norm() ** 2)
-        residuals.append((nu - prev).norm() / max(prev.norm(), np.finfo(float).tiny))
+        nu = div(add(k2h_nu, matmul(ctranspose(k3), prev)), aa_energy + prev.norm() ** 2)
+        residuals.append(sub(nu, prev).norm() / max(prev.norm(), np.finfo(float).tiny))
         states.append(nu)
     trajectory = [
         (anchors[:, None, :] - r3_components(nu).reshape(n_a, n_t, 3)).mean(axis=0)
@@ -415,8 +435,8 @@ def test_mrc_sweeps_match_quaternion_algebra(seed, n_targets, tau_max, scale):
     rng = np.random.default_rng(seed)
     st = structure_matrices(5, n_targets)
     m = st.c.shape[0]
-    q = QuaternionMatrix.from_components(*(scale * rng.standard_normal((4, m, m))))
-    kq = QuatGek((q + q.H) / 2)
+    q = from_components(*(scale * rng.standard_normal((4, m, m))))
+    kq = QuatGek(hermitian_part(q))
     est = qd_mrc_smds_iterative(kq, ROOM_ANCHORS, st, tau_max=tau_max)
     trajectory, residuals = _quaternion_algebra_mrc(kq, ROOM_ANCHORS, st, tau_max)
 
