@@ -9,6 +9,7 @@ keys mirror ExperimentConfig; command-line flags override file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from .harness import (
     ALGORITHMS,
     CONVERGENCE_COLUMNS,
     CSV_COLUMNS,
+    ExperimentConfig,
     config_from_mapping,
     run_convergence,
     run_grid,
@@ -37,17 +39,17 @@ def _name_list(text: str) -> tuple[str, ...]:
 
 
 def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", default=None,
-                     help="JSON file with ExperimentConfig fields")
-    sub.add_argument("--seed", type=int, default=None,
+    # A flag that overrides a config field stores under that field's name.
+    sub.add_argument("--config", help="JSON file with ExperimentConfig fields")
+    sub.add_argument("--seed", dest="master_seed", type=int, metavar="SEED",
                      help="master seed (overrides config master_seed)")
-    sub.add_argument("--sigma-d", type=_float_list, default=None, metavar="M,M,...",
-                     help="distance noise grid in meters")
-    sub.add_argument("--epsilon", type=_float_list, default=None, metavar="D,D,...",
+    sub.add_argument("--sigma-d", dest="sigma_d_grid", type=_float_list,
+                     metavar="M,M,...", help="distance noise grid in meters")
+    sub.add_argument("--epsilon", dest="epsilon_grid", type=_float_list,
+                     metavar="D,D,...",
                      help="angle noise grid in degrees (90%% error half-width)")
-    sub.add_argument("--trials", type=int, default=None,
-                     help="Monte-Carlo trials per grid cell")
-    sub.add_argument("--tau-max", type=int, default=None,
+    sub.add_argument("--trials", type=int, help="Monte-Carlo trials per grid cell")
+    sub.add_argument("--tau-max", type=int,
                      help="refinement sweeps for the iterative solver")
 
 
@@ -62,14 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="sweep a benchmark grid to CSV")
     _add_shared_flags(run)
     run.add_argument("--out", default="results.csv", help="output CSV path")
-    run.add_argument("--scenario", choices=("I", "II"), default=None,
+    run.add_argument("--scenario", choices=("I", "II"),
                      help="restrict to one measurement scenario")
-    run.add_argument("--algorithms", type=_name_list, default=None,
-                     metavar=",".join(ALGORITHMS),
+    run.add_argument("--algorithms", type=_name_list, metavar=",".join(ALGORITHMS),
                      help="comma-separated solver subset")
-    run.add_argument("--missing", type=float, default=None, metavar="F",
+    run.add_argument("--missing", dest="missing_fraction", type=float, metavar="F",
                      help="fraction of kernel entry pairs to hide (scenario II)")
-    run.add_argument("--timing", choices=("off", "wall"), default=None,
+    run.add_argument("--timing", choices=("off", "wall"),
                      help="record wall time per solve (breaks byte-identity)")
 
     conv = commands.add_parser(
@@ -91,17 +92,9 @@ def _load_mapping(path: str | None) -> dict:
 
 
 def _apply_overrides(mapping: dict, args: argparse.Namespace) -> dict:
-    renames = {
-        "seed": "master_seed",
-        "sigma_d": "sigma_d_grid",
-        "epsilon": "epsilon_grid",
-        "missing": "missing_fraction",
-    }
-    for flag in ("seed", "sigma_d", "epsilon", "trials", "tau_max",
-                 "missing", "algorithms", "timing"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            mapping[renames.get(flag, flag)] = value
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    mapping.update((name, value) for name, value in vars(args).items()
+                   if name in fields and value is not None)
     if getattr(args, "scenario", None) is not None:
         mapping["scenarios"] = (args.scenario,)
     return mapping

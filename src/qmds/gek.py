@@ -132,11 +132,6 @@ def build_quat_gek(
 
 def quat_gek_from_measurements(ms: MeasurementSet) -> QuatGek:
     """Quaternion kernel straight from a Scenario II measurement set."""
-    if not ms.has_angles:
-        raise ShapeMismatch(
-            "measurement set carries no angles; build the kernel from "
-            "estimated edge vectors instead"
-        )
     return build_quat_gek(build_real_gek(ms), ms.plane_components())
 
 

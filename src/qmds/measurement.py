@@ -13,7 +13,11 @@ that; the largest concentration searched, 1e8, puts the floor at about
 
 Two measurement scenarios exist. Scenario I carries distances and
 edge-to-edge angles only. Scenario II additionally measures each edge's
-three plane azimuths and three axis elevations. Noisy elevations are folded
+three plane azimuths and three axis elevations, stored as two (3, M) arrays
+in the row order of `network.TrueParameters`: azimuths in the xy, xz and yz
+planes, elevations from the +x, +y and +z axes. A plane's components are
+scaled by the sine of the elevation from its normal axis, so the xy, xz and
+yz planes pair with elevation rows z, y and x. Noisy elevations are folded
 back into [0, pi] by reflection so projected lengths stay nonnegative; noisy
 azimuths are left unwrapped since only their sines and cosines are consumed.
 """
@@ -146,35 +150,34 @@ def reflect_elevation(theta):
 class MeasurementSet:
     """One noisy realization of everything a scenario can observe.
 
-    `adoa` is the full symmetric matrix of measured edge-to-edge angles with
-    a zero diagonal: one draw per unordered pair, mirrored. Azimuth and
-    elevation arrays are None in Scenario I. Masks apply to the kernels
+    `distances` is (M,). `adoa` is the (M, M) symmetric matrix of measured
+    edge-to-edge angles with a zero diagonal: one draw per unordered pair,
+    mirrored. `azimuths` and `elevations` are both (3, M) in Scenario II and
+    both None in Scenario I, with the row order of `TrueParameters`:
+    azimuths in the xy, xz and yz planes, elevations from the +x, +y and +z
+    axes. Any other shape raises `ShapeMismatch`. Masks apply to the kernels
     built from a set, not to the set. A pair-angle matrix not symmetric to
     the bit, or any non-finite value, raises `OutOfRange`: the kernels rely
     on both. The set owns its arrays and freezes them in place.
     """
 
-    scenario: Scenario
     distances: np.ndarray
     adoa: np.ndarray
-    phi_xy: np.ndarray | None = None
-    phi_xz: np.ndarray | None = None
-    phi_yz: np.ndarray | None = None
-    theta_x: np.ndarray | None = None
-    theta_y: np.ndarray | None = None
-    theta_z: np.ndarray | None = None
+    azimuths: np.ndarray | None = None
+    elevations: np.ndarray | None = None
 
     def __post_init__(self):
-        m = self.distances.shape[0]
-        if self.adoa.shape != (m, m):
-            raise ShapeMismatch("adoa matrix does not match the edge count")
+        m = self.distances.size
+        if self.distances.ndim != 1 or self.adoa.shape != (m, m):
+            raise ShapeMismatch("need (M,) distances and an (M, M) adoa matrix")
+        angle_shapes = {a if a is None else a.shape
+                        for a in (self.azimuths, self.elevations)}
+        if angle_shapes not in ({None}, {(3, m)}):
+            raise ShapeMismatch(
+                "azimuths and elevations must be both None or both (3, M)")
         if not np.array_equal(self.adoa, self.adoa.T):
             raise OutOfRange("pair-angle matrix must be exactly symmetric")
-        for name in (
-            "distances", "adoa",
-            "phi_xy", "phi_xz", "phi_yz",
-            "theta_x", "theta_y", "theta_z",
-        ):
+        for name in ("distances", "adoa", "azimuths", "elevations"):
             arr = getattr(self, name)
             if arr is not None:
                 if not np.isfinite(arr).all():
@@ -187,22 +190,17 @@ class MeasurementSet:
 
     @property
     def has_angles(self) -> bool:
-        return self.phi_xy is not None
+        return self.azimuths is not None
 
     def plane_components(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """In-plane edge components (u, v) = d sin(theta) (cos phi, sin phi)
-        for the xy, xz and yz planes, in that order; Scenario II only."""
+        for the xy, xz and yz planes, in that order; Scenario II only. Each
+        plane's theta is the elevation from its normal axis (z, y, x)."""
         if not self.has_angles:
-            raise ShapeMismatch("plane components need azimuth/elevation data")
-        d = self.distances
-        return tuple(
-            (r * np.cos(phi), r * np.sin(phi))
-            for r, phi in (
-                (d * np.sin(self.theta_z), self.phi_xy),
-                (d * np.sin(self.theta_y), self.phi_xz),
-                (d * np.sin(self.theta_x), self.phi_yz),
-            )
-        )
+            raise ShapeMismatch("measurement set carries no angles; build the "
+                                "kernel from estimated edge vectors instead")
+        r = self.distances * np.sin(self.elevations[::-1])
+        return tuple(zip(r * np.cos(self.azimuths), r * np.sin(self.azimuths)))
 
 
 def synthesize(
@@ -213,8 +211,10 @@ def synthesize(
 ) -> MeasurementSet:
     """Draw one noisy measurement set from exact edge parameters.
 
-    Draw order is fixed (distances, pair angles, then azimuths and
-    elevations per plane) so that a given seed always produces the same set.
+    Draw order is fixed so that a given seed always produces the same set:
+    the M ranges, the M(M-1)/2 pair angles, then in Scenario II the (3, M)
+    azimuths and the (3, M) elevations, each in row order. A (3, M) von Mises
+    draw takes the same stream as three draws of size M, one per row.
 
     Zero-length edges are rejected: neither a range nor any angle is defined
     there. Edges with a merely degenerate plane projection are accepted; the
@@ -238,31 +238,13 @@ def synthesize(
         adoa.T[iu] = adoa[iu]
 
     if scenario == "I":
-        return MeasurementSet(scenario="I", distances=d_tilde, adoa=adoa)
-
+        return MeasurementSet(d_tilde, adoa)
     if rho is None:
-        phis = (params.phi_xy.copy(), params.phi_xz.copy(), params.phi_yz.copy())
-        thetas = (params.theta_x.copy(), params.theta_y.copy(), params.theta_z.copy())
-    else:
-        phis = tuple(
-            sample_angle(t, rho, rng)
-            for t in (params.phi_xy, params.phi_xz, params.phi_yz)
-        )
-        thetas = tuple(
-            reflect_elevation(sample_angle(t, rho, rng))
-            for t in (params.theta_x, params.theta_y, params.theta_z)
-        )
-    return MeasurementSet(
-        scenario="II",
-        distances=d_tilde,
-        adoa=adoa,
-        phi_xy=phis[0],
-        phi_xz=phis[1],
-        phi_yz=phis[2],
-        theta_x=thetas[0],
-        theta_y=thetas[1],
-        theta_z=thetas[2],
-    )
+        return MeasurementSet(d_tilde, adoa, params.azimuths.copy(),
+                              params.elevations.copy())
+    azimuths = sample_angle(params.azimuths, rho, rng)
+    elevations = reflect_elevation(sample_angle(params.elevations, rho, rng))
+    return MeasurementSet(d_tilde, adoa, azimuths, elevations)
 
 
 def missing_mask(m: int, fraction: float, rng: np.random.Generator) -> np.ndarray:

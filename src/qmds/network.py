@@ -11,7 +11,11 @@ The edge vector of pair (i, j) is x_i - x_j. Angles follow one fixed set of
 conventions: azimuths in a coordinate plane lie in (-pi, pi] from the plane's
 first axis, elevations measured from a positive coordinate axis lie in
 [0, pi] so that plane-projected lengths d * sin(theta) stay nonnegative, and
-the angle between two edges lies in [0, pi].
+the angle between two edges lies in [0, pi]. Azimuths and elevations are
+each one (3, M) array, one column per edge: azimuth rows are the xy, xz and
+yz planes, elevation rows the +x, +y and +z axes. A plane's projected length
+is d times the sine of the elevation from its normal axis, so azimuth row p
+pairs with elevation row 2 - p.
 """
 
 from __future__ import annotations
@@ -36,21 +40,31 @@ __all__ = [
 # azimuth is undefined and the edge is flagged for resampling.
 DEGENERATE_LENGTH = 1e-9
 
+# Rows of v.T: the (first, second) axes of the xy, xz and yz planes, then of
+# the yz, xz and xy planes (normal to x, y, z). Indexed, not a reversed view:
+# at M = 1 a negative stride sends arctan2 down a loop that rounds otherwise.
+_PLANE_AXES = np.array([[0, 0, 1], [1, 2, 2], [1, 0, 0], [2, 2, 1]])
+
 
 @dataclass(frozen=True)
 class NetworkGeometry:
-    """Anchor and target positions in meters, each an (n, 3) array, copied."""
+    """Anchor and target positions in meters, (N_A, 3) and (N_T, 3), copied.
+
+    One anchor may come as a 3-vector; N_T may be zero. Other shapes raise
+    `ShapeMismatch`."""
 
     anchors: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
         anchors = np.atleast_2d(np.array(self.anchors, dtype=float))
-        targets = np.array(self.targets, dtype=float).reshape(-1, 3)
+        targets = np.array(self.targets, dtype=float)
         if anchors.ndim != 2 or anchors.shape[1] != 3:
             raise ShapeMismatch("anchors must be an (N_A, 3) array")
         if anchors.shape[0] < 1:
             raise ShapeMismatch("need at least one anchor")
+        if targets.ndim != 2 or targets.shape[1] != 3:
+            raise ShapeMismatch(f"targets must be an (N_T, 3) array, got {targets.shape}")
         anchors.setflags(write=False)
         targets.setflags(write=False)
         object.__setattr__(self, "anchors", anchors)
@@ -123,26 +137,19 @@ def edge_matrix(geometry: NetworkGeometry, structure: StructureMatrices) -> np.n
 class TrueParameters:
     """Noise-free distances and angles of every measurable edge.
 
-    Component naming: an edge vector is (a, b, c) along the x, y, z axes.
-    Plane-projected lengths use the two in-plane components; azimuths are
-    measured from the plane's first axis (x for xy and xz, y for yz);
-    elevation theta_z is the angle from the +z axis, and cyclically for x, y.
-    `adoa[m, p]` is the angle between edge vectors m and p. `degenerate`
-    flags edges whose length or any plane projection is too short for the
-    corresponding angles to be defined.
+    `azimuths` (3, M) has rows xy, xz and yz, each angle taken from the
+    plane's first axis (x, x, y) towards its second; `elevations` (3, M) has
+    the angles from +x, +y and +z. A plane pairs with the elevation from its
+    normal axis (xy with z, xz with y, yz with x), so `elevations[::-1]`
+    lines up with `azimuths`. `adoa[m, p]` is the angle between edges m and
+    p. `degenerate` flags edges whose length or any plane projection is too
+    short for the corresponding angles to be defined.
     """
 
     vectors: np.ndarray
     distances: np.ndarray
-    d_xy: np.ndarray
-    d_xz: np.ndarray
-    d_yz: np.ndarray
-    phi_xy: np.ndarray
-    phi_xz: np.ndarray
-    phi_yz: np.ndarray
-    theta_x: np.ndarray
-    theta_y: np.ndarray
-    theta_z: np.ndarray
+    azimuths: np.ndarray
+    elevations: np.ndarray
     adoa: np.ndarray
     degenerate: np.ndarray
 
@@ -155,20 +162,12 @@ def true_parameters(geometry: NetworkGeometry) -> TrueParameters:
     """Compute exact per-edge distances and angles from node positions."""
     structure = structure_matrices(geometry.n_anchors, geometry.n_targets)
     v = edge_matrix(geometry, structure)
-    a, b, c = v[:, 0], v[:, 1], v[:, 2]
-
     d = np.linalg.norm(v, axis=1)
-    d_xy = np.hypot(a, b)
-    d_xz = np.hypot(a, c)
-    d_yz = np.hypot(b, c)
 
-    phi_xy = np.arctan2(b, a)
-    phi_xz = np.arctan2(c, a)
-    phi_yz = np.arctan2(c, b)
-
-    theta_z = np.arctan2(d_xy, c)
-    theta_y = np.arctan2(d_xz, b)
-    theta_x = np.arctan2(d_yz, a)
+    first, second, *normal = v.T[_PLANE_AXES]
+    azimuths = np.arctan2(second, first)
+    proj = np.hypot(*normal)
+    elevations = np.arctan2(proj, v.T)
 
     gram = v @ v.T
     dd = np.outer(d, d)
@@ -177,24 +176,5 @@ def true_parameters(geometry: NetworkGeometry) -> TrueParameters:
     adoa = np.arccos(np.clip(cos_a, -1.0, 1.0))
     np.fill_diagonal(adoa, 0.0)
 
-    degenerate = (
-        (d <= DEGENERATE_LENGTH)
-        | (d_xy <= DEGENERATE_LENGTH)
-        | (d_xz <= DEGENERATE_LENGTH)
-        | (d_yz <= DEGENERATE_LENGTH)
-    )
-    return TrueParameters(
-        vectors=v,
-        distances=d,
-        d_xy=d_xy,
-        d_xz=d_xz,
-        d_yz=d_yz,
-        phi_xy=phi_xy,
-        phi_xz=phi_xz,
-        phi_yz=phi_yz,
-        theta_x=theta_x,
-        theta_y=theta_y,
-        theta_z=theta_z,
-        adoa=adoa,
-        degenerate=degenerate,
-    )
+    degenerate = (d <= DEGENERATE_LENGTH) | (proj <= DEGENERATE_LENGTH).any(axis=0)
+    return TrueParameters(v, d, azimuths, elevations, adoa, degenerate)

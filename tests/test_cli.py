@@ -57,6 +57,23 @@ def test_flags_override_config_file(tmp_path):
     assert row[5] == "3"
 
 
+def test_every_override_flag_sets_its_config_field():
+    args = cli.build_parser().parse_args([
+        "run", "--seed", "3", "--sigma-d", "1,2", "--epsilon", "5",
+        "--trials", "4", "--tau-max", "2", "--scenario", "II",
+        "--algorithms", "mrc", "--missing", "0.2", "--timing", "wall",
+        "--out", "x.csv", "--config", "c.json",
+    ])
+    assert cli._apply_overrides({"n_targets": 6, "trials": 9}, args) == {
+        "n_targets": 6, "master_seed": 3, "sigma_d_grid": (1.0, 2.0),
+        "epsilon_grid": (5.0,), "trials": 4, "tau_max": 2,
+        "scenarios": ("II",), "algorithms": ("mrc",),
+        "missing_fraction": 0.2, "timing": "wall",
+    }
+    unset = cli.build_parser().parse_args(["converge"])
+    assert cli._apply_overrides({"trials": 9}, unset) == {"trials": 9}
+
+
 def test_converge_emits_per_sweep_rows(tmp_path):
     out = tmp_path / "conv.csv"
     code = main(["converge", "--out", str(out), "--sigma-d", "2",

@@ -38,13 +38,13 @@ def outer(nu):
 
 
 def test_single_edge_kernel():
-    ms = MeasurementSet("I", np.array([3.0]), np.zeros((1, 1)))
+    ms = MeasurementSet(np.array([3.0]), np.zeros((1, 1)))
     np.testing.assert_array_equal(build_real_gek(ms).k, [[9.0]])
 
 
 def test_orthogonal_edges_kernel():
     adoa = np.array([[0.0, np.pi / 2], [np.pi / 2, 0.0]])
-    ms = MeasurementSet("I", np.ones(2), adoa)
+    ms = MeasurementSet(np.ones(2), adoa)
     np.testing.assert_allclose(build_real_gek(ms).k, np.eye(2), atol=1e-16)
 
 
@@ -95,12 +95,8 @@ def test_plane_parts_match_angle_form():
     params = true_parameters(geometry(rng, 4, 6))
     kr, planes = _kernel_inputs(params.vectors)
     k = build_quat_gek(kr, planes).k
-    cases = [
-        (k.x, params.d_xy, params.phi_xy),
-        (k.y, params.d_xz, params.phi_xz),
-        (k.z, params.d_yz, params.phi_yz),
-    ]
-    for part, dp, phi in cases:
+    projected = params.distances * np.sin(params.elevations[::-1])
+    for part, dp, phi in zip((k.x, k.y, k.z), projected, params.azimuths):
         angle_form = -np.outer(dp, dp) * np.sin(phi[None, :] - phi[:, None])
         np.testing.assert_allclose(part, angle_form, atol=1e-10)
 

@@ -4,7 +4,13 @@ from scipy.integrate import quad
 from scipy.special import ive
 from scipy.stats import kstest
 
-from qmds.errors import DegenerateEdge, NonPositiveDistance, OutOfRange, QmdsError
+from qmds.errors import (
+    DegenerateEdge,
+    NonPositiveDistance,
+    OutOfRange,
+    QmdsError,
+    ShapeMismatch,
+)
 from qmds.measurement import (
     EPSILON_LIMIT_DEG,
     MeasurementSet,
@@ -163,17 +169,18 @@ def test_noiseless_synthesis_is_exact():
     ms = synthesize(params, NoiseConfig(), "II", rng)
     np.testing.assert_array_equal(ms.distances, params.distances)
     np.testing.assert_array_equal(ms.adoa, params.adoa)
-    np.testing.assert_array_equal(ms.phi_xy, params.phi_xy)
-    np.testing.assert_array_equal(ms.theta_z, params.theta_z)
+    np.testing.assert_array_equal(ms.azimuths, params.azimuths)
+    np.testing.assert_array_equal(ms.elevations, params.elevations)
+    assert not np.shares_memory(ms.azimuths, params.azimuths)
+    assert not np.shares_memory(ms.elevations, params.elevations)
 
 
 def test_scenario_one_has_no_angle_fields():
     rng = np.random.default_rng(79)
     ms = synthesize(sample_params(rng), NoiseConfig(1.0, 20.0), "I", rng)
-    assert ms.scenario == "I"
     assert not ms.has_angles
-    assert ms.phi_xy is None and ms.theta_x is None
-    with pytest.raises(Exception):
+    assert ms.azimuths is None and ms.elevations is None
+    with pytest.raises(ShapeMismatch):
         ms.plane_components()
 
 
@@ -189,9 +196,28 @@ def test_identical_seeds_identical_sets():
     cfg = NoiseConfig(2.0, 30.0)
     a = synthesize(params, cfg, "II", np.random.default_rng(123))
     b = synthesize(params, cfg, "II", np.random.default_rng(123))
-    for name in ("distances", "adoa", "phi_xy", "phi_xz", "phi_yz",
-                 "theta_x", "theta_y", "theta_z"):
+    for name in ("distances", "adoa", "azimuths", "elevations"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("sigma_d", [0.0, 2.0])
+def test_synthesis_draw_order(sigma_d):
+    # ranges, pair angles, then six von Mises draws of size M: the xy, xz and
+    # yz azimuths, then the x, y and z elevations
+    params = sample_params(np.random.default_rng(88))
+    m = params.distances.shape[0]
+    rho = epsilon_to_rho(30.0)
+    ms = synthesize(params, NoiseConfig(sigma_d, 30.0), "II", np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    d = params.distances
+    if sigma_d:
+        d = rng.gamma(d**2 / sigma_d**2, sigma_d**2 / d)
+    np.testing.assert_array_equal(ms.distances, d)
+    rng.vonmises(0.0, rho, size=m * (m - 1) // 2)
+    noise = [rng.vonmises(0.0, rho, size=m) for _ in range(6)]
+    np.testing.assert_array_equal(ms.azimuths, params.azimuths + noise[:3])
+    np.testing.assert_array_equal(ms.elevations,
+                                  reflect_elevation(params.elevations + noise[3:]))
 
 
 def test_zero_length_edges_rejected():
@@ -221,11 +247,8 @@ def test_plane_components_match_definition():
     params = sample_params(rng)
     ms = synthesize(params, NoiseConfig(1.0, 20.0), "II", rng)
     planes = ms.plane_components()
-    cases = [
-        (ms.theta_z, ms.phi_xy),
-        (ms.theta_y, ms.phi_xz),
-        (ms.theta_x, ms.phi_yz),
-    ]
+    # the xy, xz and yz planes pair with the elevations from z, y and x
+    cases = zip(ms.elevations[[2, 1, 0]], ms.azimuths)
     for (u, v), (theta, phi) in zip(planes, cases):
         r = ms.distances * np.sin(theta)
         np.testing.assert_allclose(u, r * np.cos(phi), atol=1e-12)
@@ -247,16 +270,36 @@ def test_non_finite_measurements_rejected():
     rng = np.random.default_rng(86)
     ms = synthesize(sample_params(rng), NoiseConfig(1.0, 20.0), "II", rng)
     fields = {name: getattr(ms, name).copy() for name in (
-        "distances", "adoa", "phi_xy", "phi_xz", "phi_yz",
-        "theta_x", "theta_y", "theta_z")}
+        "distances", "adoa", "azimuths", "elevations")}
     for name, bad in (("distances", np.nan), ("adoa", np.inf),
-                      ("phi_yz", np.nan), ("theta_x", -np.inf)):
+                      ("azimuths", np.nan), ("elevations", -np.inf)):
         broken = {k: v.copy() for k, v in fields.items()}
         broken[name].flat[1] = bad
         if name == "adoa":
             broken[name][1, 0] = bad  # keep it symmetric
         with pytest.raises(QmdsError, match=name):
-            MeasurementSet("II", **broken)
+            MeasurementSet(**broken)
+
+
+def _angle_set(m=4):
+    return dict(distances=np.ones(m), adoa=np.zeros((m, m)),
+                azimuths=np.zeros((3, m)), elevations=np.full((3, m), 1.0))
+
+
+@pytest.mark.parametrize("change", [
+    # angle arrays of shape (1,) used to broadcast into a 4 x 4 kernel
+    {"azimuths": np.zeros(1), "elevations": np.ones(1)},
+    # azimuths alone used to pass and fail later with an untyped TypeError
+    {"elevations": None},
+    {"azimuths": None},
+    {"azimuths": np.zeros((4, 3)), "elevations": np.ones((4, 3))},
+    {"azimuths": np.zeros((3, 5))},
+    {"distances": np.ones((4, 1))},
+    {"adoa": np.zeros((4, 5))},
+])
+def test_misshaped_sets_rejected(change):
+    with pytest.raises(ShapeMismatch):
+        MeasurementSet(**{**_angle_set(), **change})
 
 
 def test_asymmetric_pair_angles_rejected():
@@ -265,14 +308,13 @@ def test_asymmetric_pair_angles_rejected():
     adoa = ms.adoa.copy()
     adoa[0, 1] = np.nextafter(adoa[0, 1], 4.0)
     with pytest.raises(OutOfRange):
-        MeasurementSet("I", ms.distances.copy(), adoa)
+        MeasurementSet(ms.distances.copy(), adoa)
 
 
 def test_measured_elevations_stay_in_range():
     rng = np.random.default_rng(83)
     ms = synthesize(sample_params(rng), NoiseConfig(0.0, 120.0), "II", rng)
-    for t in (ms.theta_x, ms.theta_y, ms.theta_z):
-        assert np.all(t >= 0) and np.all(t <= np.pi)
+    assert np.all(ms.elevations >= 0) and np.all(ms.elevations <= np.pi)
 
 
 def test_invalid_scenario_rejected():

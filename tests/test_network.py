@@ -34,6 +34,17 @@ def test_geometry_copies_callers_arrays():
     assert np.all(geo.anchors[0] != -1.0) and np.all(geo.targets[0] != -1.0)
 
 
+@pytest.mark.parametrize("targets", [
+    [[0, 1], [2, 3], [4, 5]],  # (3, 2): once read as two targets [0,1,2], [3,4,5]
+    np.arange(6.0),            # flat 6-vector: once read as two targets
+    np.zeros((2, 3, 1)),
+    np.zeros(0),
+])
+def test_geometry_rejects_misshaped_targets(targets):
+    with pytest.raises(ShapeMismatch, match="targets"):
+        NetworkGeometry(np.zeros((2, 3)), targets)
+
+
 # ---- edge layout ----
 
 
@@ -171,17 +182,18 @@ def test_orthogonal_unit_edges():
     m = ends.index((0, 2))
     p = ends.index((1, 2))
     assert tp.adoa[m, p] == pytest.approx(np.pi / 2)
-    assert abs(tp.phi_xy[p] - tp.phi_xy[m]) == pytest.approx(np.pi / 2)
-    assert tp.d_xy[m] == pytest.approx(1.0)
-    assert tp.d_xy[p] == pytest.approx(1.0)
+    xy = 0  # azimuth row of the xy plane
+    assert abs(tp.azimuths[xy, p] - tp.azimuths[xy, m]) == pytest.approx(np.pi / 2)
+    # both edges lie in the xy plane: 90 degrees from +z
+    np.testing.assert_allclose(tp.elevations[2, [m, p]], np.pi / 2)
 
 
 def test_axis_aligned_edge_flagged():
     geo = NetworkGeometry([[0, 0, 1], [5, 0, 0]], [[0, 0, 0]])
     tp = true_parameters(geo)
     m = edge_ends(structure_matrices(2, 1)).index((0, 2))
-    assert tp.theta_z[m] == pytest.approx(0.0)
-    assert tp.d_xy[m] == pytest.approx(0.0)
+    assert tp.elevations[2, m] == pytest.approx(0.0)  # along +z
+    assert tp.azimuths[0, m] == 0.0  # xy projection has zero length
     assert tp.degenerate[m]
 
 
@@ -193,23 +205,36 @@ def test_inner_product_identity():
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
-def test_plane_distance_identities():
+def test_angle_arrays_layout():
+    # azimuth rows xy, xz, yz; elevation rows from +x, +y, +z
     rng = np.random.default_rng(64)
     tp = true_parameters(random_geometry(rng))
-    np.testing.assert_allclose(tp.d_xy, tp.distances * np.sin(tp.theta_z), atol=1e-10)
-    np.testing.assert_allclose(tp.d_xz, tp.distances * np.sin(tp.theta_y), atol=1e-10)
-    np.testing.assert_allclose(tp.d_yz, tp.distances * np.sin(tp.theta_x), atol=1e-10)
+    a, b, c = tp.vectors.T
+    m = tp.distances.shape[0]
+    assert tp.azimuths.shape == tp.elevations.shape == (3, m)
+    np.testing.assert_allclose(tp.azimuths,
+                               [np.arctan2(b, a), np.arctan2(c, a), np.arctan2(c, b)],
+                               atol=1e-12)
+    np.testing.assert_allclose(np.cos(tp.elevations) * tp.distances, [a, b, c],
+                               atol=1e-10)
+
+
+def test_plane_distance_identities():
+    # the xy, xz and yz projections are d sin of the elevation from z, y, x
+    rng = np.random.default_rng(64)
+    tp = true_parameters(random_geometry(rng))
+    a, b, c = tp.vectors.T
+    projected = [np.hypot(a, b), np.hypot(a, c), np.hypot(b, c)]
+    np.testing.assert_allclose(tp.distances * np.sin(tp.elevations[::-1]), projected,
+                               atol=1e-10)
 
 
 def test_outer_product_identities():
     rng = np.random.default_rng(65)
     tp = true_parameters(random_geometry(rng, 4, 6))
     a, b, c = tp.vectors.T
-    cases = [
-        (a, b, tp.d_xy, tp.phi_xy),
-        (a, c, tp.d_xz, tp.phi_xz),
-        (b, c, tp.d_yz, tp.phi_yz),
-    ]
+    projected = tp.distances * np.sin(tp.elevations[::-1])
+    cases = zip((a, a, b), (b, c, c), projected, tp.azimuths)
     for u, w, dp, phi in cases:
         lhs = np.outer(u, w) - np.outer(w, u)  # u_m w_p - u_p w_m
         rhs = np.outer(dp, dp) * np.sin(phi[None, :] - phi[:, None])
@@ -220,8 +245,9 @@ def test_azimuth_reconstructs_projection():
     rng = np.random.default_rng(66)
     tp = true_parameters(random_geometry(rng, 3, 3))
     a, b, _ = tp.vectors.T
-    np.testing.assert_allclose(tp.d_xy * np.cos(tp.phi_xy), a, atol=1e-10)
-    np.testing.assert_allclose(tp.d_xy * np.sin(tp.phi_xy), b, atol=1e-10)
+    d_xy = tp.distances * np.sin(tp.elevations[2])
+    np.testing.assert_allclose(d_xy * np.cos(tp.azimuths[0]), a, atol=1e-10)
+    np.testing.assert_allclose(d_xy * np.sin(tp.azimuths[0]), b, atol=1e-10)
 
 
 def test_adoa_range_and_diagonal():

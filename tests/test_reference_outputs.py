@@ -1,4 +1,4 @@
-"""Pinned results of three small CLI runs.
+"""Pinned results of four small CLI runs.
 
 The expected rows were captured from the CLI before the edge layout moved
 into `network.structure_matrices` and are compared at relative tolerance
@@ -69,6 +69,24 @@ RUN_MASKED = (
 # compared exactly: a completion change that moves any sweep count fails.
 RUN_MASKED_ITERATIONS = [102.0, 49.5, 49.5, 50.5]
 
+# Exact angles with noisy ranges: the branch of `synthesize` that copies the
+# true azimuths and elevations. sigma_d = 0 is not pinned: its xi is about
+# 1e-14 m, so a relative tolerance of 1e-9 would not hold across BLAS builds.
+EXACT_ANGLES = (
+    ["run", "--sigma-d", "1", "--epsilon", "0", "--trials", "3", "--seed", "13"],
+    ("scenario", "algorithm", "sigma_d_m", "epsilon_deg"),
+    [
+        ("I", "smds", 1.0, 0.0, 3, 0, 0.11778745313442714),
+        ("I", "qdsmds", 1.0, 0.0, 3, 0, 0.1536271212411797),
+        ("I", "mrc", 1.0, 0.0, 3, 0, 0.16083403331820015),
+        ("I", "mrciter", 1.0, 0.0, 3, 0, 0.15330947125263059),
+        ("II", "smds", 1.0, 0.0, 3, 0, 0.1268239524488183),
+        ("II", "qdsmds", 1.0, 0.0, 3, 0, 0.12682395244881842),
+        ("II", "mrc", 1.0, 0.0, 3, 0, 0.1254340189766691),
+        ("II", "mrciter", 1.0, 0.0, 3, 0, 0.12803520976161376),
+    ],
+)
+
 CONVERGE = (
     ["converge", "--sigma-d", "2", "--epsilon", "30", "--tau-max", "5",
      "--trials", "3", "--seed", "3"],
@@ -97,8 +115,8 @@ def _parse(value):
 
 @pytest.mark.parametrize("argv, keys, expected, iterations",
                          [RUN_GRID + (None,), RUN_MASKED + (RUN_MASKED_ITERATIONS,),
-                          CONVERGE + (None,)],
-                         ids=["run-grid", "run-masked", "converge"])
+                          EXACT_ANGLES + (None,), CONVERGE + (None,)],
+                         ids=["run-grid", "run-masked", "exact-angles", "converge"])
 def test_cli_results_match_pinned_rows(tmp_path, argv, keys, expected, iterations):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
