@@ -19,15 +19,11 @@ from .errors import (
     AsymmetricMask,
     DegenerateAnchors,
     DegenerateEdge,
-    DimensionMismatch,
     NonConvergenceWarning,
-    NonPositiveDistance,
     OutOfRange,
     QmdsError,
     RankDeficient,
     ShapeMismatch,
-    SingularSystem,
-    ZeroAnchorEdges,
 )
 from .gek import (
     QuatGek,
@@ -93,7 +89,6 @@ __all__ = [
     "CompletionResult",
     "DegenerateAnchors",
     "DegenerateEdge",
-    "DimensionMismatch",
     "EPSILON_LIMIT_DEG",
     "Estimate",
     "ExperimentConfig",
@@ -101,7 +96,6 @@ __all__ = [
     "NetworkGeometry",
     "NoiseConfig",
     "NonConvergenceWarning",
-    "NonPositiveDistance",
     "OutOfRange",
     "QmdsError",
     "QsvdResult",
@@ -110,11 +104,9 @@ __all__ = [
     "RankDeficient",
     "RealGek",
     "ShapeMismatch",
-    "SingularSystem",
     "StructureMatrices",
     "TrialResult",
     "TrueParameters",
-    "ZeroAnchorEdges",
     "anchored_inversion",
     "apply_mask",
     "build_quat_gek",

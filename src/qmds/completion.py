@@ -96,8 +96,8 @@ class CompletionResult:
     rel_change: float
 
 
-def _by_magnitude(theta: np.ndarray, vectors: np.ndarray):
-    order = np.argsort(-np.abs(theta), kind="stable")
+def _by_magnitude(theta: np.ndarray, vectors: np.ndarray, count: int | None = None):
+    order = np.argsort(-np.abs(theta), kind="stable")[:count]
     return theta[order], vectors[:, order]
 
 

@@ -1,12 +1,9 @@
 """Exception and warning types raised across the package."""
 
-from __future__ import annotations
-
 __all__ = [
-    "QmdsError", "ShapeMismatch", "DimensionMismatch", "OutOfRange",
-    "NonPositiveDistance", "DegenerateEdge", "AsymmetricMask", "RankDeficient",
-    "AmbiguityResolutionFailure", "SingularSystem", "DegenerateAnchors",
-    "ZeroAnchorEdges", "NonConvergenceWarning",
+    "QmdsError", "ShapeMismatch", "OutOfRange", "DegenerateEdge",
+    "DegenerateAnchors", "AsymmetricMask", "RankDeficient",
+    "AmbiguityResolutionFailure", "NonConvergenceWarning",
 ]
 
 
@@ -15,25 +12,24 @@ class QmdsError(Exception):
 
 
 class ShapeMismatch(QmdsError):
-    """Operands or fields whose array shapes are incompatible."""
-
-
-class DimensionMismatch(QmdsError):
-    """Matrix product, kernel or edge set with inconsistent dimensions."""
+    """Operand or field of the wrong type, or of a shape or size its context
+    rejects: a non-array field, a non-square kernel, a structure mismatch."""
 
 
 class OutOfRange(QmdsError):
     """Value outside its documented domain: an out-of-range or non-finite
-    parameter, measurement, kernel entry or estimate, a pair-angle matrix
-    that is not exactly symmetric, or a kernel not Hermitian to the bit."""
-
-
-class NonPositiveDistance(QmdsError):
-    """Distance that must be strictly positive is zero or negative."""
+    parameter (a negative sweep count, a nonpositive true distance),
+    measurement, kernel entry or estimate, a pair-angle matrix that is not
+    exactly symmetric, or a kernel not Hermitian to the bit."""
 
 
 class DegenerateEdge(QmdsError):
     """Edge with zero length, where direction angles are undefined."""
+
+
+class DegenerateAnchors(QmdsError):
+    """Anchor set that is too small, coincident (all anchor-anchor edges of
+    zero length), or coplanar to fix a frame."""
 
 
 class AsymmetricMask(QmdsError):
@@ -50,18 +46,6 @@ class RankDeficient(QmdsError):
 
 class AmbiguityResolutionFailure(QmdsError):
     """Edge-vector phase alignment with no usable anchor-anchor correlation."""
-
-
-class SingularSystem(QmdsError):
-    """Anchored inversion whose stacked system lost full column rank."""
-
-
-class DegenerateAnchors(QmdsError):
-    """Anchor set that is too small, coincident, or coplanar to fix a frame."""
-
-
-class ZeroAnchorEdges(QmdsError):
-    """Anchor-anchor edge vector block with zero norm."""
 
 
 class NonConvergenceWarning(UserWarning):

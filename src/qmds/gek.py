@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricMask, DimensionMismatch, OutOfRange, ShapeMismatch
+from .errors import AsymmetricMask, OutOfRange, ShapeMismatch
 from .measurement import MeasurementSet
 from .quat import QuaternionMatrix
 
@@ -48,14 +48,30 @@ __all__ = [
 ]
 
 
-def _check_contract(shape: tuple, sym: tuple, antisym: tuple, mask) -> None:
+def _mirrors(x: np.ndarray, flip) -> bool:
+    """x == flip(x^T) to the bit (no flip if None), compared by blocks of rows:
+    the whole x.T makes a kernel-sized temporary (flipped copy or ufunc buffer)."""
+    n = len(x)
+    rows = max(1, 1536 // (n or 1))  # blocks of 24 KiB of complex128
+    block = np.empty((rows, n), x.dtype)
+    for i in range(0, n, rows):
+        mirror = block[: min(rows, n - i)]
+        np.copyto(mirror, x[:, i:i + rows].T)
+        if flip is not None:
+            flip(mirror, out=mirror)
+        if not (x[i:i + rows] == mirror).all():
+            return False
+    return True
+
+
+def _check_contract(shape: tuple, parts: tuple, mask) -> None:
     """Raise unless the kernel is square, finite and Hermitian to the bit and
     `mask` is None or a symmetric bool array of its shape with an observed
-    diagonal (checked first, then frozen). The kernel comes as real planes,
-    each equal to its transpose (`sym`) or to its negative (`antisym`)."""
+    diagonal (checked first, then frozen). The kernel comes as (array, flip)
+    parts, each array equal to flip(array^T): K = K^T, A = A^H, B = -B^T."""
     if len(shape) != 2 or shape[0] != shape[1]:
-        raise DimensionMismatch(f"kernel must be square, got shape {shape}")
-    if not all(np.isfinite(plane).all() for plane in sym + antisym):
+        raise ShapeMismatch(f"kernel must be square, got shape {shape}")
+    if not all(np.isfinite(x).all() for x, _ in parts):
         raise OutOfRange("kernel holds non-finite entries")
     if mask is not None:
         if not (isinstance(mask, np.ndarray) and mask.dtype == bool
@@ -66,8 +82,7 @@ def _check_contract(shape: tuple, sym: tuple, antisym: tuple, mask) -> None:
         if not mask.diagonal().all():
             raise AsymmetricMask("diagonal entries must be observed")
         mask.setflags(write=False)
-    if not (all(np.array_equal(p, p.T) for p in sym)
-            and all(np.array_equal(p, -p.T) for p in antisym)):
+    if not all(_mirrors(x, flip) for x, flip in parts):
         raise OutOfRange("kernel must be Hermitian to the bit")
 
 
@@ -79,7 +94,9 @@ class RealGek:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_contract(self.k.shape, (self.k,), (), self.mask)
+        if not isinstance(self.k, np.ndarray):
+            raise ShapeMismatch("kernel must be an ndarray")
+        _check_contract(self.k.shape, ((self.k, None),), self.mask)
         self.k.setflags(write=False)
 
     @property
@@ -95,8 +112,10 @@ class QuatGek:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        a, b = self.k.a, self.k.b
-        _check_contract(self.k.shape, (a.real,), (a.imag, b.real, b.imag), self.mask)
+        if not isinstance(self.k, QuaternionMatrix):
+            raise ShapeMismatch("kernel must be a QuaternionMatrix")
+        parts = (self.k.a, np.conjugate), (self.k.b, np.negative)
+        _check_contract(self.k.shape, parts, self.mask)
 
     @property
     def m(self) -> int:

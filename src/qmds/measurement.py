@@ -30,7 +30,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DegenerateEdge, NonPositiveDistance, OutOfRange, ShapeMismatch
+from .errors import DegenerateEdge, OutOfRange, ShapeMismatch
 from .network import DEGENERATE_LENGTH, TrueParameters
 
 __all__ = [
@@ -124,7 +124,7 @@ def sample_distance(d, sigma_d: float, rng: np.random.Generator):
     """Gamma ranging draw with mean d and variance sigma_d^2, elementwise."""
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
-        raise NonPositiveDistance("true distances must be positive")
+        raise OutOfRange("true distances must be positive")
     # An infinite shape (sigma_d = 0, or sigma_d below about 1e-154 m) means a
     # relative spread sigma_d / d far below one ulp: d is returned undrawn.
     var = sigma_d**2
@@ -155,10 +155,11 @@ class MeasurementSet:
     mirrored. `azimuths` and `elevations` are both (3, M) in Scenario II and
     both None in Scenario I, with the row order of `TrueParameters`:
     azimuths in the xy, xz and yz planes, elevations from the +x, +y and +z
-    axes. Any other shape raises `ShapeMismatch`. Masks apply to the kernels
-    built from a set, not to the set. A pair-angle matrix not symmetric to
-    the bit, or any non-finite value, raises `OutOfRange`: the kernels rely
-    on both. The set owns its arrays and freezes them in place.
+    axes. Any other shape, or a field that is not an ndarray, raises
+    `ShapeMismatch`. Masks apply to the kernels built from a set, not to the
+    set. A pair-angle matrix not symmetric to the bit, or any non-finite
+    value, raises `OutOfRange`: the kernels rely on both. The set owns its
+    arrays and freezes them in place.
     """
 
     distances: np.ndarray
@@ -167,6 +168,10 @@ class MeasurementSet:
     elevations: np.ndarray | None = None
 
     def __post_init__(self):
+        angles = [a for a in (self.azimuths, self.elevations) if a is not None]
+        if not all(isinstance(a, np.ndarray)
+                   for a in (self.distances, self.adoa, *angles)):
+            raise ShapeMismatch("measured fields must be ndarrays")
         m = self.distances.size
         if self.distances.ndim != 1 or self.adoa.shape != (m, m):
             raise ShapeMismatch("need (M,) distances and an (M, M) adoa matrix")

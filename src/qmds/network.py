@@ -50,19 +50,20 @@ _PLANE_AXES = np.array([[0, 0, 1], [1, 2, 2], [1, 0, 0], [2, 2, 1]])
 class NetworkGeometry:
     """Anchor and target positions in meters, (N_A, 3) and (N_T, 3), copied.
 
-    One anchor may come as a 3-vector; N_T may be zero. Other shapes raise
-    `ShapeMismatch`."""
+    One anchor may come as a 3-vector; N_T may be zero. Other shapes, and
+    positions that do not read as float arrays, raise `ShapeMismatch`."""
 
     anchors: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
-        anchors = np.atleast_2d(np.array(self.anchors, dtype=float))
-        targets = np.array(self.targets, dtype=float)
-        if anchors.ndim != 2 or anchors.shape[1] != 3:
-            raise ShapeMismatch("anchors must be an (N_A, 3) array")
-        if anchors.shape[0] < 1:
-            raise ShapeMismatch("need at least one anchor")
+        try:
+            anchors = np.atleast_2d(np.array(self.anchors, dtype=float))
+            targets = np.array(self.targets, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ShapeMismatch(f"positions must be float arrays: {exc}") from None
+        if anchors.ndim != 2 or anchors.shape[1] != 3 or len(anchors) < 1:
+            raise ShapeMismatch(f"anchors must be (N_A >= 1, 3), got {anchors.shape}")
         if targets.ndim != 2 or targets.shape[1] != 3:
             raise ShapeMismatch(f"targets must be an (N_T, 3) array, got {targets.shape}")
         anchors.setflags(write=False)

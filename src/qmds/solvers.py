@@ -35,14 +35,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .completion import _by_magnitude
 from .errors import (
     AmbiguityResolutionFailure,
     DegenerateAnchors,
-    DimensionMismatch,
+    OutOfRange,
     RankDeficient,
     ShapeMismatch,
-    SingularSystem,
-    ZeroAnchorEdges,
 )
 from .gek import QuatGek, RealGek, build_quat_gek, build_real_gek
 from .measurement import MeasurementSet
@@ -88,11 +87,10 @@ def _anchor_edges(anchors: np.ndarray, structure: StructureMatrices) -> np.ndarr
 
 @lru_cache(maxsize=16)
 def _inversion_operator(structure: StructureMatrices) -> np.ndarray:
-    """Read-only pseudo-inverse of the stacked system [I 0; C], rank-checked."""
+    """Read-only pseudo-inverse of the stacked system [I 0; C], of full column
+    rank: each target column is nonzero only in its own anchor-target rows."""
     n = structure.c.shape[1]
     stacked = np.vstack([np.eye(structure.n_anchors, n), structure.c])
-    if (rank := np.linalg.matrix_rank(stacked)) < n:
-        raise SingularSystem(f"stacked system rank {rank} < {n} unknowns")
     op = np.linalg.pinv(stacked)
     op.setflags(write=False)
     return op
@@ -111,7 +109,7 @@ def anchored_inversion(
     """
     if (v_hat.shape, anchors.shape) != ((structure.c.shape[0], 3),
                                         (structure.n_anchors, 3)):
-        raise DimensionMismatch("edges or anchors do not match the structure")
+        raise ShapeMismatch("edges or anchors do not match the structure")
     return _inversion_operator(structure) @ np.vstack([anchors, v_hat])
 
 
@@ -177,11 +175,11 @@ def resolve_edge_ambiguity(
     nu_hat g = (A g_a - B conj(g_b)) + (A g_b + B conj(g_a)) j.
     `info["phase"]` holds g as a read-only (w, x, y, z) array. Both inputs
     must be vectors, the known block no longer than the estimate, else
-    `DimensionMismatch`.
+    `ShapeMismatch`.
     """
     n_aa = nu_aa_known.shape[0]
     if nu_hat.ndim != 1 or nu_aa_known.ndim != 1 or n_aa > nu_hat.shape[0]:
-        raise DimensionMismatch(f"edge vectors {nu_hat.shape}, {nu_aa_known.shape}")
+        raise ShapeMismatch(f"edge vectors {nu_hat.shape}, {nu_aa_known.shape}")
     ha, hb = nu_hat.a[:n_aa], nu_hat.b[:n_aa]
     ka, kb = nu_aa_known.a, nu_aa_known.b
     s_a = np.sum(np.conj(ha) * ka + hb * np.conj(kb))
@@ -216,11 +214,10 @@ def smds(kr: RealGek, anchors: np.ndarray, structure: StructureMatrices) -> Esti
         raise RankDeficient(
             "kernel has fewer than 3 positive eigenvalues; no 3D embedding"
         )
-    # top three by magnitude; noise can push trailing eigenvalues negative,
-    # in which case the factor column collapses to zero rather than erroring
-    order = np.argsort(-np.abs(lam), kind="stable")[:3]
-    lam3 = lam[order]
-    v_hat = u[:, order] * np.sqrt(np.maximum(lam3, 0.0))
+    # top three by magnitude, as completion truncates; noise can push trailing
+    # eigenvalues negative, and the factor column then collapses to zero
+    lam3, u3 = _by_magnitude(lam, u, 3)
+    v_hat = u3 * np.sqrt(np.maximum(lam3, 0.0))
 
     v_known = _anchor_edges(anchors, structure)
     v_hat = _align_edges(v_hat, v_known)
@@ -274,7 +271,7 @@ def _mrc_core(
     _require_complete(kq)
     anchors = np.asarray(anchors, dtype=float)
     if kq.m != (n_edges := structure.c.shape[0]):
-        raise DimensionMismatch(f"kernel size {kq.m} does not match {n_edges} edges")
+        raise ShapeMismatch(f"kernel size {kq.m} does not match {n_edges} edges")
     # Views of the halves' cross block K2 (anchor-anchor rows) and target block K3.
     n_aa, a, b = structure.n_aa, kq.k.a, kq.k.b
     k2 = a[:n_aa, n_aa:], b[:n_aa, n_aa:]
@@ -283,7 +280,7 @@ def _mrc_core(
     nu_aa = embed_r3(_anchor_edges(anchors, structure))
     aa_energy = nu_aa.norm() ** 2
     if aa_energy == 0:
-        raise ZeroAnchorEdges("anchor-anchor edges are all zero length")
+        raise DegenerateAnchors("anchor-anchor edges are all zero length")
 
     # The edge estimate u = u1 + u2 j is held as v = conj([u1; u2]), |v| = |u|.
     drive = _kh_rows(*k2, np.conj((nu_aa.a, nu_aa.b)))
@@ -325,7 +322,7 @@ def qd_mrc_smds_iterative(
     of target estimates after every sweep 0..tau_max.
     """
     if tau_max < 0:
-        raise DimensionMismatch("tau_max must be nonnegative")
+        raise OutOfRange("tau_max must be nonnegative")
     return _mrc_core(kq, anchors, structure, tau_max)
 
 
@@ -341,7 +338,7 @@ def _quat_solve(
         return qd_mrc_smds(kq, anchors, structure)
     if algorithm == "mrciter":
         return qd_mrc_smds_iterative(kq, anchors, structure, tau_max)
-    raise ShapeMismatch(f"unknown quaternion-domain algorithm {algorithm!r}")
+    raise OutOfRange(f"unknown quaternion-domain algorithm {algorithm!r}")
 
 
 # ---- Scenario I ----

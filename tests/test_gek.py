@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmds import harness
-from qmds.errors import AsymmetricMask, DimensionMismatch, OutOfRange, ShapeMismatch
+from qmds.errors import AsymmetricMask, OutOfRange, ShapeMismatch
 from qmds.gek import (
     QuatGek,
     RealGek,
@@ -294,9 +294,9 @@ def test_hidden_diagonal_or_non_bool_mask_rejected():
 
 
 def test_non_square_kernel_rejected():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch, match="square"):
         RealGek(np.ones((3, 4)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch, match="square"):
         QuatGek(QuaternionMatrix(np.ones((3, 4)), np.zeros((3, 4))))
 
 
@@ -332,7 +332,7 @@ def test_non_hermitian_quat_kernel_rejected_before_mrc():
 @pytest.mark.parametrize("part", ["w", "x", "y", "z"])
 def test_non_hermitian_quat_kernel_rejected(part):
     # one entry off in the real part, or in i, j or k, breaks A = A^H or
-    # B = -B^T; each is tested plane by plane
+    # B = -B^T, which are tested on the whole complex halves
     rng = np.random.default_rng(117)
     _, kq = small_kernels(rng)
     parts = {name: getattr(kq.k, name).copy() for name in "wxyz"}

@@ -6,7 +6,6 @@ from scipy.stats import kstest
 
 from qmds.errors import (
     DegenerateEdge,
-    NonPositiveDistance,
     OutOfRange,
     QmdsError,
     ShapeMismatch,
@@ -61,9 +60,9 @@ def test_tiny_sigma_returns_distances_undrawn(sigma_d):
 
 def test_nonpositive_distance_rejected():
     rng = np.random.default_rng(73)
-    with pytest.raises(NonPositiveDistance):
+    with pytest.raises(OutOfRange, match="positive"):
         sample_distance(np.array([2.0, 0.0]), 1.0, rng)
-    with pytest.raises(NonPositiveDistance):
+    with pytest.raises(OutOfRange, match="positive"):
         sample_distance(-1.0, 1.0, rng)
 
 

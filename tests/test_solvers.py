@@ -8,11 +8,9 @@ from hypothesis import strategies as hst
 from qmds.errors import (
     AmbiguityResolutionFailure,
     DegenerateAnchors,
-    DimensionMismatch,
     OutOfRange,
     RankDeficient,
     ShapeMismatch,
-    ZeroAnchorEdges,
 )
 from qmds.gek import (
     QuatGek,
@@ -136,10 +134,20 @@ def test_anchored_inversion_matches_lstsq_with_cached_operator(monkeypatch, n_a,
     for name in ("lstsq", "pinv", "matrix_rank", "svd"):
         monkeypatch.setattr(np.linalg, name, no_factorization)
     np.testing.assert_array_equal(anchored_inversion(v, anchors, st), got)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch, match="structure"):
         anchored_inversion(v[1:], anchors, st)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch, match="structure"):
         anchored_inversion(v, np.vstack([anchors, anchors[:1]]), st)
+
+
+def test_anchored_system_has_full_column_rank_for_every_structure():
+    # Why the inversion needs no rank check: each target column of [I 0; C]
+    # is nonzero only in its own anchor-target rows.
+    for n_a in range(1, 8):
+        for n_t in range(25):
+            st = structure_matrices(n_a, n_t)
+            stacked = np.vstack([np.eye(n_a, n_a + n_t), st.c])
+            assert np.linalg.matrix_rank(stacked) == n_a + n_t
 
 
 # ---- Procrustes alignment ----
@@ -245,7 +253,7 @@ def test_phase_resolution_rejects_longer_known_block():
     # a 3-vector against 5 known edges used to fail as a broadcast ValueError
     rng = np.random.default_rng(139)
     nu = make_nu(rng, 5)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch, match="edge vectors"):
         resolve_edge_ambiguity(QuaternionMatrix(nu.a[:3], nu.b[:3]), nu)
 
 
@@ -254,7 +262,7 @@ def test_phase_resolution_rejects_columns():
     rng = np.random.default_rng(140)
     nu = make_nu(rng, 3)
     column = QuaternionMatrix(nu.a[:, None], nu.b[:, None])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch, match="edge vectors"):
         resolve_edge_ambiguity(column, QuaternionMatrix(nu.a[:2], nu.b[:2]))
 
 
@@ -391,7 +399,7 @@ def test_mrc_zero_anchor_edges():
     params = true_parameters(NetworkGeometry(anchors, targets))
     kq = exact_quat_gek(params.vectors)
     st = structure_matrices(5, 1)
-    with pytest.raises(ZeroAnchorEdges):
+    with pytest.raises(DegenerateAnchors, match="zero length"):
         qd_mrc_smds(kq, anchors, st)
 
 
@@ -399,8 +407,16 @@ def test_mrc_zero_anchor_edges():
 def test_mrc_rejects_kernel_size_mismatch(solve):
     rng = np.random.default_rng(101)
     geo, _, ms, _ = exact_setup(rng, "II", n_targets=5)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch, match="kernel size"):
         solve(quat_gek_from_measurements(ms), geo.anchors, structure_matrices(5, 15))
+
+
+def test_mrc_iterative_rejects_negative_sweep_count():
+    rng = np.random.default_rng(102)
+    geo, _, ms, st = exact_setup(rng, "II", n_targets=2)
+    with pytest.raises(OutOfRange, match="tau_max"):
+        qd_mrc_smds_iterative(quat_gek_from_measurements(ms), geo.anchors, st,
+                              tau_max=-1)
 
 
 def _quaternion_algebra_mrc(kq, anchors, structure, tau_max):
@@ -475,6 +491,8 @@ def test_direct_path_makes_no_adjoint_sized_temporaries():
         lambda: qd_mrc_smds_iterative(kq, geo.anchors, st, tau_max=1)) < 64 * 1024
     halves = kq.k.a.nbytes + kq.k.b.nbytes
     assert _peak_bytes(lambda: build_quat_gek(kr, planes)) < 2 * halves
+    # The Hermitian test compares row blocks, not whole 56 KiB planes.
+    assert _peak_bytes(lambda: QuatGek(kq.k)) <= 32 * 1024
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -540,7 +558,7 @@ def test_pipeline_rejects_angle_measurements():
 def test_pipeline_unknown_algorithm():
     rng = np.random.default_rng(154)
     geo, _, ms, st = exact_setup(rng, "I", n_targets=4)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(OutOfRange, match="dowsing"):
         scenario_one_pipeline(ms, geo.anchors, st, algorithm="dowsing")
 
 
