@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import NonConvergenceWarning, RankDeficient
 from .gek import QuatGek, RealGek
-from .quat import QuaternionMatrix
+from .quat import QuaternionMatrix, _mirrors
 
 __all__ = [
     "CompletionResult",
@@ -175,7 +175,7 @@ def _complete(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionResult:
     if mask.all():
         return CompletionResult(k.copy(), 0, True, 0.0)
     data = np.where(mask, k, 0)
-    hermitian = np.array_equal(data, data.conj().T)
+    hermitian = _mirrors(data, np.conjugate)
     x = data.copy()
     state = _Truncation(len(k), rank, np.result_type(data, 1.0))
     step = np.inf  # ||x - x_prev||_F

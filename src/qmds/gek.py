@@ -24,8 +24,8 @@ so both kernels are Hermitian to the bit even under noise.
 
 Both kernel types check their contract once, at construction: a square,
 finite kernel, Hermitian to the bit, and a mask (if any) that is a symmetric
-bool (M, M) array with an observed diagonal. Completion and the solvers
-check none of it.
+bool (M, M) array with an observed diagonal; `quat._mirrors` tests both
+symmetries. Completion and the solvers check none of it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import AsymmetricMask, OutOfRange, ShapeMismatch
 from .measurement import MeasurementSet
-from .quat import QuaternionMatrix
+from .quat import QuaternionMatrix, _mirrors
 
 __all__ = [
     "RealGek",
@@ -46,22 +46,6 @@ __all__ = [
     "quat_gek_from_measurements",
     "apply_mask",
 ]
-
-
-def _mirrors(x: np.ndarray, flip) -> bool:
-    """x == flip(x^T) to the bit (no flip if None), compared by blocks of rows:
-    the whole x.T makes a kernel-sized temporary (flipped copy or ufunc buffer)."""
-    n = len(x)
-    rows = max(1, 1536 // (n or 1))  # blocks of 24 KiB of complex128
-    block = np.empty((rows, n), x.dtype)
-    for i in range(0, n, rows):
-        mirror = block[: min(rows, n - i)]
-        np.copyto(mirror, x[:, i:i + rows].T)
-        if flip is not None:
-            flip(mirror, out=mirror)
-        if not (x[i:i + rows] == mirror).all():
-            return False
-    return True
 
 
 def _check_contract(shape: tuple, parts: tuple, mask) -> None:
@@ -77,7 +61,7 @@ def _check_contract(shape: tuple, parts: tuple, mask) -> None:
         if not (isinstance(mask, np.ndarray) and mask.dtype == bool
                 and mask.shape == shape):
             raise AsymmetricMask(f"mask must be a bool array of shape {shape}")
-        if not np.array_equal(mask, mask.T):
+        if not _mirrors(mask):
             raise AsymmetricMask("observation mask must be symmetric")
         if not mask.diagonal().all():
             raise AsymmetricMask("diagonal entries must be observed")
@@ -94,8 +78,8 @@ class RealGek:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        if not isinstance(self.k, np.ndarray):
-            raise ShapeMismatch("kernel must be an ndarray")
+        if not (isinstance(self.k, np.ndarray) and self.k.dtype.kind in "biufc"):
+            raise ShapeMismatch("kernel must be a numeric ndarray")
         _check_contract(self.k.shape, ((self.k, None),), self.mask)
         self.k.setflags(write=False)
 
@@ -155,8 +139,12 @@ def quat_gek_from_measurements(ms: MeasurementSet) -> QuatGek:
 
 
 def apply_mask(gek: "RealGek | QuatGek", mask: np.ndarray) -> "RealGek | QuatGek":
-    """Zero unobserved entries and keep a copy of the mask on the kernel."""
-    mask = np.array(mask, dtype=bool)
+    """Zero unobserved entries and keep a copy of the mask on the kernel.
+    The mask is bool or integer (nonzero is observed), of the kernel's shape."""
+    mask = np.asarray(mask)
+    if mask.dtype.kind not in "biu":  # a str or float mask would cast silently
+        raise AsymmetricMask(f"mask must be bool or integer, got {mask.dtype}")
+    mask = mask.astype(bool)  # a copy, so the caller's mask stays writeable
     if mask.shape != (gek.m, gek.m):  # else np.where broadcasts or fails untyped
         raise AsymmetricMask(f"mask shape {mask.shape} does not match M={gek.m}")
     if isinstance(gek, RealGek):

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import DegenerateEdge, OutOfRange, ShapeMismatch
 from .network import DEGENERATE_LENGTH, TrueParameters
+from .quat import _mirrors
 
 __all__ = [
     "EPSILON_LIMIT_DEG",
@@ -155,11 +156,11 @@ class MeasurementSet:
     mirrored. `azimuths` and `elevations` are both (3, M) in Scenario II and
     both None in Scenario I, with the row order of `TrueParameters`:
     azimuths in the xy, xz and yz planes, elevations from the +x, +y and +z
-    axes. Any other shape, or a field that is not an ndarray, raises
+    axes. Any other shape, or a field that is not a numeric ndarray, raises
     `ShapeMismatch`. Masks apply to the kernels built from a set, not to the
-    set. A pair-angle matrix not symmetric to the bit, or any non-finite
-    value, raises `OutOfRange`: the kernels rely on both. The set owns its
-    arrays and freezes them in place.
+    set. A pair-angle matrix not symmetric to the bit (`quat._mirrors`), or
+    any non-finite value, raises `OutOfRange`: the kernels rely on both. The
+    set owns its arrays and freezes them in place.
     """
 
     distances: np.ndarray
@@ -169,9 +170,9 @@ class MeasurementSet:
 
     def __post_init__(self):
         angles = [a for a in (self.azimuths, self.elevations) if a is not None]
-        if not all(isinstance(a, np.ndarray)
+        if not all(isinstance(a, np.ndarray) and a.dtype.kind in "biufc"
                    for a in (self.distances, self.adoa, *angles)):
-            raise ShapeMismatch("measured fields must be ndarrays")
+            raise ShapeMismatch("measured fields must be numeric ndarrays")
         m = self.distances.size
         if self.distances.ndim != 1 or self.adoa.shape != (m, m):
             raise ShapeMismatch("need (M,) distances and an (M, M) adoa matrix")
@@ -180,7 +181,7 @@ class MeasurementSet:
         if angle_shapes not in ({None}, {(3, m)}):
             raise ShapeMismatch(
                 "azimuths and elevations must be both None or both (3, M)")
-        if not np.array_equal(self.adoa, self.adoa.T):
+        if not _mirrors(self.adoa):
             raise OutOfRange("pair-angle matrix must be exactly symmetric")
         for name in ("distances", "adoa", "azimuths", "elevations"):
             arr = getattr(self, name)

@@ -42,20 +42,38 @@ _CERT_TOL = 1e-13
 _POWER_STEPS = 100
 
 
+def _mirrors(x: np.ndarray, flip=None) -> bool:
+    """The one exact mirror test: square x == flip(x^T) to the bit (no flip if
+    None), by blocks of rows, as a whole x.T makes a kernel-sized temporary."""
+    n = len(x)
+    rows = max(1, 1536 // (n or 1))  # blocks of 24 KiB of complex128
+    block = np.empty((rows, n), x.dtype)
+    for i in range(0, n, rows):
+        np.copyto(mirror := block[: min(rows, n - i)], x[:, i:i + rows].T)
+        if flip is not None:
+            flip(mirror, out=mirror)
+        if not (x[i:i + rows] == mirror).all():
+            return False
+    return True
+
+
 class QuaternionMatrix:
     """Frozen storage for a quaternion matrix (or vector) as the pair (A, B).
 
     The constructor takes ownership: a complex128 half is kept uncopied and
     frozen in place, any other half is converted to a new complex128 array
-    (`np.asarray`) and the caller's stays writeable. Both halves must have
-    one shape, 1-D or 2-D, else `ShapeMismatch`.
+    (`np.asarray`) and the caller's stays writeable. Both halves must be
+    numeric (bool, integer, float or complex) and of one shape, 1-D or 2-D,
+    else `ShapeMismatch`.
     """
 
     __slots__ = ("_a", "_b")
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
-        a = np.asarray(a, dtype=np.complex128)
-        b = np.asarray(b, dtype=np.complex128)
+        a, b = np.asarray(a), np.asarray(b)
+        if not (a.dtype.kind in "biufc" and b.dtype.kind in "biufc"):
+            raise ShapeMismatch("quaternion halves must be numeric arrays")
+        a, b = np.asarray(a, np.complex128), np.asarray(b, np.complex128)
         if a.shape != b.shape:
             raise ShapeMismatch(f"pair shapes differ: {a.shape} vs {b.shape}")
         if a.ndim not in (1, 2):

@@ -9,6 +9,7 @@ from qmds.errors import ShapeMismatch
 from qmds.gek import QuatGek, RealGek
 from qmds.measurement import MeasurementSet
 from qmds.network import NetworkGeometry
+from qmds.quat import QuaternionMatrix
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qmds"
 
@@ -54,8 +55,17 @@ def test_library_raises_only_package_errors():
     lambda: MeasurementSet(np.ones(2), np.zeros((2, 2)), [[0.0] * 2] * 3,
                            np.zeros((3, 2))),
     lambda: NetworkGeometry("ab", np.zeros((0, 3))),
+    lambda: QuaternionMatrix("ab", "cd"),
+    lambda: QuaternionMatrix(np.array([object(), object()]), np.zeros(2)),
+    lambda: QuaternionMatrix(np.ones(2, dtype=object), np.zeros(2)),
+    lambda: RealGek(np.array([["a"]])),
+    lambda: RealGek(np.ones((1, 1), dtype=object)),
+    lambda: MeasurementSet(np.array(["a", "b"]), np.zeros((2, 2))),
+    lambda: MeasurementSet(np.ones(2), np.zeros((2, 2), dtype=object)),
 ], ids=["real-gek-list", "quat-gek-ndarray", "distances-list", "adoa-list",
-        "azimuths-list", "anchors-str"])
+        "azimuths-list", "anchors-str", "quat-str", "quat-object",
+        "quat-numeric-object", "real-gek-str", "real-gek-object",
+        "distances-str", "adoa-object"])
 def test_constructors_reject_non_array_fields(build):
     with pytest.raises(ShapeMismatch):
         build()

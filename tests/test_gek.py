@@ -291,6 +291,12 @@ def test_hidden_diagonal_or_non_bool_mask_rejected():
             with_mask(gek, hole)
         with pytest.raises(AsymmetricMask, match="bool"):
             with_mask(gek, np.ones((gek.m, gek.m), dtype=int))
+        # apply_mask converts an integer mask; a str or float one used to
+        # cast to bool, every "a" or 0.5 becoming an observed entry
+        assert apply_mask(gek, np.ones((gek.m, gek.m), dtype=int)).mask.dtype == bool
+        for dtype in (str, float):
+            with pytest.raises(AsymmetricMask, match="bool or integer"):
+                apply_mask(gek, np.ones((gek.m, gek.m), dtype=dtype))
 
 
 def test_non_square_kernel_rejected():

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from qmds.network import NetworkGeometry, true_parameters
 from qmds.quat import (
     QsvdResult,
     QuaternionMatrix,
+    _mirrors,
     complex_adjoint,
     dominant_eigpair,
     qsvd,
@@ -461,6 +464,65 @@ def test_dominant_eigpair_matches_dense_solve(n, kind, noise, seed):
     assert abs(lam - top) <= 1e-12 * scale
     assert abs(u.norm() - 1.0) <= 1e-12
     assert eigen_residual(k, lam, u) <= 1e-10 * scale
+
+
+# ---- the exact mirror test ----
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qmds"
+
+# dtype and flip of each contract: K = K^T, A = A^H, B = -B^T, a symmetric mask
+MIRRORS = {"float": (float, None), "complex-conjugate": (complex, np.conjugate),
+           "complex-negative": (complex, np.negative), "bool": (bool, None)}
+
+
+def mirrored(rng, n, dtype, flip):
+    """An n x n array equal to flip(x^T) to the bit."""
+    if dtype is bool:
+        r = rng.random((n, n)) < 0.5
+        return r | r.T
+    z = rng.standard_normal((n, n))
+    if dtype is complex:
+        z = z + 1j * rng.standard_normal((n, n))
+    return z - z.T if flip is np.negative else z + z.conj().T
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 85, 100])
+@pytest.mark.parametrize("kind", MIRRORS)
+def test_mirrors_agrees_with_a_whole_transpose_compare(kind, n):
+    # 17 fits one row block; 85 and 100 end in a ragged one
+    dtype, flip = MIRRORS[kind]
+    x = mirrored(np.random.default_rng(n), n, dtype, flip)
+    cases = [x]
+    for i, j in ((n - 1, 0), (0, n - 1)) if n >= 2 else ():
+        moved = x.copy()  # one off-diagonal entry moved by one ulp
+        if dtype is bool:
+            moved[i, j] = not moved[i, j]
+        else:
+            moved.real[i, j] = np.nextafter(moved.real[i, j], np.inf)
+        cases.append(moved)
+    if dtype is complex and n >= 1:
+        tilted = x.copy()  # not Hermitian: a nonzero imaginary diagonal
+        tilted[n // 2, n // 2] += 1j
+        cases.append(tilted)
+    for case in cases:
+        whole = np.array_equal(case, case.T if flip is None else flip(case.T))
+        assert _mirrors(case, flip) == whole == (case is x)
+
+
+def test_library_compares_mirrors_only_through_one_routine():
+    # np.array_equal(x, x.T) buffers a kernel-sized transpose; `_mirrors`
+    # compares row blocks and is the one exact mirror test.
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).endswith("array_equal")):
+                continue
+            operands = [*node.args, *(k.value for k in node.keywords)]
+            if any(isinstance(sub, ast.Attribute) and sub.attr in ("T", "mT", "transpose")
+                   for operand in operands for sub in ast.walk(operand)):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert not stray
 
 
 # ---- misc shape behavior ----

@@ -20,14 +20,14 @@ from qmds.gek import (
     build_real_gek,
     quat_gek_from_measurements,
 )
-from qmds.measurement import NoiseConfig, missing_mask, synthesize
+from qmds.measurement import MeasurementSet, NoiseConfig, missing_mask, synthesize
 from qmds.network import (
     NetworkGeometry,
     edge_matrix,
     structure_matrices,
     true_parameters,
 )
-from qmds.quat import QuaternionMatrix, embed_r3, r3_components
+from qmds.quat import QuaternionMatrix, _mirrors, embed_r3, r3_components
 from quaternion_oracle import (
     add,
     ctranspose,
@@ -493,6 +493,20 @@ def test_direct_path_makes_no_adjoint_sized_temporaries():
     assert _peak_bytes(lambda: build_quat_gek(kr, planes)) < 2 * halves
     # The Hermitian test compares row blocks, not whole 56 KiB planes.
     assert _peak_bytes(lambda: QuatGek(kq.k)) <= 32 * 1024
+
+
+def test_exact_mirror_tests_make_no_kernel_sized_temporaries():
+    # np.array_equal(x, x.T) buffers the whole transpose: it peaked at 65 KiB
+    # for an 85-edge measurement set, and at 234 KiB as
+    # np.array_equal(x, x.conj().T) on one complex kernel half.
+    rng = np.random.default_rng(154)
+    _, params, _, _ = exact_setup(rng, "II")
+    ms = synthesize(params, NoiseConfig(2.0, 30.0), "II", rng)
+    assert ms.m == 85
+    fields = ms.distances, ms.adoa, ms.azimuths, ms.elevations
+    assert _peak_bytes(lambda: MeasurementSet(*fields)) < 32 * 1024
+    half = quat_gek_from_measurements(ms).k.a
+    assert _peak_bytes(lambda: _mirrors(half, np.conjugate)) < 32 * 1024
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
