@@ -7,20 +7,23 @@ position error xi = ||X_hat - X||_F / N_T into CSV rows.
 Determinism is the core contract. Each trial's random streams derive from
 SeedSequence((master_seed, scenario code, round(sigma*1e6), round(eps*1e6),
 trial index)), spawned into separate geometry / measurement / mask children.
-The algorithm never enters the key: one trial instance per key holds the
-geometry, measurements, mask, kernels and the smds estimate, each built
-once, and every algorithm in the cell solves that same instance, so
-comparisons across algorithms are paired by construction. An instance draws
-only from its own streams, so neither the order trials are evaluated in nor
-the order rows are emitted in changes a value, and the CSV is byte-identical
-for a fixed config and seed. Wall-clock timing is off by default because
-its column is the one nondeterministic quantity.
+The algorithm never enters the key: `run_trial`, the one place an instance
+is built, builds one per key holding the geometry, measurements, mask,
+kernels and the smds estimate, each built once, and every configured
+algorithm solves that same instance, so comparisons across algorithms are
+paired by construction. `run_grid` calls it for every trial of every cell;
+`run_convergence` calls it for the iterative solver alone and averages the
+per-sweep errors of its records. An instance draws only from its own
+streams, so neither the order trials are evaluated in nor the order rows are
+emitted in changes a value, and the CSV is byte-identical for a fixed config
+and seed. Wall-clock timing is off by default because its column is the one
+nondeterministic quantity.
 
 A failed trial (any library or LAPACK error on a solvable-looking instance,
 e.g. a rank-collapsed kernel at extreme noise, a geometry draw that finds no
-generic placement, or a non-finite estimate) is counted, excluded from the
-means, and reported in the trials_failed column. When a piece shared by
-several algorithms fails, each of them records the same error.
+generic placement, or a non-finite estimate or sweep) is counted, excluded
+from the means, and reported in the trials_failed column. When a piece
+shared by several algorithms fails, each of them records the same error.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 import numbers
 import time
 from collections import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -57,7 +60,6 @@ from .solvers import (
     Estimate,
     _quat_solve,
     _stage_two_kernel,
-    qd_mrc_smds_iterative,
     smds,
 )
 
@@ -252,7 +254,9 @@ class TrialResult:
     timing was enabled; it covers every stage on the algorithm's own path
     (kernel build, completion, Scenario I stage one, solve), and a stage
     shared with other algorithms counts its one timing in full for each.
-    A failed trial carries the error text and a NaN xi.
+    `sweep_xi` holds xi after every refinement sweep 0..tau_max for the
+    iterative solver and stays empty for the others. A failed trial carries
+    the error text and a NaN xi.
     """
 
     scenario: str
@@ -264,6 +268,7 @@ class TrialResult:
     iterations: int
     wall_ms: float | None = None
     error: str | None = None
+    sweep_xi: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.error is None and not (np.isfinite(self.xi) and self.xi >= 0):
@@ -275,11 +280,13 @@ class TrialResult:
 
 
 def metric_xi(x_hat: np.ndarray, x_true: np.ndarray) -> float:
-    """Localization error: Frobenius mismatch divided by the target count."""
+    """Localization error: Frobenius mismatch divided by the target count.
+    Both inputs must be (N_T, 3) with N_T >= 1."""
     x_hat = np.asarray(x_hat, dtype=float)
     x_true = np.asarray(x_true, dtype=float)
-    if x_hat.shape != x_true.shape:
-        raise ShapeMismatch(f"shape mismatch: {x_hat.shape} vs {x_true.shape}")
+    if x_hat.shape != x_true.shape or x_true.shape[1:] != (3,) or not len(x_true):
+        raise ShapeMismatch(f"expected two (N_T, 3) arrays with N_T >= 1, "
+                            f"got {x_hat.shape} and {x_true.shape}")
     return float(np.linalg.norm(x_hat - x_true) / x_true.shape[0])
 
 
@@ -300,10 +307,6 @@ def _sample_geometry(
     raise DegenerateEdge(
         f"no generic target placement found in {_RESAMPLE_LIMIT} draws"
     )
-
-
-def _structure(config: ExperimentConfig) -> StructureMatrices:
-    return structure_matrices(len(config.anchors), config.n_targets)
 
 
 # Errors a trial records as its failure instead of raising.
@@ -339,7 +342,8 @@ class _Instance:
     """
 
     def __init__(self, config, scenario, sigma_d, epsilon, trial_index):
-        self.config, self.structure = config, _structure(config)
+        self.config = config
+        self.structure = structure_matrices(len(config.anchors), config.n_targets)
         self.key = (scenario, sigma_d, epsilon, trial_index)
         self._built: dict[str, object] = {}  # name -> value or its error
         self._ms: dict[str, float] = {}
@@ -406,8 +410,13 @@ class _Instance:
         scenario, sigma_d, epsilon, trial_index = self.key
         try:
             est, sweeps, path = self._estimate(algorithm)
-            xi = metric_xi(est.targets, self.data()[0].targets)
-            if not np.isfinite(xi):
+            targets = self.data()[0].targets
+            xi, sweep_xi = metric_xi(est.targets, targets), ()
+            if algorithm == "mrciter":  # metric_xi of every sweep's targets at once
+                misfit = est.diagnostics["trajectory"] - targets
+                per_sweep = np.linalg.norm(misfit, axis=(1, 2)) / self.config.n_targets
+                sweep_xi = tuple(per_sweep.tolist())
+            if not all(map(math.isfinite, (xi, *sweep_xi))):
                 raise OutOfRange(f"estimate is not finite: xi = {xi}")
         except _TRIAL_ERRORS as exc:
             return TrialResult(
@@ -420,25 +429,22 @@ class _Instance:
             scenario, algorithm, sigma_d, epsilon, trial_index, xi=xi,
             iterations=sweeps + int(est.diagnostics.get("tau", 0)),
             wall_ms=sum(self._ms[name] for name in path) if timed else None,
+            sweep_xi=sweep_xi,
         )
 
 
-def run_trial(
-    config: ExperimentConfig,
-    scenario: str,
-    algorithm: str,
-    sigma_d: float,
-    epsilon: float,
-    trial_index: int,
-) -> TrialResult:
-    """Run one seeded trial end to end.
+def run_trial(config: ExperimentConfig, scenario: str, sigma_d: float,
+              epsilon: float, trial_index: int) -> dict[str, TrialResult]:
+    """Run one seeded trial end to end for every configured algorithm.
 
-    The seed key excludes the algorithm, so calling this for several
-    algorithms at the same (scenario, sigma_d, epsilon, trial_index) replays
-    the identical geometry, measurement set, and mask, and gives the same
-    result that `run_grid` records for that trial.
+    Builds the seed key's instance (geometry, measurement set, mask and the
+    pieces built from them) once, and every algorithm in `config.algorithms`
+    solves it, so the records are paired by construction. The key excludes
+    the algorithm, so a config naming fewer algorithms gives each of them
+    the same record.
     """
-    return _Instance(config, scenario, sigma_d, epsilon, trial_index).run(algorithm)
+    instance = _Instance(config, scenario, sigma_d, epsilon, trial_index)
+    return {a: instance.run(a) for a in config.algorithms}
 
 
 def _aggregate_cell(
@@ -476,24 +482,22 @@ def _aggregate_cell(
 def run_grid(config: ExperimentConfig) -> list[dict[str, object]]:
     """Run every grid cell and return one aggregated row per cell.
 
-    Trials run in (scenario, sigma_d, epsilon, trial) order, each seed key's
-    instance built once and solved by every configured algorithm. Rows come
-    out in (scenario, algorithm, sigma_d, epsilon) order as given by the
-    config. Instances draw only from their own seed streams, so neither
-    order changes a value.
+    Trials run in (scenario, sigma_d, epsilon, trial) order, one `run_trial`
+    call each. Rows come out in (scenario, algorithm, sigma_d, epsilon)
+    order as given by the config. Instances draw only from their own seed
+    streams, so neither order changes a value.
     """
     rows = {}
     for scenario, sigma_d, epsilon in dict.fromkeys(
         product(config.scenarios, config.sigma_d_grid, config.epsilon_grid)
     ):
-        results: dict[str, list[TrialResult]] = {a: [] for a in config.algorithms}
-        for t in range(config.trials):
-            instance = _Instance(config, scenario, sigma_d, epsilon, t)
-            for algorithm, trials in results.items():
-                trials.append(instance.run(algorithm))
-        for algorithm, trials in results.items():
+        # positional, so that a trace of run_trial can key its spans by trial
+        trials = [run_trial(config, scenario, sigma_d, epsilon, t)
+                  for t in range(config.trials)]
+        for algorithm in config.algorithms:
             rows[scenario, algorithm, sigma_d, epsilon] = _aggregate_cell(
-                config, scenario, algorithm, sigma_d, epsilon, trials
+                config, scenario, algorithm, sigma_d, epsilon,
+                [trial[algorithm] for trial in trials],
             )
     return [rows[cell] for cell in product(config.scenarios, config.algorithms,
                                            config.sigma_d_grid, config.epsilon_grid)]
@@ -502,32 +506,23 @@ def run_grid(config: ExperimentConfig) -> list[dict[str, object]]:
 def run_convergence(config: ExperimentConfig) -> list[dict[str, object]]:
     """Track the iterative solver's error over refinement sweeps.
 
-    Runs scenario II trials on the config's grid, recording xi after every
-    sweep 0..`config.tau_max` of a single solve per trial: the solver's
-    `diagnostics["trajectory"]` holds every sweep's targets. The solve reads
-    the same measured kernel as a grid run's scenario II trial: completed
-    first when `missing_fraction` hides entries. Returns one row per
-    (sigma_d, epsilon, tau).
+    Runs scenario II trials on the config's grid, each the `run_trial` of
+    the iterative solver alone, and averages the record's `sweep_xi`: xi
+    after every sweep 0..`config.tau_max` of a single solve. The solve is
+    the one a grid run's scenario II `mrciter` trial makes, on the same
+    kernel, completed first when `missing_fraction` hides entries. Returns
+    one row per (sigma_d, epsilon, tau).
     """
     tau_max = config.tau_max
-    structure = _structure(config)
+    iterative = replace(config, algorithms=("mrciter",))
     rows: list[dict[str, object]] = []
     for sigma_d in config.sigma_d_grid:
         for epsilon in config.epsilon_grid:
             per_tau = np.full((config.trials, tau_max + 1), np.nan)
             for t in range(config.trials):
-                instance = _Instance(config, "II", sigma_d, epsilon, t)
-                try:
-                    geometry, ms, mask = instance.data()
-                    kq, _ = instance._piece("quat", _quat_kernel, ms,
-                                            instance.raw_real(), mask)
-                    est = qd_mrc_smds_iterative(kq, geometry.anchors, structure,
-                                                tau_max)
-                except _TRIAL_ERRORS:
-                    continue
-                # metric_xi of every sweep's targets at once
-                misfit = est.diagnostics["trajectory"] - geometry.targets
-                per_tau[t] = np.linalg.norm(misfit, axis=(1, 2)) / config.n_targets
+                result = run_trial(iterative, "II", sigma_d, epsilon, t)["mrciter"]
+                if result.ok:
+                    per_tau[t] = result.sweep_xi
             ok = np.isfinite(per_tau).all(axis=1)
             n_ok = int(ok.sum())
             for tau in range(tau_max + 1):

@@ -81,6 +81,7 @@ def room_kernel(seed, noise):
 def paired_cell(scenario, alg_a, alg_b, sigma, eps, trials, seed, missing=0.0):
     cfg = ExperimentConfig(
         scenarios=("II",) if missing else ("I", "II"),
+        algorithms=(alg_a, alg_b),
         missing_fraction=missing,
         master_seed=seed,
     )
@@ -88,8 +89,8 @@ def paired_cell(scenario, alg_a, alg_b, sigma, eps, trials, seed, missing=0.0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonConvergenceWarning)
         for t in range(trials):
-            ra = run_trial(cfg, scenario, alg_a, sigma, eps, t)
-            rb = run_trial(cfg, scenario, alg_b, sigma, eps, t)
+            results = run_trial(cfg, scenario, sigma, eps, t)
+            ra, rb = results[alg_a], results[alg_b]
             if ra.ok and rb.ok:
                 xa.append(ra.xi)
                 xb.append(rb.xi)
@@ -151,17 +152,18 @@ def test_criterion_02_noiseless_kernel_rank_structure():
 
 
 def test_criterion_03_noiseless_exact_recovery():
-    cfg = ExperimentConfig(master_seed=9003)
+    # smds on Scenario I data, the quaternion solvers on Scenario II data
+    configs = {
+        "I": ExperimentConfig(algorithms=("smds",), master_seed=9003),
+        "II": ExperimentConfig(algorithms=("qdsmds", "mrc", "mrciter"),
+                               master_seed=9003),
+    }
     started = time.perf_counter()
     worst = {alg: 0.0 for alg in ("smds", "qdsmds", "mrc", "mrciter")}
     for t in range(100):
-        worst["smds"] = max(
-            worst["smds"], run_trial(cfg, "I", "smds", 0.0, 0.0, t).xi
-        )
-        for alg in ("qdsmds", "mrc", "mrciter"):
-            worst[alg] = max(
-                worst[alg], run_trial(cfg, "II", alg, 0.0, 0.0, t).xi
-            )
+        for scenario, cfg in configs.items():
+            for alg, res in run_trial(cfg, scenario, 0.0, 0.0, t).items():
+                worst[alg] = max(worst[alg], res.xi)
     elapsed = time.perf_counter() - started
     ok = all(v < 1e-6 for v in worst.values()) and elapsed < 60
     detail = (
@@ -326,10 +328,11 @@ def test_criterion_08_noise_model_statistics():
 
 
 def test_criterion_09_masked_kernel_completion():
-    cfg = ExperimentConfig(scenarios=("II",), missing_fraction=0.3, master_seed=9009)
+    cfg = ExperimentConfig(scenarios=("II",), algorithms=("qdsmds",),
+                           missing_fraction=0.3, master_seed=9009)
     worst_clean = 0.0
     for t in range(5):
-        res = run_trial(cfg, "II", "qdsmds", 0.0, 0.0, t)
+        res = run_trial(cfg, "II", 0.0, 0.0, t)["qdsmds"]
         worst_clean = max(worst_clean, res.xi)
     xs, xq = paired_cell("II", "smds", "qdsmds", 2.0, 50.0, 200, 9009, missing=0.3)
     diffs = xs - xq

@@ -100,7 +100,7 @@ def test_rising_gap_is_a_failed_trial(monkeypatch):
                            n_targets=6, trials=1, missing_fraction=0.3,
                            sigma_d_grid=(1.0,), epsilon_grid=(30.0,))
     worsening_truncation(monkeypatch)
-    res = run_trial(cfg, "II", "smds", 1.0, 30.0, 0)
+    res = run_trial(cfg, "II", 1.0, 30.0, 0)["smds"]
     assert not res.ok and res.error.startswith("RankDeficient: completion gap rose")
 
 
@@ -174,8 +174,7 @@ def test_unidentifiable_mask_fails_every_algorithm():
     cfg = ExperimentConfig(scenarios=("II",), missing_fraction=0.97,
                            sigma_d_grid=(0.0,), epsilon_grid=(10.0,), trials=1,
                            master_seed=1)
-    for algorithm in harness.ALGORITHMS:
-        res = run_trial(cfg, "II", algorithm, 0.0, 10.0, 0)
+    for algorithm, res in run_trial(cfg, "II", 0.0, 10.0, 0).items():
         values = "192" if algorithm == "smds" else "299"
         assert res.error.startswith(f"RankDeficient: {values} observed real values")
 
@@ -236,7 +235,7 @@ def test_real_completion_converges_on_former_cap_instances(seed):
                            missing_fraction=0.3, master_seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error", NonConvergenceWarning)
-        res = run_trial(cfg, "II", "smds", 2.0, 50.0, 0)
+        res = run_trial(cfg, "II", 2.0, 50.0, 0)["smds"]
     assert res.ok and res.iterations < completion._MAX_SWEEPS
 
 

@@ -1,5 +1,8 @@
+import ast
 import warnings
+from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,8 +52,18 @@ def test_metric_closed_form():
 
 
 def test_metric_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        metric_xi(np.zeros((3, 3)), np.zeros((4, 3)))
+    for x_hat, x_true in [
+        (np.zeros((3, 3)), np.zeros((4, 3))),
+        (np.array([1.0, 0, 0]), np.zeros(3)),  # one target, not three
+        (np.zeros((0, 3)), np.zeros((0, 3))),  # no target to divide by
+    ]:
+        with pytest.raises(ShapeMismatch):
+            metric_xi(x_hat, x_true)
+
+
+def test_metric_passes_nan_through():
+    # a non-finite estimate is the caller's failure to report, not a shape error
+    assert np.isnan(metric_xi(np.full((2, 3), np.nan), np.zeros((2, 3))))
 
 
 # ---- config validation ----
@@ -129,8 +142,9 @@ def test_config_from_mapping_rejects_unknown_key():
 def test_trial_noiseless_every_algorithm():
     cfg = small_config()
     for scenario in ("I", "II"):
-        for algorithm in ("smds", "qdsmds", "mrc", "mrciter"):
-            res = run_trial(cfg, scenario, algorithm, 0.0, 0.0, 0)
+        results = run_trial(cfg, scenario, 0.0, 0.0, 0)
+        assert list(results) == list(harness.ALGORITHMS)
+        for algorithm, res in results.items():
             assert res.ok
             assert res.xi < 1e-6, (scenario, algorithm)
 
@@ -140,16 +154,17 @@ def test_tiny_sigma_trial_matches_zero_sigma():
     # 1e-160 m draws nothing, so every algorithm gives the noiseless answer.
     cfg = small_config()
     for scenario in ("I", "II"):
-        for algorithm in ("smds", "qdsmds", "mrc", "mrciter"):
-            tiny = run_trial(cfg, scenario, algorithm, 1e-160, 10.0, 1)
-            exact = run_trial(cfg, scenario, algorithm, 0.0, 10.0, 1)
-            assert tiny.ok and tiny.xi == exact.xi, (scenario, algorithm)
+        tiny = run_trial(cfg, scenario, 1e-160, 10.0, 1)
+        exact = run_trial(cfg, scenario, 0.0, 10.0, 1)
+        for algorithm in harness.ALGORITHMS:
+            assert tiny[algorithm].ok, (scenario, algorithm)
+            assert tiny[algorithm].xi == exact[algorithm].xi, (scenario, algorithm)
 
 
 def test_trial_deterministic():
     cfg = small_config()
-    a = run_trial(cfg, "II", "qdsmds", 1.0, 30.0, 3)
-    b = run_trial(cfg, "II", "qdsmds", 1.0, 30.0, 3)
+    a = run_trial(cfg, "II", 1.0, 30.0, 3)
+    b = run_trial(cfg, "II", 1.0, 30.0, 3)
     assert a == b
 
 
@@ -157,37 +172,41 @@ def test_trials_are_paired_across_algorithms():
     # Same key, different solver: the drawn geometry and measurements agree,
     # so the closed-form and tau=0 iterative solvers return identical errors.
     cfg = small_config()
-    mrc = run_trial(cfg, "II", "mrc", 2.0, 40.0, 5)
-    it0 = run_trial(small_config(tau_max=0), "II", "mrciter", 2.0, 40.0, 5)
+    mrc = run_trial(cfg, "II", 2.0, 40.0, 5)["mrc"]
+    it0 = run_trial(small_config(tau_max=0), "II", 2.0, 40.0, 5)["mrciter"]
     assert mrc.xi == it0.xi
 
 
 def test_trial_index_changes_draws():
     cfg = small_config()
-    a = run_trial(cfg, "II", "qdsmds", 1.0, 30.0, 0)
-    b = run_trial(cfg, "II", "qdsmds", 1.0, 30.0, 1)
+    a = run_trial(cfg, "II", 1.0, 30.0, 0)["qdsmds"]
+    b = run_trial(cfg, "II", 1.0, 30.0, 1)["qdsmds"]
     assert a.xi != b.xi
 
 
 def test_trial_timing_column():
-    cfg = small_config(timing="wall")
-    res = run_trial(cfg, "II", "qdsmds", 1.0, 30.0, 0)
+    cfg = small_config(timing="wall", algorithms=("qdsmds",))
+    res = run_trial(cfg, "II", 1.0, 30.0, 0)["qdsmds"]
     assert res.wall_ms is not None and res.wall_ms > 0
-    assert run_trial(small_config(), "II", "qdsmds", 1.0, 30.0, 0).wall_ms is None
+    untimed = replace(cfg, timing="off")
+    assert run_trial(untimed, "II", 1.0, 30.0, 0)["qdsmds"].wall_ms is None
 
 
 def test_trial_masked_completion_path():
-    cfg = small_config(missing_fraction=0.3, scenarios=("II",))
-    res = run_trial(cfg, "II", "qdsmds", 0.0, 0.0, 2)
+    cfg = small_config(missing_fraction=0.3, scenarios=("II",), algorithms=("qdsmds",))
+    res = run_trial(cfg, "II", 0.0, 0.0, 2)["qdsmds"]
     assert res.ok
     assert res.xi < 1e-2
     assert res.iterations > 0
 
 
 def test_mrciter_reports_sweeps():
-    cfg = small_config(tau_max=3)
-    res = run_trial(cfg, "II", "mrciter", 1.0, 20.0, 0)
+    results = run_trial(small_config(tau_max=3), "II", 1.0, 20.0, 0)
+    res = results["mrciter"]
     assert res.iterations == 3
+    # xi after sweeps 0..3, the last one the estimate's own
+    assert len(res.sweep_xi) == 4 and res.sweep_xi[-1] == pytest.approx(res.xi)
+    assert all(results[a].sweep_xi == () for a in ("smds", "qdsmds", "mrc"))
 
 
 # ---- grid ----
@@ -218,7 +237,7 @@ def test_grid_mean_matches_trials():
         sigma_d_grid=(1.5,), epsilon_grid=(20.0,), trials=5,
     )
     rows = run_grid(cfg)
-    xis = [run_trial(cfg, "II", "qdsmds", 1.5, 20.0, t).xi for t in range(5)]
+    xis = [run_trial(cfg, "II", 1.5, 20.0, t)["qdsmds"].xi for t in range(5)]
     assert rows[0]["mean_xi_m"] == pytest.approx(np.mean(xis), abs=1e-12)
     assert rows[0]["std_xi_m"] == pytest.approx(np.std(xis, ddof=1), abs=1e-12)
 
@@ -323,14 +342,57 @@ PAIRED_GRIDS = [
 @pytest.mark.parametrize("grid", PAIRED_GRIDS, ids=["direct", "masked"])
 def test_grid_rows_equal_per_algorithm_trials(grid):
     # Pairing is structural: the shared instance gives every algorithm the
-    # same result that a one-algorithm instance gives, bit for bit.
+    # same record that a one-algorithm instance gives, field for field and
+    # bit for bit (repr prints each float exactly, a failed trial's NaN too),
+    # and the grid's rows aggregate those records.
     cfg = small_config(**grid)
-    expected = []
-    for cell in product(cfg.scenarios, cfg.algorithms, cfg.sigma_d_grid,
-                        cfg.epsilon_grid):
-        trials = [run_trial(cfg, *cell, t) for t in range(cfg.trials)]
-        expected.append(_aggregate_cell(cfg, *cell, trials))
+    alone: dict[tuple, list] = {}
+    for scenario, sigma_d, epsilon in product(cfg.scenarios, cfg.sigma_d_grid,
+                                              cfg.epsilon_grid):
+        for t in range(cfg.trials):
+            shared = run_trial(cfg, scenario, sigma_d, epsilon, t)
+            for a in cfg.algorithms:
+                one = replace(cfg, algorithms=(a,))
+                record = run_trial(one, scenario, sigma_d, epsilon, t)[a]
+                assert repr(shared[a]) == repr(record), (scenario, a, t)
+                alone.setdefault((scenario, a, sigma_d, epsilon), []).append(record)
+    expected = [_aggregate_cell(cfg, *cell, alone[cell])
+                for cell in product(cfg.scenarios, cfg.algorithms,
+                                    cfg.sigma_d_grid, cfg.epsilon_grid)]
     assert run_grid(cfg) == expected
+
+
+def calls_in(path: Path) -> list[tuple[str, tuple[str, ...], int]]:
+    """Every call in a source file: its dotted callee, the names of the
+    classes and functions around it, and its line."""
+    found = []
+
+    def visit(node, scopes):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                found.append((ast.unparse(child.func), scopes, child.lineno))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+            visit(child, scopes + (child.name,) if named else scopes)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_only_run_trial_builds_an_instance():
+    # One per-instance path: run_grid and run_convergence reach a seed key's
+    # instance through run_trial, and only the instance builds its pieces.
+    stray = []
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        for callee, scopes, line in calls_in(path):
+            where = f"{path.name}:{line} in {'.'.join(scopes) or 'the module'}"
+            if (callee.split(".")[-1] == "_Instance"
+                    and (path.name, scopes) != ("harness.py", ("run_trial",))):
+                stray.append(f"{where} builds an _Instance")
+            if (callee.endswith("._piece")
+                    and (path.name, scopes[:1]) != ("harness.py", ("_Instance",))):
+                stray.append(f"{where} calls _piece")
+    assert not stray
 
 
 def counting(monkeypatch, name):
@@ -388,21 +450,20 @@ def test_shared_piece_failure_fails_each_user_alike(monkeypatch):
         ("smds", 0), ("qdsmds", 2), ("mrc", 2), ("mrciter", 2)
     ]
     assert len(calls) == 2  # one attempt per instance, its error kept
-    instance = harness._Instance(cfg, "II", 2.0, 50.0, 0)
-    results = {a: instance.run(a) for a in cfg.algorithms}
+    results = run_trial(cfg, "II", 2.0, 50.0, 0)
     assert results["smds"].ok
     errors = {results[a].error for a in ("qdsmds", "mrc", "mrciter")}
     assert errors == {"RankDeficient: completion collapsed"}
     # the text a one-algorithm trial records alone
-    assert errors == {run_trial(cfg, "II", "mrc", 2.0, 50.0, 0).error}
+    mrc = replace(cfg, algorithms=("mrc",))
+    assert errors == {run_trial(mrc, "II", 2.0, 50.0, 0)["mrc"].error}
 
 
 def test_wall_time_adds_shared_stages():
     # In Scenario I every quaternion path contains the smds path (real
     # kernel and stage one), timed once and counted in full for each.
     cfg = small_config(timing="wall")
-    instance = harness._Instance(cfg, "I", 1.0, 30.0, 0)
-    results = {a: instance.run(a) for a in cfg.algorithms}
+    results = run_trial(cfg, "I", 1.0, 30.0, 0)
     for algorithm in ("qdsmds", "mrc", "mrciter"):
         assert results[algorithm].wall_ms > results["smds"].wall_ms > 0
 
@@ -420,7 +481,7 @@ def test_geometry_failure_fails_the_cell_not_the_grid():
     assert len(rows) == 8
     assert all((r["trials_ok"], r["trials_failed"]) == (0, 2) for r in rows)
     assert all(r["mean_xi_m"] is None for r in rows)
-    res = run_trial(cfg, "II", "mrc", 1.0, 10.0, 0)
+    res = run_trial(cfg, "II", 1.0, 10.0, 0)["mrc"]
     assert res.error.startswith("DegenerateEdge: no generic target placement")
     conv = run_convergence(small_config(**DEGENERATE_ROOM, tau_max=2))
     assert all((r["trials_ok"], r["trials_failed"]) == (0, 2) for r in conv)
@@ -444,20 +505,35 @@ def test_bad_solver_output_is_a_failed_trial(monkeypatch, solver, error):
                        sigma_d_grid=(1.0,), epsilon_grid=(30.0,), trials=2)
     rows = run_grid(cfg)
     assert [(r["trials_ok"], r["trials_failed"]) for r in rows] == [(0, 2), (2, 0)]
-    assert run_trial(cfg, "II", "smds", 1.0, 30.0, 0).error == error
+    assert run_trial(cfg, "II", 1.0, 30.0, 0)["smds"].error == error
 
 
-@pytest.mark.parametrize("solver", [nan_estimate, singular], ids=["nan", "linalg"])
-def test_bad_trajectory_is_a_failed_convergence_trial(monkeypatch, solver):
-    def iterative(kq, anchors, structure, tau_max):
+def every_sweep(solver):
+    """A quaternion solve whose every sweep returns `solver`'s estimate."""
+    def solve(kq, anchors, structure, algorithm, tau_max):
         est = solver(kq, anchors, structure)
         trajectory = np.stack([est.targets] * (tau_max + 1))
-        return Estimate(est.targets, {"trajectory": trajectory})
+        return Estimate(est.targets, {"tau": tau_max, "trajectory": trajectory})
+    return solve
 
-    monkeypatch.setattr(harness, "qd_mrc_smds_iterative", iterative)
-    rows = run_convergence(small_config(sigma_d_grid=(1.0,),
-                                        epsilon_grid=(30.0,), trials=2, tau_max=1))
-    assert [(r["trials_ok"], r["mean_xi_m"]) for r in rows] == [(0, None)] * 2
+
+def nan_middle_sweep(kq, anchors, structure, algorithm, tau_max):
+    """A finite first and last sweep around non-finite middle ones."""
+    trajectory = np.zeros((tau_max + 1, structure.n_targets, 3))
+    trajectory[1:-1] = np.nan
+    return Estimate(trajectory[-1], {"tau": tau_max, "trajectory": trajectory})
+
+
+@pytest.mark.parametrize("solve", [
+    every_sweep(nan_estimate), every_sweep(singular), nan_middle_sweep,
+], ids=["nan", "linalg", "nan-middle-sweep"])
+def test_bad_trajectory_is_a_failed_convergence_trial(monkeypatch, solve):
+    monkeypatch.setattr(harness, "_quat_solve", solve)
+    grid = dict(sigma_d_grid=(1.0,), epsilon_grid=(30.0,), trials=2, tau_max=2)
+    rows = run_convergence(small_config(**grid))
+    assert [(r["trials_ok"], r["mean_xi_m"]) for r in rows] == [(0, None)] * 3
+    rows = run_grid(small_config(scenarios=("II",), algorithms=("mrciter",), **grid))
+    assert [(r["trials_ok"], r["trials_failed"]) for r in rows] == [(0, 2)]
 
 
 # ---- degenerate inputs ----
@@ -486,20 +562,22 @@ def degenerate_configs(draw, max_missing=0.97):
     )
 
 
+def assert_typed_failure(res):
+    name = res.error.split(":")[0]
+    assert issubclass(getattr(errors, name, type(None)), errors.QmdsError), res.error
+
+
 @settings(max_examples=30, deadline=None)
 @given(degenerate_configs())
 def test_every_trial_is_finite_or_a_typed_failure(cfg):
     (scenario,), (sigma_d,), (epsilon,) = cfg.scenarios, cfg.sigma_d_grid, cfg.epsilon_grid
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", errors.NonConvergenceWarning)
-        for algorithm in harness.ALGORITHMS:
-            res = run_trial(cfg, scenario, algorithm, sigma_d, epsilon, 0)
+        for res in run_trial(cfg, scenario, sigma_d, epsilon, 0).values():
             if res.ok:
                 assert np.isfinite(res.xi)
             else:
-                name = res.error.split(":")[0]
-                assert issubclass(getattr(errors, name, type(None)), errors.QmdsError), \
-                    res.error
+                assert_typed_failure(res)
 
 
 def _is_hermitian(gek_):
@@ -543,3 +621,32 @@ def test_every_library_kernel_is_hermitian_to_the_bit(cfg):
         except errors.QmdsError as exc:
             if "Hermitian" in str(exc):
                 raise
+
+
+@st.composite
+def exact_networks(draw):
+    """4-7 distinct anchors on the integer grid (all in one horizontal plane
+    when the flag is drawn), 1-20 targets and exact, unmasked data in either
+    scenario."""
+    anchors = draw(st.lists(grid_points, min_size=4, max_size=7, unique=True))
+    if draw(st.booleans()):
+        anchors = [(x, y, anchors[0][2]) for x, y, _ in anchors]
+    assume(len(set(anchors)) == len(anchors))
+    return ExperimentConfig(
+        anchors=anchors, n_targets=draw(st.integers(1, 20)),
+        scenarios=(draw(st.sampled_from(harness.SCENARIOS)),),
+        sigma_d_grid=(0.0,), epsilon_grid=(0.0,), trials=1,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_networks())
+def test_exact_data_is_recovered_or_a_typed_failure(cfg):
+    # Without noise every solver must return the true targets, unless the
+    # network itself is unsolvable (coplanar anchors), which a typed error says.
+    for algorithm, res in run_trial(cfg, cfg.scenarios[0], 0.0, 0.0, 0).items():
+        if res.ok:
+            assert res.xi < 1e-6, (algorithm, res.xi)
+        else:
+            assert_typed_failure(res)
