@@ -64,10 +64,6 @@ from .solvers import (
 )
 
 __all__ = [
-    "ALGORITHMS",
-    "SCENARIOS",
-    "CSV_COLUMNS",
-    "CONVERGENCE_COLUMNS",
     "ExperimentConfig",
     "TrialResult",
     "config_from_mapping",
@@ -416,8 +412,11 @@ class _Instance:
                 misfit = est.diagnostics["trajectory"] - targets
                 per_sweep = np.linalg.norm(misfit, axis=(1, 2)) / self.config.n_targets
                 sweep_xi = tuple(per_sweep.tolist())
-            if not all(map(math.isfinite, (xi, *sweep_xi))):
+            if not math.isfinite(xi):
                 raise OutOfRange(f"estimate is not finite: xi = {xi}")
+            for i, x in enumerate(sweep_xi):
+                if not math.isfinite(x):
+                    raise OutOfRange(f"estimate is not finite: sweep {i} xi = {x}")
         except _TRIAL_ERRORS as exc:
             return TrialResult(
                 scenario, algorithm, sigma_d, epsilon, trial_index,

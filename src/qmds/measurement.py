@@ -38,7 +38,6 @@ __all__ = [
     "EPSILON_LIMIT_DEG",
     "NoiseConfig",
     "MeasurementSet",
-    "Scenario",
     "epsilon_to_rho",
     "sample_distance",
     "sample_angle",

@@ -8,18 +8,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qmds
+import qmds.cli
 
-MODULES = [
-    module.__name__
-    for module in [qmds] + [
-        importlib.import_module(f"qmds.{info.name}")
-        for info in pkgutil.iter_modules(qmds.__path__)
-    ]
+# The library modules: the submodules that declare a public surface, in the
+# (alphabetical) order the package re-exports them.
+LIBRARY = [
+    module
+    for module in (importlib.import_module(f"qmds.{info.name}")
+                   for info in pkgutil.iter_modules(qmds.__path__))
     if hasattr(module, "__all__")
 ]
+MODULES = ["qmds"] + [module.__name__ for module in LIBRARY]
 
 
 def test_package_and_core_modules_declare_exports():
@@ -47,15 +50,17 @@ def top_level_definitions(module) -> set[str]:
 
 
 def test_package_exports_are_declared_where_defined():
-    submodules = [importlib.import_module(f"qmds.{info.name}")
-                  for info in pkgutil.iter_modules(qmds.__path__)]
-    undeclared = []
-    for name in qmds.__all__:
-        homes = [m for m in submodules if name in top_level_definitions(m)]
-        assert len(homes) == 1, f"{name} is defined in {len(homes)} modules"
-        if name not in getattr(homes[0], "__all__", ()):
-            undeclared.append(f"{homes[0].__name__}.{name}")
-    assert not undeclared, f"missing from their module's __all__: {undeclared}"
+    # Each public name is declared once, in the __all__ of the module that
+    # defines it, and the package re-exports exactly those declarations.
+    owners = {}
+    for module in LIBRARY:
+        defined = top_level_definitions(module)
+        undefined = [n for n in module.__all__ if n not in defined]
+        assert not undefined, f"{module.__name__}.__all__ names {undefined}"
+        for name in module.__all__:
+            assert name not in owners, f"{name} in {owners[name]} and {module.__name__}"
+            owners[name] = module.__name__
+    assert qmds.__all__ == [name for module in LIBRARY for name in module.__all__]
 
 
 def test_library_imports_no_scipy(tmp_path):
@@ -91,15 +96,20 @@ def test_readme_example_runs():
     assert 0.0 <= xi < 1.5
 
 
-def test_every_traced_name_is_wrapped_and_restored(monkeypatch):
-    # The benchmark's span tracer refuses to run when a name it wraps is
-    # gone; installing it here makes such a rename fail in the unit tests.
+@pytest.fixture
+def spans(monkeypatch):
+    """perfbench's span tracer, loaded by path as the benchmark loads it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
+
+def test_every_traced_name_is_wrapped_and_restored(spans):
+    # The benchmark's span tracer refuses to run when a name it wraps is
+    # gone; installing it here makes such a rename fail in the unit tests.
     def current():
         return {name: getattr(importlib.import_module(f"qmds.{mod}"), fn)
                 for name in spans.SPAN_NAMES for mod, fn in [name.split(".")]}
@@ -112,3 +122,31 @@ def test_every_traced_name_is_wrapped_and_restored(monkeypatch):
         restore()
     assert all(wrapped[name] is not fn for name, fn in originals.items())
     assert current() == originals
+
+
+def test_names_the_benchmark_reads_resolve(spans):
+    # Beside the traced layers, perfbench/run.py reads these names, and the
+    # tracer reads the completion wrappers' second return value.
+    assert issubclass(qmds.NonConvergenceWarning, Warning)
+    assert all(map(callable, (qmds.epsilon_to_rho, qmds.config_from_mapping,
+                              qmds.cli.main)))
+
+    rng = np.random.default_rng(7)
+    anchors = rng.uniform([0, 0, 0], [30, 30, 10], size=(4, 3))
+    targets = rng.uniform([0, 0, 0], [30, 30, 10], size=(5, 3))
+    ms = qmds.synthesize(qmds.true_parameters(qmds.NetworkGeometry(anchors, targets)),
+                         qmds.NoiseConfig(), "II", rng)
+    mask = qmds.missing_mask(ms.m, 0.3, rng)
+    kr = qmds.apply_mask(qmds.build_real_gek(ms), mask)
+    kq = qmds.apply_mask(qmds.quat_gek_from_measurements(ms), mask)
+
+    tracer = spans.Tracer()
+    restore = tracer.install()
+    try:  # through the wrappers, so that Tracer._observe reads both results
+        res = qmds.complete_real_gek(kr)[1]
+        info = qmds.complete_quat_gek(kq)[1]
+    finally:
+        restore()
+    assert tracer.completion_calls == 2
+    assert tracer.completion_sweeps == res.iterations + info["iterations"] > 0
+    assert tracer.completion_converged == res.converged + info["converged"]

@@ -524,16 +524,21 @@ def nan_middle_sweep(kq, anchors, structure, algorithm, tau_max):
     return Estimate(trajectory[-1], {"tau": tau_max, "trajectory": trajectory})
 
 
-@pytest.mark.parametrize("solve", [
-    every_sweep(nan_estimate), every_sweep(singular), nan_middle_sweep,
+@pytest.mark.parametrize("solve, error", [
+    (every_sweep(nan_estimate), "OutOfRange: estimate is not finite: xi = nan"),
+    (every_sweep(singular), "LinAlgError: Eigenvalues did not converge"),
+    # the final estimate is finite, so the record names the first bad sweep
+    (nan_middle_sweep, "OutOfRange: estimate is not finite: sweep 1 xi = nan"),
 ], ids=["nan", "linalg", "nan-middle-sweep"])
-def test_bad_trajectory_is_a_failed_convergence_trial(monkeypatch, solve):
+def test_bad_trajectory_is_a_failed_convergence_trial(monkeypatch, solve, error):
     monkeypatch.setattr(harness, "_quat_solve", solve)
     grid = dict(sigma_d_grid=(1.0,), epsilon_grid=(30.0,), trials=2, tau_max=2)
     rows = run_convergence(small_config(**grid))
     assert [(r["trials_ok"], r["mean_xi_m"]) for r in rows] == [(0, None)] * 3
-    rows = run_grid(small_config(scenarios=("II",), algorithms=("mrciter",), **grid))
+    cfg = small_config(scenarios=("II",), algorithms=("mrciter",), **grid)
+    rows = run_grid(cfg)
     assert [(r["trials_ok"], r["trials_failed"]) for r in rows] == [(0, 2)]
+    assert run_trial(cfg, "II", 1.0, 30.0, 0)["mrciter"].error == error
 
 
 # ---- degenerate inputs ----
