@@ -25,6 +25,7 @@ from .harness import (
     run_grid,
     write_csv,
 )
+from .measurement import SCENARIOS
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="sweep a benchmark grid to CSV")
     _add_shared_flags(run)
     run.add_argument("--out", default="results.csv", help="output CSV path")
-    run.add_argument("--scenario", choices=("I", "II"),
+    run.add_argument("--scenario", choices=SCENARIOS,
                      help="restrict to one measurement scenario")
     run.add_argument("--algorithms", type=_name_list, metavar=",".join(ALGORITHMS),
                      help="comma-separated solver subset")
@@ -107,9 +108,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "converge":
             mapping["scenarios"] = ("II",)  # the only scenario converge runs
         config = config_from_mapping(mapping)
-        if not (out_dir := Path(args.out).parent).is_dir():
+        if not (out := Path(args.out)).parent.is_dir():
             # checked before the grid runs, so a bad path loses no work
-            raise FileNotFoundError(f"output directory does not exist: {out_dir}")
+            raise FileNotFoundError(f"output directory does not exist: {out.parent}")
+        if out.is_dir():
+            raise QmdsError(f"output path is a directory: {out}")
         if args.command == "run":
             rows = run_grid(config)
             write_csv(rows, args.out, CSV_COLUMNS)

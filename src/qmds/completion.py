@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import NonConvergenceWarning, RankDeficient
 from .gek import QuatGek, RealGek
-from .quat import QuaternionMatrix, _mirrors
+from .quat import QuaternionMatrix
 
 __all__ = [
     "CompletionResult",
@@ -169,13 +169,11 @@ def _require_identifiable(mask: np.ndarray, rank: int, c: int) -> None:
                             f"{dof} degrees of freedom of a rank-{rank} completion")
 
 
-def _complete(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionResult:
-    """Fill the entries a kernel's symmetric mask hides in `k` (the real
-    kernel or one complex half) at fixed rank."""
-    if mask.all():
-        return CompletionResult(k.copy(), 0, True, 0.0)
+def _complete(k: np.ndarray, mask: np.ndarray, rank: int,
+              hermitian: bool) -> CompletionResult:
+    """Fill the entries a kernel's symmetric mask hides in `k` at fixed rank,
+    on the route the wrapper names: `hermitian` for a Hermitian `k`, else Gram."""
     data = np.where(mask, k, 0)
-    hermitian = _mirrors(data, np.conjugate)
     x = data.copy()
     state = _Truncation(len(k), rank, np.result_type(data, 1.0))
     step = np.inf  # ||x - x_prev||_F
@@ -215,10 +213,10 @@ def _complete(k: np.ndarray, mask: np.ndarray, rank: int) -> CompletionResult:
 
 def complete_real_gek(gek: RealGek) -> tuple[RealGek, CompletionResult]:
     """Complete a masked real kernel at rank 3; no symmetrization follows."""
-    if gek.mask is None:
+    if gek.mask is None or gek.mask.all():
         return gek, CompletionResult(gek.k, 0, True, 0.0)
     _require_identifiable(gek.mask, _REAL_RANK, 1)
-    res = _complete(gek.k, gek.mask, _REAL_RANK)
+    res = _complete(gek.k, gek.mask, _REAL_RANK, True)
     return RealGek(res.matrix), res
 
 
@@ -226,11 +224,11 @@ def complete_quat_gek(gek: QuatGek) -> tuple[QuatGek, dict]:
     """Complete a masked quaternion kernel through its complex halves. One
     check covers both: the second half's count, 2 |mask| against
     2 r (2n - r), is the first half's inequality."""
-    if gek.mask is None:
+    if gek.mask is None or gek.mask.all():
         return gek, {"iterations": 0, "converged": True}
     _require_identifiable(gek.mask, _SPLIT_RANK, 2)
-    res_a = _complete(gek.k.a, gek.mask, _SPLIT_RANK)
-    res_b = _complete(gek.k.b, gek.mask, _SPLIT_RANK)
+    res_a = _complete(gek.k.a, gek.mask, _SPLIT_RANK, True)
+    res_b = _complete(gek.k.b, gek.mask, _SPLIT_RANK, False)
     b = res_b.matrix
     k = QuaternionMatrix(res_a.matrix, (b - b.T) / 2)
     info = {

@@ -48,7 +48,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .gek import apply_mask, build_quat_gek, build_real_gek
-from .measurement import NoiseConfig, missing_mask, synthesize
+from .measurement import SCENARIOS, NoiseConfig, missing_mask, synthesize
 from .network import (
     DEGENERATE_LENGTH,
     NetworkGeometry,
@@ -75,8 +75,6 @@ __all__ = [
 ]
 
 ALGORITHMS = ("smds", "qdsmds", "mrc", "mrciter")
-SCENARIOS = ("I", "II")
-_SCENARIO_CODE = {"I": 1, "II": 2}
 
 # Reference deployment: room footprint 30 x 30 m, height 10 m, anchors in the
 # four upper corners plus one floor corner, 15 targets placed uniformly.
@@ -113,8 +111,6 @@ CONVERGENCE_COLUMNS = (
     "trials_failed",
     "mean_xi_m",
 )
-
-_RESAMPLE_LIMIT = 128
 
 
 def _sequence(name: str, values) -> tuple:
@@ -220,10 +216,6 @@ class ExperimentConfig:
         if self.timing not in ("off", "wall"):
             raise OutOfRange(f"timing must be 'off' or 'wall', got {self.timing!r}")
 
-    @property
-    def anchor_array(self) -> np.ndarray:
-        return np.asarray(self.anchors, dtype=float)
-
 
 _CONFIG_FIELDS = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
 
@@ -289,20 +281,14 @@ def metric_xi(x_hat: np.ndarray, x_true: np.ndarray) -> float:
 def _sample_geometry(
     config: ExperimentConfig, structure: StructureMatrices, rng: np.random.Generator
 ):
-    """Draw target positions, redrawing while any anchor-target edge is
-    degenerate. Fixed anchor edges may stay axis-parallel; only edges the
-    targets can move are required to be generic."""
-    anchors = config.anchor_array
-    high = np.asarray(config.room, dtype=float)
-    for _ in range(_RESAMPLE_LIMIT):
-        targets = rng.uniform(np.zeros(3), high, size=(config.n_targets, 3))
-        geometry = NetworkGeometry(anchors, targets)
-        params = true_parameters(geometry)
-        if not params.degenerate[structure.n_aa:].any():
-            return geometry, params
-    raise DegenerateEdge(
-        f"no generic target placement found in {_RESAMPLE_LIMIT} draws"
-    )
+    """Draw target positions once; `DegenerateEdge` if an edge a target can
+    move is degenerate (the fixed anchor edges may stay axis-parallel)."""
+    targets = rng.uniform(np.zeros(3), config.room, size=(config.n_targets, 3))
+    geometry = NetworkGeometry(config.anchors, targets)
+    params = true_parameters(geometry)
+    if params.degenerate[structure.n_aa:].any():
+        raise DegenerateEdge("no generic target placement: a target edge is degenerate")
+    return geometry, params
 
 
 # Errors a trial records as its failure instead of raising.
@@ -364,7 +350,7 @@ class _Instance:
     def _draw(self):
         scenario, sigma_d, epsilon, trial_index = self.key
         ss = np.random.SeedSequence((
-            self.config.master_seed, _SCENARIO_CODE[scenario],
+            self.config.master_seed, SCENARIOS.index(scenario) + 1,
             int(round(sigma_d * 1e6)), int(round(epsilon * 1e6)), trial_index,
         ))
         geo_rng, meas_rng = map(np.random.default_rng, ss.spawn(2))
@@ -517,13 +503,10 @@ def run_convergence(config: ExperimentConfig) -> list[dict[str, object]]:
     rows: list[dict[str, object]] = []
     for sigma_d in config.sigma_d_grid:
         for epsilon in config.epsilon_grid:
-            per_tau = np.full((config.trials, tau_max + 1), np.nan)
-            for t in range(config.trials):
-                result = run_trial(iterative, "II", sigma_d, epsilon, t)["mrciter"]
-                if result.ok:
-                    per_tau[t] = result.sweep_xi
-            ok = np.isfinite(per_tau).all(axis=1)
-            n_ok = int(ok.sum())
+            results = [run_trial(iterative, "II", sigma_d, epsilon, t)["mrciter"]
+                       for t in range(config.trials)]
+            per_tau = np.array([r.sweep_xi for r in results if r.ok])
+            n_ok = len(per_tau)
             for tau in range(tau_max + 1):
                 rows.append({
                     "sigma_d_m": sigma_d,
@@ -531,7 +514,7 @@ def run_convergence(config: ExperimentConfig) -> list[dict[str, object]]:
                     "tau": tau,
                     "trials_ok": n_ok,
                     "trials_failed": config.trials - n_ok,
-                    "mean_xi_m": float(per_tau[ok, tau].mean()) if n_ok else None,
+                    "mean_xi_m": float(per_tau[:, tau].mean()) if n_ok else None,
                 })
     return rows
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
 
 import numpy as np
 
@@ -46,7 +45,8 @@ __all__ = [
     "missing_mask",
 ]
 
-Scenario = Literal["I", "II"]
+# The measurement scenarios; the harness seeds scenario s with index + 1.
+SCENARIOS = ("I", "II")
 
 # Half-width, in degrees, of the central 90% interval of the uniform
 # circular density: 0.9 * 180. No concentration can need more.
@@ -211,7 +211,7 @@ class MeasurementSet:
 def synthesize(
     params: TrueParameters,
     config: NoiseConfig,
-    scenario: Scenario,
+    scenario: str,
     rng: np.random.Generator,
 ) -> MeasurementSet:
     """Draw one noisy measurement set from exact edge parameters.
@@ -227,8 +227,8 @@ def synthesize(
     scales it by the vanishing projected length, so box-corner anchor
     deployments (whose anchor-anchor edges run parallel to the axes) work.
     """
-    if scenario not in ("I", "II"):
-        raise OutOfRange(f"scenario must be 'I' or 'II', got {scenario!r}")
+    if scenario not in SCENARIOS:
+        raise OutOfRange(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     if np.any(params.distances <= DEGENERATE_LENGTH):
         raise DegenerateEdge("cannot synthesize measurements on zero-length edges")
 

@@ -177,3 +177,16 @@ def test_missing_output_directory_fails_before_the_grid(tmp_path, capsys,
     code = main([command, "--out", str(out), *FAST])
     assert code == 2
     assert capsys.readouterr().err.startswith("qmds: output directory does not exist")
+
+
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_directory_output_path_fails_before_the_grid(tmp_path, capsys,
+                                                     monkeypatch, command):
+    def never(config):
+        raise AssertionError("the grid ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_grid", never)
+    monkeypatch.setattr(cli, "run_convergence", never)
+    code = main([command, "--out", str(tmp_path), *FAST])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("qmds: output path is a directory")

@@ -33,17 +33,24 @@ def masked_rank_k(rng, n, rank, fraction):
 
 
 def test_full_mask_returns_input():
+    # A mask that hides nothing takes each wrapper's exit: no sweep runs.
     rng = np.random.default_rng(111)
-    k, _ = masked_rank_k(rng, 12, 3, 0.0)
-    res = _complete(k, np.ones_like(k, dtype=bool), 3)
-    np.testing.assert_array_equal(res.matrix, k)
-    assert res.iterations == 0 and res.converged
+    kr, kq, _, _ = scenario_kernels(rng, 0.0)
+    assert kr.mask.all() and kq.mask.all()
+    done_r, res = complete_real_gek(kr)
+    done_q, info = complete_quat_gek(kq)
+    assert (res.iterations, res.converged) == (0, True)
+    assert info == {"iterations": 0, "converged": True}
+    np.testing.assert_array_equal(res.matrix, kr.k)
+    np.testing.assert_array_equal(done_r.k, kr.k)
+    np.testing.assert_array_equal(done_q.k.a, kq.k.a)
+    np.testing.assert_array_equal(done_q.k.b, kq.k.b)
 
 
 def test_rank_one_recovery():
     rng = np.random.default_rng(112)
     k, mask = masked_rank_k(rng, 40, 1, 0.3)
-    res = _complete(k, mask, 1)
+    res = _complete(k, mask, 1, True)
     assert res.converged
     assert np.linalg.norm(res.matrix - k) / np.linalg.norm(k) < 1e-3
 
@@ -51,7 +58,7 @@ def test_rank_one_recovery():
 def test_rank_three_beats_zero_fill():
     rng = np.random.default_rng(113)
     k, mask = masked_rank_k(rng, 40, 3, 0.3)
-    res = _complete(k, mask, 3)
+    res = _complete(k, mask, 3, True)
     zero_fill_err = np.linalg.norm(np.where(mask, k, 0.0) - k)
     assert np.linalg.norm(res.matrix - k) < zero_fill_err
 
@@ -59,7 +66,7 @@ def test_rank_three_beats_zero_fill():
 def test_observed_entries_never_change():
     rng = np.random.default_rng(114)
     k, mask = masked_rank_k(rng, 30, 2, 0.4)
-    res = _complete(k, mask, 2)
+    res = _complete(k, mask, 2, True)
     np.testing.assert_array_equal(res.matrix[mask], k[mask])
 
 
@@ -68,7 +75,7 @@ def test_nonconvergence_warns_and_returns(monkeypatch):
     k, mask = masked_rank_k(rng, 25, 3, 0.3)
     monkeypatch.setattr(completion, "_MAX_SWEEPS", 2)
     with pytest.warns(NonConvergenceWarning):
-        res = _complete(k, mask, 3)
+        res = _complete(k, mask, 3, True)
     assert not res.converged
     assert res.iterations == 2
     np.testing.assert_array_equal(res.matrix[mask], k[mask])
@@ -92,7 +99,7 @@ def test_rising_gap_raises_typed_error(monkeypatch):
     k, mask = masked_rank_k(rng, 20, 3, 0.3)
     worsening_truncation(monkeypatch)
     with pytest.raises(RankDeficient, match="gap rose"):
-        _complete(k, mask, 3)
+        _complete(k, mask, 3, True)
 
 
 def test_rising_gap_is_a_failed_trial(monkeypatch):
@@ -109,7 +116,8 @@ def test_complex_matrix_completion():
     g = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
     k = g @ np.conj(g).T
     mask = missing_mask(30, 0.3, rng)
-    res = _complete(k, mask, 2)
+    # g g^H from a general product is not Hermitian to the bit: the Gram route
+    res = _complete(k, mask, 2, False)
     assert np.linalg.norm(res.matrix - k) / np.linalg.norm(k) < 1e-3
 
 
@@ -119,7 +127,7 @@ def test_non_finite_observed_entry_raises(bad):
     k, mask = masked_rank_k(rng, 20, 2, 0.3)
     hidden = tuple(np.argwhere(~mask)[0])
     k[hidden] = bad  # the loop never reads a hidden entry
-    assert _complete(k, mask, 2).converged
+    assert _complete(k, mask, 2, True).converged
     k[hidden] = 0.0
     k[0, 0] = bad  # an observed one never gets past the kernel
     with pytest.raises(OutOfRange, match="finite"):
@@ -219,7 +227,7 @@ def test_real_completion_iterate_stays_symmetric(trial):
     kr = apply_mask(build_real_gek(ms), mask)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonConvergenceWarning)
-        x = _complete(kr.k, kr.mask, completion._REAL_RANK).matrix
+        x = _complete(kr.k, kr.mask, completion._REAL_RANK, True).matrix
     assert np.linalg.norm(x - x.T) <= 1e-12 * np.linalg.norm(x)
 
 

@@ -487,6 +487,26 @@ def test_geometry_failure_fails_the_cell_not_the_grid():
     assert all((r["trials_ok"], r["trials_failed"]) == (0, 2) for r in conv)
 
 
+class CountingRng:
+    """A generator that counts its `uniform` draws."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), 0
+
+    def uniform(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+def test_degenerate_geometry_fails_after_one_draw():
+    cfg = small_config(**DEGENERATE_ROOM)
+    structure = harness.structure_matrices(len(cfg.anchors), cfg.n_targets)
+    rng = CountingRng(0)
+    with pytest.raises(errors.DegenerateEdge, match="^no generic target placement"):
+        harness._sample_geometry(cfg, structure, rng)
+    assert rng.draws == 1
+
+
 def nan_estimate(kr, anchors, structure):
     return Estimate(np.full((structure.n_targets, 3), np.nan), {})
 
