@@ -7,13 +7,12 @@ q = A + B j, where A = w + x i and B = y + z i. The halves encode the product,
 
     (A1 + B1 j)(A2 + B2 j) = (A1 A2 - B1 conj(B2)) + (A1 B2 + B1 conj(A2)) j,
 
-but `QuaternionMatrix` does not implement it: the solve path expands each
-product it needs (K u, K^H u, a right unit-quaternion factor) by hand on the
-halves, from transposed views of A and B, conjugating only vectors. The
-complex adjoint [[A, B], [-conj(B), conj(A)]] of an M x N quaternion matrix
-maps products and conjugate transposes through; each of its singular values
-appears twice, and `qsvd` reads the quaternion SVD off the odd-indexed
-(1-based) ones.
+but `QuaternionMatrix` does not implement it: the solve path evaluates
+every kernel product K u through the private `_qmul`, with u held as the
+columns [u1, u2]. The complex adjoint [[A, B], [-conj(B), conj(A)]] of an
+M x N quaternion matrix maps products and conjugate transposes through;
+each of its singular values appears twice, and `qsvd` reads the quaternion
+SVD off the odd-indexed (1-based) ones.
 """
 
 from __future__ import annotations
@@ -55,6 +54,11 @@ def _mirrors(x: np.ndarray, flip=None) -> bool:
         if not (x[i:i + rows] == mirror).all():
             return False
     return True
+
+
+def _qmul(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(A + B j)(u1 + u2 j) = [A u1 - B conj(u2), A u2 + B conj(u1)], u = [u1, u2]."""
+    return a @ u + (b @ u.conj())[:, ::-1] * (-1.0, 1.0)
 
 
 class QuaternionMatrix:
@@ -183,15 +187,14 @@ def qsvd(q: QuaternionMatrix) -> QsvdResult:
 def _certified_power(k: QuaternionMatrix) -> tuple[float, QuaternionMatrix] | None:
     """Power steps on a Hermitian K: its top pair once certified, else None.
 
-    The iterate u = u1 + u2 j is the m x 2 array [u1, u2], and one step is
-    K(u1 + u2 j) = (A u1 - B conj(u2)) + (A u2 + B conj(u1)) j. Why the
-    certificate holds: with Rayleigh quotient lam and residual r, some
-    eigenvalue lies within r of lam (the Hermitian residual bound, applied
-    to the complex adjoint), so it is at least mu = lam - r. The squared
-    eigenvalues sum to ||K||_F^2, so when 2 mu^2 > ||K||_F^2 every other
-    eigenvalue is below sqrt(||K||_F^2 - mu^2) < mu. That eigenvalue is
-    then the largest, g = mu - sqrt(||K||_F^2 - mu^2) bounds its gap from
-    below, and sin(u, exact eigenvector) <= r / g (Davis & Kahan).
+    The iterate u = u1 + u2 j is the m x 2 array [u1, u2]; a step is `_qmul`.
+    Why the certificate holds: with Rayleigh quotient lam and residual r,
+    some eigenvalue lies within r of lam (the Hermitian residual bound,
+    applied to the complex adjoint), so it is at least mu = lam - r. The
+    squared eigenvalues sum to ||K||_F^2, so when 2 mu^2 > ||K||_F^2 every
+    other eigenvalue is below sqrt(||K||_F^2 - mu^2) < mu. That eigenvalue
+    is then the largest, g = mu - sqrt(||K||_F^2 - mu^2) bounds its gap
+    from below, and sin(u, exact eigenvector) <= r / g (Davis & Kahan).
     """
     a, b = k.a, k.b
     fro2 = float(np.vdot(a, a).real + np.vdot(b, b).real)
@@ -203,8 +206,7 @@ def _certified_power(k: QuaternionMatrix) -> tuple[float, QuaternionMatrix] | No
         if not norm > 0:  # zero or not finite
             return None
         u = u / norm
-        # [A u1 - B conj(u2), A u2 + B conj(u1)]
-        w = a @ u + (b @ u.conj())[:, ::-1] * (-1.0, 1.0)
+        w = _qmul(a, b, u)
         lam = float(np.vdot(u, w).real)
         r = float(np.linalg.norm(w - u * lam))
         mu = lam - r

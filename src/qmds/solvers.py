@@ -14,8 +14,8 @@ diagnostics dict):
   combined with the known anchor edge vector, estimates the anchor-target
   edges directly, and averaging over the anchors yields target coordinates
   in absolute position with no eigensolve, inversion, or alignment.
-* `qd_mrc_smds_iterative` adds fixed-point sweeps on transposed views of
-  the kernel's target block before the same averaging step.
+* `qd_mrc_smds_iterative` adds fixed-point sweeps with the kernel's target
+  rows before the same averaging step.
 
 Factorization-based solvers recover geometry only up to an orthogonal
 transform, and a pseudo-inverse step does not restore it, so the kernel
@@ -46,7 +46,7 @@ from .errors import (
 from .gek import QuatGek, RealGek, build_quat_gek, build_real_gek
 from .measurement import MeasurementSet
 from .network import StructureMatrices
-from .quat import QuaternionMatrix, dominant_eigpair, embed_r3, r3_components
+from .quat import QuaternionMatrix, _qmul, dominant_eigpair, embed_r3, r3_components
 
 __all__ = [
     "Estimate",
@@ -255,13 +255,6 @@ def qd_smds(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices) -> E
     return Estimate(aligned[anchors.shape[0]:], diag)
 
 
-def _kh_rows(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """conj(K^H u) for K = A + B j and the rows v = conj([u1; u2]) of u = u1 + u2 j:
-    [P0 + conj(Q1); P1 - conj(Q0)] with P = v A, Q = v B, since K^H u =
-    (A^H u1 + B^T conj(u2)) + (A^H u2 - B^T conj(u1)) j. No adjoint is formed."""
-    return v @ a + (v @ b)[::-1].conj() * ((1.0,), (-1.0,))
-
-
 def _mrc_core(
     kq: QuatGek,
     anchors: np.ndarray,
@@ -272,9 +265,10 @@ def _mrc_core(
     anchors = np.asarray(anchors, dtype=float)
     if kq.m != (n_edges := structure.c.shape[0]):
         raise ShapeMismatch(f"kernel size {kq.m} does not match {n_edges} edges")
-    # Views of the halves' cross block K2 (anchor-anchor rows) and target block K3.
+    # Views of K's target rows: K21 (anchor-anchor columns) and K3 (target
+    # columns). K = K^H to the bit, so K21 = K12^H and K3 = K3^H exactly.
     n_aa, a, b = structure.n_aa, kq.k.a, kq.k.b
-    k2 = a[:n_aa, n_aa:], b[:n_aa, n_aa:]
+    k21 = a[n_aa:, :n_aa], b[n_aa:, :n_aa]
     k3 = a[n_aa:, n_aa:], b[n_aa:, n_aa:]
 
     nu_aa = embed_r3(_anchor_edges(anchors, structure))
@@ -282,19 +276,19 @@ def _mrc_core(
     if aa_energy == 0:
         raise DegenerateAnchors("anchor-anchor edges are all zero length")
 
-    # The edge estimate u = u1 + u2 j is held as v = conj([u1; u2]), |v| = |u|.
-    drive = _kh_rows(*k2, np.conj((nu_aa.a, nu_aa.b)))
+    # The edge estimate u = u1 + u2 j is held as the columns [u1, u2].
+    drive = _qmul(*k21, np.column_stack((nu_aa.a, nu_aa.b)))
     states = np.empty((tau_max + 1, *drive.shape), dtype=complex)
-    states[0] = v = drive / aa_energy
+    states[0] = u = drive / aa_energy
     for tau in range(1, tau_max + 1):
-        states[tau] = v = (drive + _kh_rows(*k3, v)) / (aa_energy + np.vdot(v, v).real)
+        states[tau] = u = (drive + _qmul(*k3, u)) / (aa_energy + np.vdot(u, u).real)
     residuals = np.linalg.norm(np.diff(states, axis=0), axis=(1, 2)) / np.maximum(
         np.linalg.norm(states[:-1], axis=(1, 2)), np.finfo(float).tiny)
 
-    # Edge i * n_t + t (anchor i to target t) has coordinates (Re u1, Im u1,
-    # Re u2) = (Re v0, -Im v0, Re v1); the anchors' estimates are averaged.
-    halves = states.reshape(tau_max + 1, 2, structure.n_anchors, structure.n_targets)
-    edges = np.stack((halves[:, 0].real, -halves[:, 0].imag, halves[:, 1].real), -1)
+    # Edge i * n_t + t (anchor i to target t) has coordinates
+    # (Re u1, Im u1, Re u2); the anchors' estimates are averaged.
+    cols = states.reshape(tau_max + 1, structure.n_anchors, structure.n_targets, 2)
+    edges = np.stack((cols[..., 0].real, cols[..., 0].imag, cols[..., 1].real), -1)
     targets = (anchors[:, None, :] - edges).mean(axis=1)
     targets.setflags(write=False)
 

@@ -16,6 +16,7 @@ from qmds.quat import (
     QsvdResult,
     QuaternionMatrix,
     _mirrors,
+    _qmul,
     complex_adjoint,
     dominant_eigpair,
     qsvd,
@@ -228,6 +229,17 @@ def test_matmul_matches_scalar_products():
             want = sum(np.array(hamilton(entry(p, i, t), entry(q, t, j)))
                        for t in range(4))
             np.testing.assert_allclose(entry(got, i, j), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (6, 6), (3, 7), (7, 3)])
+def test_qmul_matches_the_oracle_product(m, n):
+    # u = u1 + u2 j held as the columns [u1, u2], the solve path's layout
+    rng = np.random.default_rng(25)
+    k, u = rand_qm(rng, m, n), rand_qm(rng, n, 1)
+    got = _qmul(k.a, k.b, np.column_stack((u.a, u.b)))
+    want = matmul(k, u)
+    assert got.shape == (m, 2)
+    assert isclose(QuaternionMatrix(got[:, :1], got[:, 1:]), want)
 
 
 def test_entry_scaling_sides_differ():
