@@ -7,12 +7,15 @@ q = A + B j, where A = w + x i and B = y + z i. The halves encode the product,
 
     (A1 + B1 j)(A2 + B2 j) = (A1 A2 - B1 conj(B2)) + (A1 B2 + B1 conj(A2)) j,
 
-but `QuaternionMatrix` does not implement it: the solve path evaluates
-every kernel product K u through the private `_qmul`, with u held as the
-columns [u1, u2]. The complex adjoint [[A, B], [-conj(B), conj(A)]] of an
-M x N quaternion matrix maps products and conjugate transposes through;
-each of its singular values appears twice, and `qsvd` reads the quaternion
-SVD off the odd-indexed (1-based) ones.
+and the private `_qmul` is the one place that evaluates it. A quaternion
+vector u = u1 + u2 j has one form on the solve path, the (m, 2) complex
+array of columns [u1, u2]: `dominant_eigpair` returns it, `embed_r3` builds
+it, `r3_components` reads it, and `_qmul` multiplies a matrix into it.
+`QuaternionMatrix` stores matrices only (kernels and `qsvd` factors) and
+implements no arithmetic. The complex adjoint [[A, B], [-conj(B), conj(A)]]
+of an M x N quaternion matrix maps products and conjugate transposes
+through; each of its singular values appears twice, and `qsvd` reads the
+quaternion SVD off the odd-indexed (1-based) ones.
 """
 
 from __future__ import annotations
@@ -62,13 +65,13 @@ def _qmul(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 class QuaternionMatrix:
-    """Frozen storage for a quaternion matrix (or vector) as the pair (A, B).
+    """Frozen storage for a quaternion matrix as the pair (A, B).
 
     The constructor takes ownership: a complex128 half is kept uncopied and
     frozen in place, any other half is converted to a new complex128 array
     (`np.asarray`) and the caller's stays writeable. Both halves must be
-    numeric (bool, integer, float or complex) and of one shape, 1-D or 2-D,
-    else `ShapeMismatch`.
+    numeric (bool, integer, float or complex) and of one 2-D shape, else
+    `ShapeMismatch`; a vector is an (m, 2) array [u1, u2], not a matrix.
     """
 
     __slots__ = ("_a", "_b")
@@ -80,8 +83,8 @@ class QuaternionMatrix:
         a, b = np.asarray(a, np.complex128), np.asarray(b, np.complex128)
         if a.shape != b.shape:
             raise ShapeMismatch(f"pair shapes differ: {a.shape} vs {b.shape}")
-        if a.ndim not in (1, 2):
-            raise ShapeMismatch("quaternion arrays must be 1-D or 2-D")
+        if a.ndim != 2:
+            raise ShapeMismatch("quaternion matrices must be 2-D")
         a.setflags(write=False)
         b.setflags(write=False)
         self._a, self._b = a, b
@@ -97,28 +100,8 @@ class QuaternionMatrix:
         return self._b
 
     @property
-    def w(self) -> np.ndarray:
-        return self._a.real
-
-    @property
-    def x(self) -> np.ndarray:
-        return self._a.imag
-
-    @property
-    def y(self) -> np.ndarray:
-        return self._b.real
-
-    @property
-    def z(self) -> np.ndarray:
-        return self._b.imag
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return self._a.shape
-
-    @property
-    def ndim(self) -> int:
-        return self._a.ndim
 
     # ---- measures ----
 
@@ -137,7 +120,7 @@ def complex_adjoint(q: QuaternionMatrix) -> np.ndarray:
     The map respects products, conjugate transposes, and Frobenius norms up
     to the doubling factor sqrt(2); each singular value of q shows up twice.
     """
-    a, b = (q.a, q.b) if q.ndim == 2 else (q.a[:, None], q.b[:, None])
+    a, b = q.a, q.b
     m, n = a.shape
     out = np.empty((2 * m, 2 * n), dtype=complex)  # np.block copies twice
     out[:m, :n], out[:m, n:], out[m:, :n], out[m:, n:] = a, b, -b.conj(), a.conj()
@@ -170,8 +153,6 @@ def qsvd(q: QuaternionMatrix) -> QsvdResult:
     taken. A complex column u = [u1; u2] pulls back to the quaternion column
     u1 - conj(u2) j.
     """
-    if q.ndim != 2:
-        raise ShapeMismatch("qsvd needs a 2-D quaternion matrix")
     m, n = q.shape
     qc = complex_adjoint(q)
     uc, s, vh = np.linalg.svd(qc, full_matrices=True)
@@ -184,7 +165,7 @@ def qsvd(q: QuaternionMatrix) -> QsvdResult:
     return QsvdResult(uq, s[::2].copy(), vq)
 
 
-def _certified_power(k: QuaternionMatrix) -> tuple[float, QuaternionMatrix] | None:
+def _certified_power(k: QuaternionMatrix) -> tuple[float, np.ndarray] | None:
     """Power steps on a Hermitian K: its top pair once certified, else None.
 
     The iterate u = u1 + u2 j is the m x 2 array [u1, u2]; a step is `_qmul`.
@@ -212,21 +193,22 @@ def _certified_power(k: QuaternionMatrix) -> tuple[float, QuaternionMatrix] | No
         mu = lam - r
         if mu > 0 and 2 * mu * mu > fro2:
             if r <= _CERT_TOL * (mu - math.sqrt(max(fro2 - mu * mu, 0.0))):
-                return lam, QuaternionMatrix(u[:, 0], u[:, 1])
+                return lam, u
         elif r <= _CERT_TOL * math.sqrt(fro2):
             return None  # converged to a pair the certificate rejects
         u = w
     return None
 
 
-def dominant_eigpair(k: QuaternionMatrix) -> tuple[float, QuaternionMatrix]:
+def dominant_eigpair(k: QuaternionMatrix) -> tuple[float, np.ndarray]:
     """Largest eigenpair (lambda, u) of a Hermitian quaternion matrix.
 
     Returns the algebraically largest eigenvalue and a unit right
-    eigenvector, K u = u lambda; u is defined only up to a right
-    unit-quaternion factor. K must be square and Hermitian to the bit
-    (A = A^H and B = -B^T), as every `QuatGek` kernel is; like
-    `np.linalg.eigh`, this routine does not check.
+    eigenvector, K u = u lambda, as the (m, 2) columns [u1, u2] of
+    u = u1 + u2 j; u is defined only up to a right unit-quaternion factor.
+    K must be square and Hermitian to the bit (A = A^H and B = -B^T), as
+    every `QuatGek` kernel is; like `np.linalg.eigh`, this routine does not
+    check.
 
     Quaternion power steps, started from the column of K with the largest
     diagonal entry, return the pair once a certificate holds: with Rayleigh
@@ -248,12 +230,13 @@ def dominant_eigpair(k: QuaternionMatrix) -> tuple[float, QuaternionMatrix]:
         return pair
     w, v = np.linalg.eigh(complex_adjoint(k))
     m = k.shape[0]
-    top = v[:, -1].copy()  # so the vector does not keep all of v alive
-    return float(w[-1]), QuaternionMatrix(top[:m], -np.conj(top[m:]))
+    top = v[:, -1]
+    return float(w[-1]), np.column_stack((top[:m], -np.conj(top[m:])))
 
 
-def embed_r3(rows: np.ndarray) -> QuaternionMatrix:
-    """Map (n, 3) real rows (a, b, c) to the quaternion vector a + b i + c j.
+def embed_r3(rows: np.ndarray) -> np.ndarray:
+    """Map (n, 3) real rows (a, b, c) to the quaternion vector a + b i + c j,
+    returned as its (n, 2) columns [a + b i, c].
 
     The k component is fixed at zero; this is the coordinate embedding every
     kernel and solver in this package shares.
@@ -261,14 +244,16 @@ def embed_r3(rows: np.ndarray) -> QuaternionMatrix:
     v = np.asarray(rows, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ShapeMismatch("rows must form an (n, 3) array")
-    return QuaternionMatrix(v[:, 0] + 1j * v[:, 1], v[:, 2].astype(complex))
+    return np.column_stack((v[:, 0] + 1j * v[:, 1], v[:, 2]))
 
 
-def r3_components(q: QuaternionMatrix) -> np.ndarray:
-    """Inverse of `embed_r3`: the real, i, and j components as (n, 3) rows.
+def r3_components(u: np.ndarray) -> np.ndarray:
+    """Inverse of `embed_r3`: the real, i, and j components of quaternion
+    columns [u1, u2], an (..., 2) array, as (..., 3) rows.
 
     Any k component is dropped; callers decide whether its size matters.
     """
-    if q.ndim != 1:
-        raise ShapeMismatch("expected a quaternion vector")
-    return np.column_stack([q.w, q.x, q.y])
+    u = np.asarray(u)
+    if u.shape[-1:] != (2,):
+        raise ShapeMismatch("expected quaternion columns [u1, u2]")
+    return np.stack((u[..., 0].real, u[..., 0].imag, u[..., 1].real), -1)

@@ -46,7 +46,7 @@ from .errors import (
 from .gek import QuatGek, RealGek, build_quat_gek, build_real_gek
 from .measurement import MeasurementSet
 from .network import StructureMatrices
-from .quat import QuaternionMatrix, _qmul, dominant_eigpair, embed_r3, r3_components
+from .quat import _qmul, dominant_eigpair, embed_r3, r3_components
 
 __all__ = [
     "Estimate",
@@ -162,44 +162,35 @@ def _align_edges(v_hat: np.ndarray, v_known: np.ndarray) -> np.ndarray:
 
 
 def resolve_edge_ambiguity(
-    nu_hat: QuaternionMatrix, nu_aa_known: QuaternionMatrix
-) -> tuple[QuaternionMatrix, dict]:
+    nu_hat: np.ndarray, nu_aa_known: np.ndarray
+) -> tuple[np.ndarray, dict]:
     """Fix the right unit-quaternion factor of an estimated edge vector.
 
     An eigenvector is defined only up to a right unit-quaternion factor.
     The factor g minimizing the misfit of the leading anchor-anchor entries
     against their known values is s / |s| for the correlation
-    s = sum conj(nu_hat_m) nu_m over those entries; the whole vector is
-    right-multiplied by it. Everything is computed on the complex halves:
-    with nu_hat = A + B j and g = g_a + g_b j,
-    nu_hat g = (A g_a - B conj(g_b)) + (A g_b + B conj(g_a)) j.
-    `info["phase"]` holds g as a read-only (w, x, y, z) array. Both inputs
-    must be vectors, the known block no longer than the estimate, else
-    `ShapeMismatch`.
+    s = nu_hat^H nu over those entries; the whole vector is right-multiplied
+    by it. Both vectors are quaternion columns [u1, u2], (m, 2) arrays, and
+    both products go through `_qmul`. `info["phase"]` holds g as a read-only
+    (w, x, y, z) array. A vector of another shape, or a known block longer
+    than the estimate, raises `ShapeMismatch`.
     """
-    n_aa = nu_aa_known.shape[0]
-    if nu_hat.ndim != 1 or nu_aa_known.ndim != 1 or n_aa > nu_hat.shape[0]:
-        raise ShapeMismatch(f"edge vectors {nu_hat.shape}, {nu_aa_known.shape}")
-    ha, hb = nu_hat.a[:n_aa], nu_hat.b[:n_aa]
-    ka, kb = nu_aa_known.a, nu_aa_known.b
-    s_a = np.sum(np.conj(ha) * ka + hb * np.conj(kb))
-    s_b = np.sum(np.conj(ha) * kb - hb * np.conj(ka))
-    w, x, y, z = float(s_a.real), float(s_a.imag), float(s_b.real), float(s_b.imag)
-    size = math.sqrt(w**2 + x**2 + y**2 + z**2)
-    floor = 1e-12 * QuaternionMatrix(ha, hb).norm() * nu_aa_known.norm()
-    if size <= floor:
+    nu_hat, known = np.asarray(nu_hat), np.asarray(nu_aa_known)
+    if nu_hat.shape[1:] != (2,) or known.shape[1:] != (2,) or len(known) > len(nu_hat):
+        raise ShapeMismatch(f"edge vectors {nu_hat.shape}, {known.shape}")
+    head = nu_hat[:len(known)]
+    s = _qmul(head[:, :1].conj().T, -head[:, 1:].T, known)[0]  # head^H known
+    size = float(np.linalg.norm(s))
+    if size <= 1e-12 * np.linalg.norm(head) * np.linalg.norm(known):
         raise AmbiguityResolutionFailure(
             "anchor edges give no usable phase reference"
         )
-    phase = np.array([w, x, y, z]) / size
+    phase = s.view(float) / size  # s = [s_a, s_b] read as (w, x, y, z)
     phase.setflags(write=False)
-    g_a, g_b = complex(*phase[:2]), complex(*phase[2:])
-    a, b = nu_hat.a, nu_hat.b
-    corrected = QuaternionMatrix(a * g_a - b * np.conj(g_b),
-                                 a * g_b + b * np.conj(g_a))
-    misfit = QuaternionMatrix(corrected.a[:n_aa] - ka, corrected.b[:n_aa] - kb)
-    denom = max(nu_aa_known.norm(), np.finfo(float).tiny)
-    return corrected, {"phase": phase, "phase_residual": misfit.norm() / denom}
+    corrected = _qmul(nu_hat[:, :1], nu_hat[:, 1:], phase.view(complex)[None])
+    misfit = np.linalg.norm(corrected[:len(known)] - known)
+    denom = max(np.linalg.norm(known), np.finfo(float).tiny)
+    return corrected, {"phase": phase, "phase_residual": float(misfit / denom)}
 
 
 # ---- the four algorithms ----
@@ -236,16 +227,16 @@ def qd_smds(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices) -> E
     """Quaternion-domain scaling on the rank-1 quaternion kernel."""
     _require_complete(kq)
     anchors = np.asarray(anchors, dtype=float)
-    lam, u_vec = dominant_eigpair(kq.k)
-    nu_hat = QuaternionMatrix(u_vec.a * np.sqrt(lam), u_vec.b * np.sqrt(lam))
-
+    lam, u = dominant_eigpair(kq.k)
+    if lam < 0:
+        raise RankDeficient("kernel has no positive eigenvalue; no edge vector")
     nu_known = embed_r3(_anchor_edges(anchors, structure))
-    nu_hat, phase_info = resolve_edge_ambiguity(nu_hat, nu_known)
+    nu_hat, phase_info = resolve_edge_ambiguity(u * math.sqrt(lam), nu_known)
 
     v_hat = r3_components(nu_hat)
     x_hat = anchored_inversion(v_hat, anchors, structure)
     aligned, fit = procrustes_align(x_hat, anchors)
-    k_abs = np.abs(nu_hat.z)
+    k_abs = np.abs(nu_hat[:, 1].imag)
     diag = {
         "top_eigenvalue": lam,
         "k_component_max": float(k_abs.max(initial=0.0)),
@@ -272,12 +263,12 @@ def _mrc_core(
     k3 = a[n_aa:, n_aa:], b[n_aa:, n_aa:]
 
     nu_aa = embed_r3(_anchor_edges(anchors, structure))
-    aa_energy = nu_aa.norm() ** 2
+    aa_energy = np.linalg.norm(nu_aa) ** 2
     if aa_energy == 0:
         raise DegenerateAnchors("anchor-anchor edges are all zero length")
 
     # The edge estimate u = u1 + u2 j is held as the columns [u1, u2].
-    drive = _qmul(*k21, np.column_stack((nu_aa.a, nu_aa.b)))
+    drive = _qmul(*k21, nu_aa)
     states = np.empty((tau_max + 1, *drive.shape), dtype=complex)
     states[0] = u = drive / aa_energy
     for tau in range(1, tau_max + 1):
@@ -285,10 +276,10 @@ def _mrc_core(
     residuals = np.linalg.norm(np.diff(states, axis=0), axis=(1, 2)) / np.maximum(
         np.linalg.norm(states[:-1], axis=(1, 2)), np.finfo(float).tiny)
 
-    # Edge i * n_t + t (anchor i to target t) has coordinates
-    # (Re u1, Im u1, Re u2); the anchors' estimates are averaged.
-    cols = states.reshape(tau_max + 1, structure.n_anchors, structure.n_targets, 2)
-    edges = np.stack((cols[..., 0].real, cols[..., 0].imag, cols[..., 1].real), -1)
+    # Edge i * n_t + t runs from anchor i to target t; the anchors'
+    # estimates are averaged.
+    edges = r3_components(
+        states.reshape(tau_max + 1, structure.n_anchors, structure.n_targets, 2))
     targets = (anchors[:, None, :] - edges).mean(axis=1)
     targets.setflags(write=False)
 
@@ -313,8 +304,11 @@ def qd_mrc_smds_iterative(
     """Closed-form recovery with a fixed-point refinement of the edges.
 
     `diagnostics["trajectory"]` is the read-only (tau_max + 1, N_T, 3) array
-    of target estimates after every sweep 0..tau_max.
+    of target estimates after every sweep 0..tau_max. `tau_max` must be an
+    integer (a numpy integer too, not a bool), else `OutOfRange`.
     """
+    if isinstance(tau_max, bool) or not isinstance(tau_max, (int, np.integer)):
+        raise OutOfRange(f"tau_max must be an integer, got {tau_max!r}")
     if tau_max < 0:
         raise OutOfRange("tau_max must be nonnegative")
     return _mrc_core(kq, anchors, structure, tau_max)

@@ -5,7 +5,9 @@ hand-expanded arithmetic on Cayley-Dickson halves is checked against.
 implements no arithmetic. Here the matrix product and conjugate transpose
 are written on the halves once, and `hamilton` multiplies single quaternions
 from the multiplication table alone, so `tests/test_quat.py` can check the
-matrix product against it entry by entry.
+matrix product against it entry by entry. The library holds a quaternion
+vector u = u1 + u2 j as the (m, 2) columns [u1, u2]; `column` turns that
+into the m x 1 matrix the oracle multiplies, and `columns` turns it back.
 """
 
 import numpy as np
@@ -25,6 +27,17 @@ def from_components(w, x, y, z) -> QuaternionMatrix:
     """Quaternion matrix with entries w + x i + y j + z k."""
     w, x, y, z = (np.asarray(t, dtype=float) for t in (w, x, y, z))
     return QuaternionMatrix(w + 1j * x, y + 1j * z)
+
+
+def column(u) -> QuaternionMatrix:
+    """The m x 1 quaternion matrix of the (m, 2) columns u = [u1, u2]."""
+    u = np.asarray(u, dtype=complex)
+    return QuaternionMatrix(u[:, :1], u[:, 1:])
+
+
+def columns(q: QuaternionMatrix) -> np.ndarray:
+    """The (m, 2) columns [u1, u2] of an m x 1 quaternion matrix."""
+    return np.hstack((q.a, q.b))
 
 
 def matmul(p: QuaternionMatrix, q: QuaternionMatrix) -> QuaternionMatrix:

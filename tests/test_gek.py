@@ -15,7 +15,7 @@ from qmds.measurement import MeasurementSet, NoiseConfig, missing_mask, synthesi
 from qmds.network import NetworkGeometry, structure_matrices, true_parameters
 from qmds.quat import QuaternionMatrix, embed_r3, qsvd
 from qmds.solvers import _stage_two_kernel, qd_mrc_smds
-from quaternion_oracle import ctranspose, from_components, matmul, sub
+from quaternion_oracle import column, ctranspose, from_components, matmul, sub
 
 
 def geometry(rng, n_anchors=5, n_targets=15):
@@ -30,7 +30,7 @@ def exact_measurements(rng, scenario="II", n_anchors=5, n_targets=15):
 
 
 def outer(nu):
-    col = QuaternionMatrix(nu.a[:, None], nu.b[:, None])
+    col = column(nu)
     return matmul(col, ctranspose(col))
 
 
@@ -77,10 +77,10 @@ def test_quat_kernel_unit_oracle():
     # edges (1,0,0) and (0,1,0): pure -i coupling
     kr, planes = _kernel_inputs(np.array([[1.0, 0, 0], [0, 1.0, 0]]))
     k = build_quat_gek(kr, planes).k
-    assert k.w[0, 1] == pytest.approx(0.0, abs=1e-15)
-    assert k.x[0, 1] == pytest.approx(-1.0, abs=1e-15)
-    assert k.y[0, 1] == pytest.approx(0.0, abs=1e-15)
-    assert k.z[0, 1] == pytest.approx(0.0, abs=1e-15)
+    assert k.a.real[0, 1] == pytest.approx(0.0, abs=1e-15)
+    assert k.a.imag[0, 1] == pytest.approx(-1.0, abs=1e-15)
+    assert k.b.real[0, 1] == pytest.approx(0.0, abs=1e-15)
+    assert k.b.imag[0, 1] == pytest.approx(0.0, abs=1e-15)
 
 
 def _kernel_inputs(v):
@@ -96,7 +96,7 @@ def test_plane_parts_match_angle_form():
     kr, planes = _kernel_inputs(params.vectors)
     k = build_quat_gek(kr, planes).k
     projected = params.distances * np.sin(params.elevations[::-1])
-    for part, dp, phi in zip((k.x, k.y, k.z), projected, params.azimuths):
+    for part, dp, phi in zip((k.a.imag, k.b.real, k.b.imag), projected, params.azimuths):
         angle_form = -np.outer(dp, dp) * np.sin(phi[None, :] - phi[:, None])
         np.testing.assert_allclose(part, angle_form, atol=1e-10)
 
@@ -111,10 +111,10 @@ def test_quat_kernel_diagonal_is_squared_distance():
     rng = np.random.default_rng(94)
     _, ms = exact_measurements(rng)
     k = quat_gek_from_measurements(ms).k
-    np.testing.assert_allclose(np.diag(k.w), ms.distances**2, rtol=1e-12)
-    assert np.max(np.abs(np.diag(k.x))) == 0.0
-    assert np.max(np.abs(np.diag(k.y))) == 0.0
-    assert np.max(np.abs(np.diag(k.z))) == 0.0
+    np.testing.assert_allclose(np.diag(k.a.real), ms.distances**2, rtol=1e-12)
+    assert np.max(np.abs(np.diag(k.a.imag))) == 0.0
+    assert np.max(np.abs(np.diag(k.b.real))) == 0.0
+    assert np.max(np.abs(np.diag(k.b.imag))) == 0.0
 
 
 def test_quat_kernel_is_rank_one_outer_product():
@@ -149,9 +149,9 @@ def test_stage_two_kernel_exactly_hermitian():
     kq = _stage_two_kernel(ms, kr, geo.anchors, noisy_fix, st)
     assert np.array_equal(kq.k.a, kq.k.a.conj().T)
     assert np.array_equal(kq.k.b, -kq.k.b.T)
-    np.testing.assert_array_equal(kq.k.w, kr.k)
+    np.testing.assert_array_equal(kq.k.a.real, kr.k)
     zero_edge = st.n_aa
-    assert np.all(kq.k.x[zero_edge] == 0) and np.all(kq.k.b[:, zero_edge] == 0)
+    assert np.all(kq.k.a.imag[zero_edge] == 0) and np.all(kq.k.b[:, zero_edge] == 0)
 
 
 def test_quat_kernel_built_in_place_matches_components():
@@ -193,8 +193,7 @@ def test_cross_block_is_mixed_outer_product():
     n_aa = structure_matrices(4, 6).n_aa
     k2 = QuaternionMatrix(kq.k.a[:n_aa, n_aa:], kq.k.b[:n_aa, n_aa:])
     nu = embed_r3(params.vectors)
-    nu_aa = QuaternionMatrix(nu.a[:n_aa, None], nu.b[:n_aa, None])
-    nu_at = QuaternionMatrix(nu.a[n_aa:, None], nu.b[n_aa:, None])
+    nu_aa, nu_at = column(nu[:n_aa]), column(nu[n_aa:])
     expected = matmul(nu_aa, ctranspose(nu_at))
     assert sub(k2, expected).norm() / expected.norm() < 1e-10
 
@@ -227,8 +226,8 @@ def test_mask_zeroes_symmetric_entries():
     mask = missing_mask(gek.m, 0.3, rng)
     masked = apply_mask(gek, mask)
     assert np.all(np.hypot(np.abs(masked.k.a), np.abs(masked.k.b))[~mask] == 0.0)
-    np.testing.assert_array_equal(masked.k.w[mask], gek.k.w[mask])
-    np.testing.assert_allclose(np.diag(masked.k.w), np.diag(gek.k.w))
+    np.testing.assert_array_equal(masked.k.a.real[mask], gek.k.a.real[mask])
+    np.testing.assert_allclose(np.diag(masked.k.a.real), np.diag(gek.k.a.real))
 
 
 def test_asymmetric_mask_rejected():
@@ -341,7 +340,8 @@ def test_non_hermitian_quat_kernel_rejected(part):
     # B = -B^T, which are tested on the whole complex halves
     rng = np.random.default_rng(117)
     _, kq = small_kernels(rng)
-    parts = {name: getattr(kq.k, name).copy() for name in "wxyz"}
+    parts = dict(zip("wxyz", (kq.k.a.real.copy(), kq.k.a.imag.copy(),
+                              kq.k.b.real.copy(), kq.k.b.imag.copy())))
     parts[part][1, 2] += 1.0
     with pytest.raises(OutOfRange, match="Hermitian"):
         QuatGek(from_components(*parts.values()))

@@ -19,10 +19,13 @@ from qmds.quat import (
     _qmul,
     complex_adjoint,
     dominant_eigpair,
+    embed_r3,
     qsvd,
+    r3_components,
 )
 from quaternion_oracle import (
     add,
+    column,
     ctranspose,
     div,
     from_components,
@@ -41,7 +44,8 @@ def scalar(w=0.0, x=0.0, y=0.0, z=0.0):
 
 def entry(q, *index):
     """(w, x, y, z) of one entry of a quaternion matrix."""
-    return np.array([q.w[index], q.x[index], q.y[index], q.z[index]])
+    a, b = q.a[index], q.b[index]
+    return np.array([a.real, a.imag, b.real, b.imag])
 
 
 def isclose(p, q, atol=1e-12):
@@ -59,9 +63,8 @@ finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 quats = st.tuples(finite, finite, finite, finite).map(lambda c: scalar(*c))
 
 
-def rand_qm(rng, m, n=None):
-    shape = (m,) if n is None else (m, n)
-    w, x, y, z = rng.standard_normal((4, *shape))
+def rand_qm(rng, m, n):
+    w, x, y, z = rng.standard_normal((4, m, n))
     return from_components(w, x, y, z)
 
 
@@ -158,12 +161,12 @@ def test_constructor_takes_ownership_of_complex128_halves():
     q = QuaternionMatrix(a, b)
     assert np.shares_memory(q.a, a) and np.shares_memory(q.b, b)
     assert not a.flags.writeable and not b.flags.writeable
-    r = np.ones(4)
+    r = np.ones((2, 2))
     q = QuaternionMatrix(r, 1j * r)
     assert q.a.dtype == q.b.dtype == np.complex128
     assert not np.shares_memory(q.a, r) and r.flags.writeable
-    r[0] = 5.0
-    assert q.a[0] == 1.0
+    r[0, 0] = 5.0
+    assert q.a[0, 0] == 1.0
 
 
 # ---- complex adjoint ----
@@ -201,11 +204,12 @@ def test_adjoint_column_form_of_a_product():
     # of its own adjoint, so K @ u maps to one complex matrix-vector product.
     rng = np.random.default_rng(14)
     k = rand_qm(rng, 4, 3)
-    u = rand_qm(rng, 3)
-    w = np.concatenate([u.a, -np.conj(u.b)])
+    u = rand_qm(rng, 3, 1)
+    w = np.concatenate([u.a[:, 0], -np.conj(u.b[:, 0])])
     ku = matmul(k, u)
     np.testing.assert_allclose(complex_adjoint(k) @ w,
-                               np.concatenate([ku.a, -np.conj(ku.b)]), atol=1e-12)
+                               np.concatenate([ku.a[:, 0], -np.conj(ku.b[:, 0])]),
+                               atol=1e-12)
     np.testing.assert_array_equal(complex_adjoint(u)[:, 0], w)
 
 
@@ -299,11 +303,10 @@ def test_qsvd_identity():
 
 def test_qsvd_rank_one_outer_product():
     rng = np.random.default_rng(31)
-    nu = rand_qm(rng, 6)
-    col = QuaternionMatrix(nu.a[:, None], nu.b[:, None])
+    col = rand_qm(rng, 6, 1)
     k = matmul(col, ctranspose(col))
     res = qsvd(k)
-    assert res.singular_values[0] == pytest.approx(nu.norm() ** 2, rel=1e-12)
+    assert res.singular_values[0] == pytest.approx(col.norm() ** 2, rel=1e-12)
     assert np.all(res.singular_values[1:] < 1e-12 * res.singular_values[0])
 
 
@@ -348,18 +351,16 @@ def test_qsvd_factor_columns_unit_norm():
 
 
 def eigen_residual(k, lam, u):
-    """||K u - u lambda|| for a quaternion vector u and real lambda."""
-    ucol = QuaternionMatrix(u.a[:, None], u.b[:, None])
-    return sub(matmul(k, ucol), scaled(ucol, lam)).norm()
+    """||K u - u lambda|| for quaternion columns u = [u1, u2] and real lambda."""
+    return sub(matmul(k, column(u)), scaled(column(u), lam)).norm()
 
 
 def test_dominant_eigpair_rank_one():
     rng = np.random.default_rng(41)
-    nu = rand_qm(rng, 5)
-    col = QuaternionMatrix(nu.a[:, None], nu.b[:, None])
+    col = rand_qm(rng, 5, 1)
     k = matmul(col, ctranspose(col))
     lam, u = dominant_eigpair(k)
-    assert lam == pytest.approx(nu.norm() ** 2, rel=1e-12)
+    assert lam == pytest.approx(col.norm() ** 2, rel=1e-12)
     # u is nu up to a right unit-quaternion factor: check the eigen relation
     assert eigen_residual(k, lam, u) <= 1e-10 * lam
 
@@ -376,8 +377,7 @@ def test_dominant_eigpair_diagonal():
         k = real_qm(np.diag(diag))
         lam, u = dominant_eigpair(k)
         assert lam == pytest.approx(top), diag
-        entry_norms = np.hypot(np.abs(u.a), np.abs(u.b))
-        np.testing.assert_allclose(entry_norms, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(u, axis=1), [1.0, 0.0], atol=1e-12)
         assert eigen_residual(k, lam, u) <= 1e-12, diag
 
 
@@ -388,7 +388,7 @@ def test_dominant_eigpair_residual_on_gram_matrices():
         k = hermitian_part(matmul(q, ctranspose(q)))
         lam, u = dominant_eigpair(k)
         assert eigen_residual(k, lam, u) <= 1e-8 * k.norm()
-        assert abs(u.norm() - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
 
 
 def test_dominant_eigpair_certificate_rejects_a_lower_eigenvector():
@@ -455,6 +455,19 @@ def test_dominant_eigpair_certifies_paper_kernels_without_dense_solve(monkeypatc
         assert eigen_residual(k, lam, u) <= 1e-12 * k.norm()
 
 
+@pytest.mark.parametrize("route", ["certified", "dense"])
+def test_dominant_eigpair_returns_quaternion_columns(monkeypatch, route):
+    # Both routes hand back u = u1 + u2 j as one (m, 2) complex array
+    # [u1, u2], the form `_qmul` multiplies, with K u = u lambda.
+    k = paper_kernel(3, 50.0) if route == "certified" else doubled_top_kernel()
+    dense = counted_eigh(monkeypatch)
+    lam, u = dominant_eigpair(k)
+    assert len(dense) == (route == "dense")
+    assert isinstance(u, np.ndarray) and u.shape == (k.shape[0], 2)
+    assert u.dtype == np.complex128
+    assert eigen_residual(k, lam, u) <= 1e-12 * k.norm()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 40), st.sampled_from(("rank1", "zero", "negdef")),
        st.floats(0.0, 2.0), st.integers(0, 2**32 - 1))
@@ -463,8 +476,7 @@ def test_dominant_eigpair_matches_dense_solve(n, kind, noise, seed):
     if kind == "zero":
         k = real_qm(np.zeros((n, n)))
     elif kind == "rank1":
-        nu = rand_qm(rng, n)
-        col = QuaternionMatrix(nu.a[:, None], nu.b[:, None])
+        col = rand_qm(rng, n, 1)
         k = add(matmul(col, ctranspose(col)), scaled(rand_qm(rng, n, n), noise))
     else:
         g = rand_qm(rng, n, n)
@@ -474,8 +486,40 @@ def test_dominant_eigpair_matches_dense_solve(n, kind, noise, seed):
     lam, u = dominant_eigpair(k)
     scale = k.norm()
     assert abs(lam - top) <= 1e-12 * scale
-    assert abs(u.norm() - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
     assert eigen_residual(k, lam, u) <= 1e-10 * scale
+
+
+# ---- coordinate embedding ----
+
+
+def test_embed_r3_builds_columns_that_r3_components_reads_back():
+    rows = np.random.default_rng(51).standard_normal((7, 3))
+    u = embed_r3(rows)
+    assert u.shape == (7, 2) and u.dtype == np.complex128
+    np.testing.assert_array_equal(u, np.column_stack((rows[:, 0] + 1j * rows[:, 1],
+                                                      rows[:, 2])))
+    np.testing.assert_array_equal(r3_components(u), rows)
+
+
+def test_r3_components_reads_a_stack_slice_by_slice():
+    # the MRC sweeps' (tau + 1, N_A, N_T, 2) stack; the k component is dropped
+    rng = np.random.default_rng(52)
+    stack = rng.standard_normal((3, 5, 4, 2)) + 1j * rng.standard_normal((3, 5, 4, 2))
+    got = r3_components(stack)
+    assert got.shape == (3, 5, 4, 3)
+    for index in np.ndindex(3, 5):
+        np.testing.assert_array_equal(got[index], r3_components(stack[index]))
+        np.testing.assert_array_equal(
+            got[index], np.column_stack((stack[index][:, 0].real,
+                                         stack[index][:, 0].imag,
+                                         stack[index][:, 1].real)))
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (4, 3), (4, 1)])
+def test_r3_components_rejects_non_columns(shape):
+    with pytest.raises(ShapeMismatch, match="columns"):
+        r3_components(np.zeros(shape, complex))
 
 
 # ---- the exact mirror test ----
@@ -546,6 +590,15 @@ def test_pair_shape_mismatch_rejected():
     for shape in ((2, 2, 2), ()):
         with pytest.raises(ShapeMismatch):
             QuaternionMatrix(np.zeros(shape, complex), np.zeros(shape, complex))
+
+
+def test_quaternion_matrix_stores_matrices_only():
+    # a vector is the (m, 2) array [u1, u2]; 1-D halves are not a matrix
+    for halves in ((np.zeros(3, complex), np.zeros(3, complex)), (np.ones(2), np.ones(2))):
+        with pytest.raises(ShapeMismatch, match="2-D"):
+            QuaternionMatrix(*halves)
+    q = real_qm(np.eye(2))
+    assert not any(hasattr(q, name) for name in ("ndim", "w", "x", "y", "z"))
 
 
 def test_qsvd_result_is_frozen():

@@ -30,6 +30,8 @@ from qmds.network import (
 from qmds.quat import QuaternionMatrix, _mirrors, embed_r3, r3_components
 from quaternion_oracle import (
     add,
+    column,
+    columns,
     ctranspose,
     div,
     from_components,
@@ -200,8 +202,10 @@ def make_nu(rng, n):
 
 
 def right_mul(nu, g):
-    """The entrywise product nu_m g by the Hamilton product oracle."""
-    return from_components(*hamilton((nu.w, nu.x, nu.y, nu.z), g))
+    """The entrywise product nu_m g of columns [u1, u2] by the Hamilton
+    product oracle."""
+    w, x, y, z = hamilton((nu[:, 0].real, nu[:, 0].imag, nu[:, 1].real, nu[:, 1].imag), g)
+    return np.column_stack((w + 1j * x, y + 1j * z))
 
 
 def random_unit_quaternion(rng):
@@ -214,19 +218,21 @@ def test_phase_resolution_recovers_true_vector():
     nu = make_nu(rng, 12)
     g0 = random_unit_quaternion(rng)
     spun = right_mul(nu, g0)
-    fixed, info = resolve_edge_ambiguity(spun, QuaternionMatrix(nu.a[:5], nu.b[:5]))
-    assert sub(fixed, nu).norm() <= 1e-10 * nu.norm()
+    fixed, info = resolve_edge_ambiguity(spun, nu[:5])
+    assert fixed.shape == (12, 2)
+    assert np.linalg.norm(fixed - nu) <= 1e-10 * np.linalg.norm(nu)
     assert info["phase_residual"] < 1e-10
     # the factor undoes g0: it is the conjugate of the unit g0
     np.testing.assert_allclose(info["phase"], g0 * (1, -1, -1, -1), atol=1e-12)
-    assert sub(right_mul(spun, info["phase"]), fixed).norm() <= 1e-12 * nu.norm()
+    assert (np.linalg.norm(right_mul(spun, info["phase"]) - fixed)
+            <= 1e-12 * np.linalg.norm(nu))
 
 
 def test_phase_resolution_identity():
     rng = np.random.default_rng(136)
     nu = make_nu(rng, 8)
-    fixed, info = resolve_edge_ambiguity(nu, QuaternionMatrix(nu.a[:4], nu.b[:4]))
-    assert sub(fixed, nu).norm() <= 1e-12 * nu.norm()
+    fixed, info = resolve_edge_ambiguity(nu, nu[:4])
+    assert np.linalg.norm(fixed - nu) <= 1e-12 * np.linalg.norm(nu)
     np.testing.assert_allclose(info["phase"], [1, 0, 0, 0], atol=1e-12)
     assert not info["phase"].flags.writeable
 
@@ -234,19 +240,18 @@ def test_phase_resolution_identity():
 def test_phase_resolution_invariant_to_extra_phase():
     rng = np.random.default_rng(137)
     nu = make_nu(rng, 10)
-    known = QuaternionMatrix(nu.a[:4], nu.b[:4])
+    known = nu[:4]
     g0, h = random_unit_quaternion(rng), random_unit_quaternion(rng)
     once, _ = resolve_edge_ambiguity(right_mul(nu, g0), known)
     twice, _ = resolve_edge_ambiguity(right_mul(right_mul(nu, g0), h), known)
-    assert sub(once, twice).norm() <= 1e-10 * nu.norm()
+    assert np.linalg.norm(once - twice) <= 1e-10 * np.linalg.norm(nu)
 
 
 def test_phase_resolution_failure_on_zero():
     rng = np.random.default_rng(138)
     nu = make_nu(rng, 6)
-    zeros = QuaternionMatrix(np.zeros(6, complex), np.zeros(6, complex))
     with pytest.raises(AmbiguityResolutionFailure):
-        resolve_edge_ambiguity(zeros, QuaternionMatrix(nu.a[:3], nu.b[:3]))
+        resolve_edge_ambiguity(np.zeros((6, 2), complex), nu[:3])
 
 
 def test_phase_resolution_rejects_longer_known_block():
@@ -254,16 +259,18 @@ def test_phase_resolution_rejects_longer_known_block():
     rng = np.random.default_rng(139)
     nu = make_nu(rng, 5)
     with pytest.raises(ShapeMismatch, match="edge vectors"):
-        resolve_edge_ambiguity(QuaternionMatrix(nu.a[:3], nu.b[:3]), nu)
+        resolve_edge_ambiguity(nu[:3], nu)
 
 
 def test_phase_resolution_rejects_columns():
-    # a 3 x 1 column against 2 known edges used to return a (3, 1) vector
+    # only (m, 2) columns [u1, u2] are vectors: a (3, 2, 1) stack of
+    # columns, the 1-D half u1 and an m x 1 QuaternionMatrix are not
     rng = np.random.default_rng(140)
     nu = make_nu(rng, 3)
-    column = QuaternionMatrix(nu.a[:, None], nu.b[:, None])
-    with pytest.raises(ShapeMismatch, match="edge vectors"):
-        resolve_edge_ambiguity(column, QuaternionMatrix(nu.a[:2], nu.b[:2]))
+    for bad in (nu[:, :, None], nu[:, 0], column(nu)):
+        for args in ((bad, nu[:2]), (nu, bad)):
+            with pytest.raises(ShapeMismatch, match="edge vectors"):
+                resolve_edge_ambiguity(*args)
 
 
 # ---- SMDS ----
@@ -321,6 +328,19 @@ def test_qd_smds_homogeneity():
     )
     scaled = qd_smds(quat_gek_from_measurements(scaled_ms), scaled_geo.anchors, st)
     np.testing.assert_allclose(scaled.targets, s * base.targets, atol=1e-7)
+
+
+def test_qd_smds_rejects_a_kernel_with_negative_top_eigenvalue():
+    # -(G G^T) - I is Hermitian with every eigenvalue at most -1: no edge
+    # vector sqrt(lambda) u exists. No square root of lambda is taken, so no
+    # RuntimeWarning (an error under this suite's filters) is raised first.
+    rng = np.random.default_rng(146)
+    geo, _, _, st = exact_setup(rng, "II")
+    g = rng.standard_normal((st.c.shape[0], st.c.shape[0]))
+    k = -(g @ g.T) - np.eye(len(g))
+    kq = QuatGek(QuaternionMatrix((k + k.T) / 2, np.zeros_like(k)))
+    with pytest.raises(RankDeficient, match="no positive eigenvalue"):
+        qd_smds(kq, geo.anchors, st)
 
 
 # ---- MRC variants ----
@@ -419,6 +439,26 @@ def test_mrc_iterative_rejects_negative_sweep_count():
                               tau_max=-1)
 
 
+@pytest.mark.parametrize("tau_max", [2.0, 2.5, True, np.float64(1.0), "1"])
+def test_mrc_iterative_rejects_a_non_integral_sweep_count(tau_max):
+    rng = np.random.default_rng(103)
+    geo, _, ms, st = exact_setup(rng, "II", n_targets=2)
+    with pytest.raises(OutOfRange, match="tau_max must be an integer"):
+        qd_mrc_smds_iterative(quat_gek_from_measurements(ms), geo.anchors, st,
+                              tau_max=tau_max)
+
+
+@pytest.mark.parametrize("tau_max", [np.int64(2), np.int32(2), np.uint8(2)])
+def test_mrc_iterative_accepts_numpy_integer_sweep_counts(tau_max):
+    rng = np.random.default_rng(104)
+    geo, _, ms, st = exact_setup(rng, "II", n_targets=2)
+    kq = quat_gek_from_measurements(ms)
+    got = qd_mrc_smds_iterative(kq, geo.anchors, st, tau_max=tau_max)
+    want = qd_mrc_smds_iterative(kq, geo.anchors, st, tau_max=2)
+    np.testing.assert_array_equal(got.diagnostics["trajectory"],
+                                  want.diagnostics["trajectory"])
+
+
 def _quaternion_algebra_mrc(kq, anchors, structure, tau_max):
     """The refinement loop written in the test oracle's quaternion algebra,
     as the reference for the solver's column-form sweeps:
@@ -427,7 +467,7 @@ def _quaternion_algebra_mrc(kq, anchors, structure, tau_max):
     a, b = kq.k.a, kq.k.b
     k2 = QuaternionMatrix(a[:n_aa, n_aa:], b[:n_aa, n_aa:])
     k3 = QuaternionMatrix(a[n_aa:, n_aa:], b[n_aa:, n_aa:])
-    nu_aa = embed_r3(structure.c[:structure.n_aa, :n_a] @ anchors)
+    nu_aa = column(embed_r3(structure.c[:structure.n_aa, :n_a] @ anchors))
     aa_energy = nu_aa.norm() ** 2
     k2h_nu = matmul(ctranspose(k2), nu_aa)
     states, residuals = [div(k2h_nu, aa_energy)], []
@@ -437,7 +477,7 @@ def _quaternion_algebra_mrc(kq, anchors, structure, tau_max):
         residuals.append(sub(nu, prev).norm() / max(prev.norm(), np.finfo(float).tiny))
         states.append(nu)
     trajectory = [
-        (anchors[:, None, :] - r3_components(nu).reshape(n_a, n_t, 3)).mean(axis=0)
+        (anchors[:, None, :] - r3_components(columns(nu)).reshape(n_a, n_t, 3)).mean(axis=0)
         for nu in states
     ]
     return trajectory, residuals
