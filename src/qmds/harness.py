@@ -58,7 +58,7 @@ from .network import (
 )
 from .solvers import (
     Estimate,
-    _quat_solve,
+    _QUAT_SOLVERS,
     _stage_two_kernel,
     smds,
 )
@@ -384,8 +384,8 @@ class _Instance:
             kq, sweeps = self._piece("quat", _quat_kernel, ms, self.raw_real(),
                                      mask)
             path = ("raw", "quat", algorithm)
-        est = self._piece(algorithm, _quat_solve, kq, anchors, self.structure,
-                          algorithm, self.config.tau_max)
+        est = self._piece(algorithm, _QUAT_SOLVERS[algorithm], kq, anchors,
+                          self.structure, self.config.tau_max)
         return est, sweeps, path
 
     def run(self, algorithm: str) -> TrialResult:

@@ -208,7 +208,7 @@ def dominant_eigpair(k: QuaternionMatrix) -> tuple[float, np.ndarray]:
     u = u1 + u2 j; u is defined only up to a right unit-quaternion factor.
     K must be square and Hermitian to the bit (A = A^H and B = -B^T), as
     every `QuatGek` kernel is; like `np.linalg.eigh`, this routine does not
-    check.
+    check. An empty K has no eigenpair and raises `ShapeMismatch`.
 
     Quaternion power steps, started from the column of K with the largest
     diagonal entry, return the pair once a certificate holds: with Rayleigh
@@ -225,6 +225,8 @@ def dominant_eigpair(k: QuaternionMatrix) -> tuple[float, np.ndarray]:
     the top eigenspace pulls back to the quaternion eigenvector
     u1 - conj(u2) j.
     """
+    if k.shape[0] == 0:
+        raise ShapeMismatch("an empty matrix has no eigenpair")
     pair = _certified_power(k)
     if pair is not None:
         return pair

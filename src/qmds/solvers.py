@@ -22,9 +22,9 @@ transform, and a pseudo-inverse step does not restore it, so the kernel
 estimates are aligned on the anchor-anchor edges first and the final
 coordinates are aligned on the anchors; both alignments permit reflections.
 
-Kernels must be complete: run the completion module first when entries are
-masked. The kernel types reject a non-finite or non-Hermitian kernel at
-construction, so the solvers neither scan for one nor symmetrize.
+Each solver checks its inputs first, in `_solver_inputs`: run the completion
+module first when entries are masked. The kernel types reject a non-finite
+or non-Hermitian kernel at construction, so no solver scans or symmetrizes.
 """
 
 from __future__ import annotations
@@ -72,17 +72,25 @@ class Estimate:
         self.targets.setflags(write=False)
 
 
-def _require_complete(gek: "RealGek | QuatGek") -> None:
+# ---- shared plumbing ----
+
+
+def _solver_inputs(gek: "RealGek | QuatGek", anchors: np.ndarray,
+                   structure: StructureMatrices) -> tuple[np.ndarray, np.ndarray]:
+    """The four solvers' one input contract, checked before any solve: a
+    complete kernel of the structure's edge count and (N_A, 3) anchors
+    (else `ShapeMismatch`), all finite (else `OutOfRange`). Returns the
+    anchors as floats and the known anchor-anchor edges, the first n_aa."""
     if gek.mask is not None and not gek.mask.all():
         raise ShapeMismatch("kernel carries unobserved entries; complete it first")
-
-
-def _anchor_edges(anchors: np.ndarray, structure: StructureMatrices) -> np.ndarray:
-    """Known anchor-anchor edge vectors, the first n_aa rows of the edges."""
-    return structure.c[:structure.n_aa, :structure.n_anchors] @ anchors
-
-
-# ---- shared plumbing ----
+    if gek.m != (m := structure.c.shape[0]):
+        raise ShapeMismatch(f"kernel size {gek.m} does not match structure's {m} edges")
+    anchors = np.asarray(anchors, dtype=float)
+    if anchors.shape != (n_a := structure.n_anchors, 3):
+        raise ShapeMismatch(f"anchors must be ({n_a}, 3), got {anchors.shape}")
+    if not np.isfinite(anchors).all():
+        raise OutOfRange("anchors hold non-finite coordinates")
+    return anchors, structure.c[:structure.n_aa, :n_a] @ anchors
 
 
 @lru_cache(maxsize=16)
@@ -113,19 +121,23 @@ def anchored_inversion(
     return _inversion_operator(structure) @ np.vstack([anchors, v_hat])
 
 
-def procrustes_align(
-    x_hat: np.ndarray, anchors: np.ndarray
-) -> tuple[np.ndarray, dict]:
+def procrustes_align(x_hat: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, dict]:
     """Similarity transform (scale, orthogonal map, shift) fitted on anchors.
 
     The transform minimizing the summed squared misfit of the leading rows
     of `x_hat` against the anchors is applied to every row. Reflections are
-    allowed. Needs at least four anchors that span all three dimensions.
+    allowed. Needs at least four anchors that span all three dimensions, and
+    an (N, 3) `x_hat` with N >= N_A (else `ShapeMismatch`), finite (else
+    `OutOfRange`).
     """
-    anchors = np.asarray(anchors, dtype=float)
+    anchors, x_hat = np.asarray(anchors, dtype=float), np.asarray(x_hat, dtype=float)
     n_a = anchors.shape[0]
     if n_a < 4:
         raise DegenerateAnchors("similarity fit needs at least 4 anchors")
+    if x_hat.ndim != 2 or x_hat.shape[1] != 3 or len(x_hat) < n_a:
+        raise ShapeMismatch(f"x_hat must be (N >= {n_a}, 3), got {x_hat.shape}")
+    if not np.isfinite(x_hat).all():
+        raise OutOfRange("x_hat holds non-finite coordinates")
 
     b = anchors - anchors.mean(axis=0)
     sv_b = np.linalg.svd(b, compute_uv=False)
@@ -143,11 +155,18 @@ def procrustes_align(
     scale = float(np.sum(sv)) / na
     shift = anchors.mean(axis=0) - scale * a_full_mean @ rot
     aligned = scale * x_hat @ rot + shift
-    rmse = float(
-        np.sqrt(np.mean(np.sum((aligned[:n_a] - anchors) ** 2, axis=1)))
-    )
+    rmse = float(np.sqrt(np.mean(np.sum((aligned[:n_a] - anchors) ** 2, axis=1))))
     info = {"scale": scale, "rotation": rot, "translation": shift, "anchor_rmse": rmse}
     return aligned, info
+
+
+def _place(v_hat: np.ndarray, anchors: np.ndarray,
+           structure: StructureMatrices) -> tuple[np.ndarray, dict]:
+    """Targets from all edge vectors: the anchored inversion, fitted onto the
+    anchors by `procrustes_align`, whose info comes back with them."""
+    x_hat = anchored_inversion(v_hat, anchors, structure)
+    aligned, fit = procrustes_align(x_hat, anchors)
+    return aligned[len(anchors):], fit
 
 
 def _align_edges(v_hat: np.ndarray, v_known: np.ndarray) -> np.ndarray:
@@ -198,8 +217,7 @@ def resolve_edge_ambiguity(
 
 def smds(kr: RealGek, anchors: np.ndarray, structure: StructureMatrices) -> Estimate:
     """Edge-kernel multidimensional scaling on the real kernel."""
-    _require_complete(kr)
-    anchors = np.asarray(anchors, dtype=float)
+    anchors, v_known = _solver_inputs(kr, anchors, structure)
     lam, u = np.linalg.eigh(kr.k)
     if np.sum(lam > 0) < 3:
         raise RankDeficient(
@@ -208,34 +226,24 @@ def smds(kr: RealGek, anchors: np.ndarray, structure: StructureMatrices) -> Esti
     # top three by magnitude, as completion truncates; noise can push trailing
     # eigenvalues negative, and the factor column then collapses to zero
     lam3, u3 = _by_magnitude(lam, u, 3)
-    v_hat = u3 * np.sqrt(np.maximum(lam3, 0.0))
-
-    v_known = _anchor_edges(anchors, structure)
-    v_hat = _align_edges(v_hat, v_known)
-
-    x_hat = anchored_inversion(v_hat, anchors, structure)
-    aligned, fit = procrustes_align(x_hat, anchors)
+    v_hat = _align_edges(u3 * np.sqrt(np.maximum(lam3, 0.0)), v_known)
+    targets, fit = _place(v_hat, anchors, structure)
     diag = {
         "eigenvalues": lam3,
         "edge_residual": float(np.linalg.norm(v_hat[:structure.n_aa] - v_known)),
         "procrustes": fit,
     }
-    return Estimate(aligned[anchors.shape[0]:], diag)
+    return Estimate(targets, diag)
 
 
 def qd_smds(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices) -> Estimate:
     """Quaternion-domain scaling on the rank-1 quaternion kernel."""
-    _require_complete(kq)
-    anchors = np.asarray(anchors, dtype=float)
+    anchors, v_known = _solver_inputs(kq, anchors, structure)
     lam, u = dominant_eigpair(kq.k)
     if lam < 0:
         raise RankDeficient("kernel has no positive eigenvalue; no edge vector")
-    nu_known = embed_r3(_anchor_edges(anchors, structure))
-    nu_hat, phase_info = resolve_edge_ambiguity(u * math.sqrt(lam), nu_known)
-
-    v_hat = r3_components(nu_hat)
-    x_hat = anchored_inversion(v_hat, anchors, structure)
-    aligned, fit = procrustes_align(x_hat, anchors)
+    nu_hat, phase_info = resolve_edge_ambiguity(u * math.sqrt(lam), embed_r3(v_known))
+    targets, fit = _place(r3_components(nu_hat), anchors, structure)
     k_abs = np.abs(nu_hat[:, 1].imag)
     diag = {
         "top_eigenvalue": lam,
@@ -243,26 +251,19 @@ def qd_smds(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices) -> E
         "procrustes": fit,
         **phase_info,
     }
-    return Estimate(aligned[anchors.shape[0]:], diag)
+    return Estimate(targets, diag)
 
 
-def _mrc_core(
-    kq: QuatGek,
-    anchors: np.ndarray,
-    structure: StructureMatrices,
-    tau_max: int,
-) -> Estimate:
-    _require_complete(kq)
-    anchors = np.asarray(anchors, dtype=float)
-    if kq.m != (n_edges := structure.c.shape[0]):
-        raise ShapeMismatch(f"kernel size {kq.m} does not match {n_edges} edges")
+def _mrc_core(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices,
+              tau_max: int) -> Estimate:
+    anchors, v_known = _solver_inputs(kq, anchors, structure)
     # Views of K's target rows: K21 (anchor-anchor columns) and K3 (target
     # columns). K = K^H to the bit, so K21 = K12^H and K3 = K3^H exactly.
     n_aa, a, b = structure.n_aa, kq.k.a, kq.k.b
     k21 = a[n_aa:, :n_aa], b[n_aa:, :n_aa]
     k3 = a[n_aa:, n_aa:], b[n_aa:, n_aa:]
 
-    nu_aa = embed_r3(_anchor_edges(anchors, structure))
+    nu_aa = embed_r3(v_known)
     aa_energy = np.linalg.norm(nu_aa) ** 2
     if aa_energy == 0:
         raise DegenerateAnchors("anchor-anchor edges are all zero length")
@@ -314,19 +315,14 @@ def qd_mrc_smds_iterative(
     return _mrc_core(kq, anchors, structure, tau_max)
 
 
-def _quat_solve(
-    kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices,
-    algorithm: str, tau_max: int,
-) -> Estimate:
-    """Run the quaternion-domain solver named `algorithm`: qdsmds, mrc or
-    mrciter, the codes the harness uses."""
-    if algorithm == "qdsmds":
-        return qd_smds(kq, anchors, structure)
-    if algorithm == "mrc":
-        return qd_mrc_smds(kq, anchors, structure)
-    if algorithm == "mrciter":
-        return qd_mrc_smds_iterative(kq, anchors, structure, tau_max)
-    raise OutOfRange(f"unknown quaternion-domain algorithm {algorithm!r}")
+# The quaternion-domain solvers (kq, anchors, structure, tau_max) by the codes
+# the harness uses. Each looks its solver up when called, so that a wrapped
+# solver is the one that runs.
+_QUAT_SOLVERS = {
+    "qdsmds": lambda kq, a, st, tau: qd_smds(kq, a, st),
+    "mrc": lambda kq, a, st, tau: qd_mrc_smds(kq, a, st),
+    "mrciter": lambda kq, a, st, tau: qd_mrc_smds_iterative(kq, a, st, tau),
+}
 
 
 # ---- Scenario I ----
@@ -366,9 +362,10 @@ def scenario_one_pipeline(
     """
     if ms.has_angles:
         raise ShapeMismatch("pipeline expects a distance-and-pair-angle set")
-    anchors = np.asarray(anchors, dtype=float)
+    if algorithm not in _QUAT_SOLVERS:  # before stage one's eigen-solve
+        raise OutOfRange(f"unknown quaternion-domain algorithm {algorithm!r}")
     kr = build_real_gek(ms)
     stage1 = smds(kr, anchors, structure)
     kq = _stage_two_kernel(ms, kr, anchors, stage1.targets, structure)
-    final = _quat_solve(kq, anchors, structure, algorithm, tau_max)
+    final = _QUAT_SOLVERS[algorithm](kq, anchors, structure, tau_max)
     return Estimate(final.targets, {**final.diagnostics, "stage1": stage1})

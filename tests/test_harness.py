@@ -530,14 +530,14 @@ def test_bad_solver_output_is_a_failed_trial(monkeypatch, solver, error):
 
 def every_sweep(solver):
     """A quaternion solve whose every sweep returns `solver`'s estimate."""
-    def solve(kq, anchors, structure, algorithm, tau_max):
+    def solve(kq, anchors, structure, tau_max):
         est = solver(kq, anchors, structure)
         trajectory = np.stack([est.targets] * (tau_max + 1))
         return Estimate(est.targets, {"tau": tau_max, "trajectory": trajectory})
     return solve
 
 
-def nan_middle_sweep(kq, anchors, structure, algorithm, tau_max):
+def nan_middle_sweep(kq, anchors, structure, tau_max):
     """A finite first and last sweep around non-finite middle ones."""
     trajectory = np.zeros((tau_max + 1, structure.n_targets, 3))
     trajectory[1:-1] = np.nan
@@ -551,7 +551,7 @@ def nan_middle_sweep(kq, anchors, structure, algorithm, tau_max):
     (nan_middle_sweep, "OutOfRange: estimate is not finite: sweep 1 xi = nan"),
 ], ids=["nan", "linalg", "nan-middle-sweep"])
 def test_bad_trajectory_is_a_failed_convergence_trial(monkeypatch, solve, error):
-    monkeypatch.setattr(harness, "_quat_solve", solve)
+    monkeypatch.setitem(harness._QUAT_SOLVERS, "mrciter", solve)
     grid = dict(sigma_d_grid=(1.0,), epsilon_grid=(30.0,), trials=2, tau_max=2)
     rows = run_convergence(small_config(**grid))
     assert [(r["trials_ok"], r["mean_xi_m"]) for r in rows] == [(0, None)] * 3

@@ -370,6 +370,13 @@ def test_dominant_eigpair_zero_matrix():
     assert lam == 0.0
 
 
+def test_dominant_eigpair_rejects_empty_matrix():
+    # There is no eigenpair to return; the power steps' argmax used to fail
+    # with a builtin ValueError.
+    with pytest.raises(ShapeMismatch, match="empty"):
+        dominant_eigpair(real_qm(np.zeros((0, 0))))
+
+
 def test_dominant_eigpair_diagonal():
     # The largest eigenvalue, not the largest in magnitude: diag(1, -4)
     # has singular value 4 but top eigenvalue 1.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from qmds import quat, solvers
 from qmds.errors import (
     AmbiguityResolutionFailure,
     DegenerateAnchors,
@@ -194,6 +195,18 @@ def test_procrustes_rejects_coincident_estimates():
         procrustes_align(np.zeros((5, 3)), ROOM_ANCHORS)
 
 
+@pytest.mark.parametrize("x_hat, error", [
+    (np.ones((3, 3)), ShapeMismatch),  # fewer rows than anchors
+    (np.ones((7, 2)), ShapeMismatch),  # rows that are not 3-D points
+    (np.vstack([ROOM_ANCHORS, [[np.nan, 0.0, 0.0]]]), OutOfRange),
+], ids=["short", "2d-rows", "nan"])
+def test_procrustes_checks_its_estimate(x_hat, error):
+    # These used to fail as "estimated anchor images coincide" or as an
+    # untyped LinAlgError from the SVD.
+    with pytest.raises(error, match="x_hat"):
+        procrustes_align(x_hat, ROOM_ANCHORS)
+
+
 # ---- quaternion phase resolution ----
 
 
@@ -288,14 +301,6 @@ def test_smds_zero_kernel_rejected():
     geo, _, ms, st = exact_setup(rng, "I", n_targets=4)
     with pytest.raises(RankDeficient):
         smds(RealGek(np.zeros((ms.m, ms.m))), geo.anchors, st)
-
-
-def test_smds_rejects_masked_kernel():
-    rng = np.random.default_rng(142)
-    geo, _, ms, st = exact_setup(rng, "I", n_targets=4)
-    kr = apply_mask(build_real_gek(ms), missing_mask(ms.m, 0.2, rng))
-    with pytest.raises(ShapeMismatch):
-        smds(kr, geo.anchors, st)
 
 
 # ---- QD-SMDS ----
@@ -423,14 +428,6 @@ def test_mrc_zero_anchor_edges():
         qd_mrc_smds(kq, anchors, st)
 
 
-@pytest.mark.parametrize("solve", [qd_mrc_smds, qd_mrc_smds_iterative])
-def test_mrc_rejects_kernel_size_mismatch(solve):
-    rng = np.random.default_rng(101)
-    geo, _, ms, _ = exact_setup(rng, "II", n_targets=5)
-    with pytest.raises(ShapeMismatch, match="kernel size"):
-        solve(quat_gek_from_measurements(ms), geo.anchors, structure_matrices(5, 15))
-
-
 def test_mrc_iterative_rejects_negative_sweep_count():
     rng = np.random.default_rng(102)
     geo, _, ms, st = exact_setup(rng, "II", n_targets=2)
@@ -549,6 +546,84 @@ def test_exact_mirror_tests_make_no_kernel_sized_temporaries():
     assert _peak_bytes(lambda: _mirrors(half, np.conjugate)) < 32 * 1024
 
 
+def _empty_like(kernel):
+    z = np.zeros((0, 0))
+    return RealGek(z) if isinstance(kernel, RealGek) else QuatGek(QuaternionMatrix(z, z))
+
+
+def _with_entry(anchors, value):
+    bad = anchors.copy()
+    bad[2, 1] = value
+    return bad
+
+
+# Each case breaks the solvers' input contract one way:
+# name -> (error, message pattern, (kernel, anchors, structure) -> bad inputs).
+BAD_INPUTS = {
+    "masked-kernel": (ShapeMismatch, "complete it first", lambda k, a, st: (
+        apply_mask(k, missing_mask(k.m, 0.2, np.random.default_rng(142))), a, st)),
+    "empty-kernel": (ShapeMismatch, "kernel size 0 .*structure",
+                     lambda k, a, st: (_empty_like(k), a, st)),
+    "kernel-size": (ShapeMismatch, "kernel size 85 .*structure",
+                    lambda k, a, st: (k, a, structure_matrices(5, 14))),
+    "four-anchors": (ShapeMismatch, "anchors must be", lambda k, a, st: (k, a[:4], st)),
+    "2d-anchors": (ShapeMismatch, "anchors must be",
+                   lambda k, a, st: (k, a[:, :2], st)),
+    "one-anchor-vector": (ShapeMismatch, "anchors must be",
+                          lambda k, a, st: (k, a[0], st)),
+    "nan-anchor": (OutOfRange, "non-finite",
+                   lambda k, a, st: (k, _with_entry(a, np.nan), st)),
+    "inf-anchor": (OutOfRange, "non-finite",
+                   lambda k, a, st: (k, _with_entry(a, np.inf), st)),
+}
+
+
+def count_eigen_solves(monkeypatch):
+    """Count calls of the two eigen-solves a solver can start: np.linalg.eigh
+    and the quaternion power iteration."""
+    calls = []
+
+    def counted(name, solve):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return solve(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(quat, "_certified_power",
+                        counted("power", quat._certified_power))
+    return calls
+
+
+@pytest.mark.parametrize("solve", [smds, qd_smds, qd_mrc_smds, qd_mrc_smds_iterative])
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_solver_input_contract(monkeypatch, case, solve):
+    # Each solver checks one contract before any eigen-solve. Without it, bad
+    # anchor shapes failed as numpy matmul ValueErrors, a NaN anchor as a
+    # LinAlgError (or as NaN targets from the MRC solvers), and smds and
+    # qd_smds saw the size mismatch only after their eigen-solve.
+    error, pattern, make = BAD_INPUTS[case]
+    rng = np.random.default_rng(156)
+    geo, _, ms, st = exact_setup(rng, "II")
+    kernel = build_real_gek(ms) if solve is smds else quat_gek_from_measurements(ms)
+    kernel, anchors, structure = make(kernel, geo.anchors, st)
+    calls = count_eigen_solves(monkeypatch)
+    with pytest.raises(error, match=pattern):
+        solve(kernel, anchors, structure)
+    assert calls == []
+
+
+def test_qd_smds_rejects_a_zero_edge_network(monkeypatch):
+    # One anchor and no targets: a 0 x 0 kernel matches the structure's 0
+    # edges, so the empty matrix reaches the eigen-solve, which rejects it
+    # before any power step (it used to raise argmax's ValueError).
+    empty = QuatGek(QuaternionMatrix(np.zeros((0, 0)), np.zeros((0, 0))))
+    calls = count_eigen_solves(monkeypatch)
+    with pytest.raises(ShapeMismatch, match="empty"):
+        qd_smds(empty, ROOM_ANCHORS[:1], structure_matrices(1, 0))
+    assert calls == []
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("solve", [smds, qd_smds, qd_mrc_smds, qd_mrc_smds_iterative])
 def test_solver_rejects_non_finite_kernel(solve, bad):
@@ -609,11 +684,15 @@ def test_pipeline_rejects_angle_measurements():
         scenario_one_pipeline(ms, geo.anchors, st)
 
 
-def test_pipeline_unknown_algorithm():
+def test_pipeline_unknown_algorithm(monkeypatch):
+    # The name is checked before the stage-one smds, not after its eigh.
     rng = np.random.default_rng(154)
     geo, _, ms, st = exact_setup(rng, "I", n_targets=4)
+    calls = []
+    monkeypatch.setattr(solvers, "smds", lambda *args: calls.append(args))
     with pytest.raises(OutOfRange, match="dowsing"):
         scenario_one_pipeline(ms, geo.anchors, st, algorithm="dowsing")
+    assert calls == []
 
 
 # ---- cross-cutting properties ----
