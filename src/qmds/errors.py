@@ -18,9 +18,10 @@ class ShapeMismatch(QmdsError):
 
 class OutOfRange(QmdsError):
     """Value outside its documented domain: an out-of-range or non-finite
-    parameter (a negative sweep count, a nonpositive true distance),
-    measurement, kernel entry or estimate, a pair-angle matrix that is not
-    exactly symmetric, or a kernel not Hermitian to the bit."""
+    parameter (a count that is not an integer, is negative, or sizes an
+    array past the size ceiling), position, measurement, kernel entry or
+    estimate, a pair-angle matrix that is not exactly symmetric, or a kernel
+    not Hermitian to the bit."""
 
 
 class DegenerateEdge(QmdsError):

@@ -122,8 +122,9 @@ def build_quat_gek(
     The components may be measured (Scenario II) or taken from a first
     positioning pass (Scenario I); the kernel does not care.
     """
-    if any(u.shape != (kr.m,) or v.shape != (kr.m,) for u, v in planes):
-        raise ShapeMismatch("plane components do not match the edge count")
+    if len(planes) != 3 or any(u.shape != (kr.m,) or v.shape != (kr.m,)
+                               for u, v in planes):
+        raise ShapeMismatch("need three planes of components matching the edge count")
     # Parts go straight into the complex halves, which are adopted uncopied.
     a, b = np.empty((kr.m, kr.m), dtype=complex), np.empty((kr.m, kr.m), dtype=complex)
     a.real = kr.k

@@ -53,6 +53,8 @@ from .network import (
     DEGENERATE_LENGTH,
     NetworkGeometry,
     StructureMatrices,
+    _integer,
+    _points,
     structure_matrices,
     true_parameters,
 )
@@ -130,12 +132,6 @@ def _reals(name: str, values) -> tuple[float, ...]:
     return tuple(_real(name, v) for v in _sequence(name, values))
 
 
-def _integer(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise OutOfRange(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one benchmark run.
@@ -167,21 +163,18 @@ class ExperimentConfig:
         room = _reals("room", self.room)
         if len(room) != 3 or any(v <= 0 for v in room):
             raise OutOfRange(f"room must be three positive extents, got {self.room}")
-        anchors = tuple(_reals("anchors", row)
-                        for row in _sequence("anchors", self.anchors))
-        if not anchors or any(len(row) != 3 for row in anchors):
-            raise ShapeMismatch("anchors must be 3D points")
-        pts = np.asarray(anchors)
+        pts = _points("anchors", self.anchors)
+        if not len(pts):
+            raise ShapeMismatch("need at least one anchor")
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if np.linalg.norm(pts[i] - pts[j]) <= DEGENERATE_LENGTH:
                     raise DegenerateAnchors(f"anchors {i} and {j} coincide")
         object.__setattr__(self, "room", room)
-        object.__setattr__(self, "anchors", anchors)
-        for name in ("n_targets", "trials", "tau_max", "master_seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.n_targets < 1:
-            raise OutOfRange("n_targets must be at least 1")
+        object.__setattr__(self, "anchors", tuple(map(tuple, pts.tolist())))
+        for name, low in (("n_targets", 1), ("trials", 1), ("tau_max", 0),
+                          ("master_seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         sigmas = _reals("sigma_d_grid", self.sigma_d_grid)
         epsilons = _reals("epsilon_grid", self.epsilon_grid)
         if not sigmas or any(s < 0 for s in sigmas):
@@ -200,8 +193,6 @@ class ExperimentConfig:
             raise OutOfRange(f"algorithms must be a nonempty subset of {ALGORITHMS}")
         object.__setattr__(self, "scenarios", scenarios)
         object.__setattr__(self, "algorithms", algorithms)
-        if self.trials < 1:
-            raise OutOfRange("trials must be at least 1")
         if not 0 <= _real("missing_fraction", self.missing_fraction) < 1:
             raise OutOfRange("missing_fraction must lie in [0, 1)")
         if self.missing_fraction > 0 and "I" in scenarios:
@@ -209,10 +200,6 @@ class ExperimentConfig:
             # fix, so there is no masked kernel whose completion could be
             # compared fairly; reject rather than silently ignore the mask.
             raise OutOfRange("missing_fraction > 0 requires scenario II only")
-        if self.tau_max < 0:
-            raise OutOfRange("tau_max must be nonnegative")
-        if self.master_seed < 0:
-            raise OutOfRange("master_seed must be nonnegative")
         if self.timing not in ("off", "wall"):
             raise OutOfRange(f"timing must be 'off' or 'wall', got {self.timing!r}")
 
@@ -269,12 +256,12 @@ class TrialResult:
 
 def metric_xi(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     """Localization error: Frobenius mismatch divided by the target count.
-    Both inputs must be (N_T, 3) with N_T >= 1."""
-    x_hat = np.asarray(x_hat, dtype=float)
-    x_true = np.asarray(x_true, dtype=float)
-    if x_hat.shape != x_true.shape or x_true.shape[1:] != (3,) or not len(x_true):
-        raise ShapeMismatch(f"expected two (N_T, 3) arrays with N_T >= 1, "
-                            f"got {x_hat.shape} and {x_true.shape}")
+    `_points` checks both (N_T, 3) arrays, N_T >= 1; a non-finite estimate
+    passes through to a non-finite xi, for the caller to report."""
+    x_true = _points("x_true", x_true)
+    x_hat = _points("x_hat", x_hat, len(x_true), finite=False)
+    if not len(x_true):
+        raise ShapeMismatch("xi needs at least one target")
     return float(np.linalg.norm(x_hat - x_true) / x_true.shape[0])
 
 
@@ -426,8 +413,13 @@ def run_trial(config: ExperimentConfig, scenario: str, sigma_d: float,
     pieces built from them) once, and every algorithm in `config.algorithms`
     solves it, so the records are paired by construction. The key excludes
     the algorithm, so a config naming fewer algorithms gives each of them
-    the same record.
+    the same record. A key no seed can be built from (an unknown scenario, a
+    bad noise level or trial index) raises `OutOfRange` before any draw.
     """
+    if scenario not in SCENARIOS:
+        raise OutOfRange(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+    NoiseConfig(sigma_d=sigma_d, epsilon_deg=epsilon)
+    _integer("trial_index", trial_index, 0)
     instance = _Instance(config, scenario, sigma_d, epsilon, trial_index)
     return {a: instance.run(a) for a in config.algorithms}
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateEdge, OutOfRange, ShapeMismatch
-from .network import DEGENERATE_LENGTH, TrueParameters
+from .network import DEGENERATE_LENGTH, TrueParameters, _check_entries, _integer
 from .quat import _mirrors
 
 __all__ = [
@@ -38,9 +38,6 @@ __all__ = [
     "NoiseConfig",
     "MeasurementSet",
     "epsilon_to_rho",
-    "sample_distance",
-    "sample_angle",
-    "reflect_elevation",
     "synthesize",
     "missing_mask",
 ]
@@ -107,7 +104,9 @@ def epsilon_to_rho(epsilon_deg: float) -> float:
         raise OutOfRange(
             f"epsilon_deg must lie in (0, {EPSILON_LIMIT_DEG}), got {epsilon_deg}"
         )
-    eps = np.deg2rad(epsilon_deg)
+    # in double precision whatever the argument's type: the deg2rad of a bool
+    # is a float16, and the cache would serve that rho for the equal float
+    eps = np.deg2rad(float(epsilon_deg))
     lo, hi = _RHO_BRACKET
     if _vm_mass(eps, lo) >= 0.9:
         return lo
@@ -120,11 +119,10 @@ def epsilon_to_rho(epsilon_deg: float) -> float:
     return float(hi)
 
 
-def sample_distance(d, sigma_d: float, rng: np.random.Generator):
-    """Gamma ranging draw with mean d and variance sigma_d^2, elementwise."""
+def _sample_distance(d, sigma_d: float, rng: np.random.Generator):
+    """Gamma ranging draw with mean d and variance sigma_d^2, elementwise.
+    Each d must be positive; `synthesize` rejects zero-length edges first."""
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise OutOfRange("true distances must be positive")
     # An infinite shape (sigma_d = 0, or sigma_d below about 1e-154 m) means a
     # relative spread sigma_d / d far below one ulp: d is returned undrawn.
     var = sigma_d**2
@@ -135,13 +133,13 @@ def sample_distance(d, sigma_d: float, rng: np.random.Generator):
     return rng.gamma(shape, var / d)
 
 
-def sample_angle(theta, rho: float, rng: np.random.Generator):
+def _sample_angle(theta, rho: float, rng: np.random.Generator):
     """Additive von Mises angle error with concentration rho."""
     theta = np.asarray(theta, dtype=float)
     return theta + rng.vonmises(0.0, rho, size=theta.shape)
 
 
-def reflect_elevation(theta):
+def _reflect_elevation(theta):
     """Fold angles into [0, pi] by reflection at both ends."""
     return np.abs(np.mod(np.asarray(theta) + np.pi, 2 * np.pi) - np.pi)
 
@@ -232,7 +230,7 @@ def synthesize(
     if np.any(params.distances <= DEGENERATE_LENGTH):
         raise DegenerateEdge("cannot synthesize measurements on zero-length edges")
 
-    d_tilde = sample_distance(params.distances, config.sigma_d, rng)
+    d_tilde = _sample_distance(params.distances, config.sigma_d, rng)
 
     rho = config.rho
     m = params.distances.shape[0]
@@ -247,8 +245,8 @@ def synthesize(
     if rho is None:
         return MeasurementSet(d_tilde, adoa, params.azimuths.copy(),
                               params.elevations.copy())
-    azimuths = sample_angle(params.azimuths, rho, rng)
-    elevations = reflect_elevation(sample_angle(params.elevations, rho, rng))
+    azimuths = _sample_angle(params.azimuths, rho, rng)
+    elevations = _reflect_elevation(_sample_angle(params.elevations, rho, rng))
     return MeasurementSet(d_tilde, adoa, azimuths, elevations)
 
 
@@ -256,8 +254,11 @@ def missing_mask(m: int, fraction: float, rng: np.random.Generator) -> np.ndarra
     """Symmetric observation mask hiding the given fraction of entry pairs.
 
     Exactly round(fraction * m(m-1)/2) unordered off-diagonal pairs are
-    marked unobserved and mirrored; the diagonal is always observed.
+    marked unobserved and mirrored; the diagonal is always observed. An `m`
+    not a nonnegative integer within the size ceiling raises `OutOfRange`.
     """
+    m = _integer("m", m, 0)
+    _check_entries("mask", m * m)
     if not 0 <= fraction < 1:
         raise OutOfRange(f"fraction must lie in [0, 1), got {fraction}")
     mask = np.ones((m, m), dtype=bool)

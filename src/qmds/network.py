@@ -20,19 +20,19 @@ pairs with elevation row 2 - p.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import OutOfRange, ShapeMismatch
 
 __all__ = [
     "NetworkGeometry",
     "StructureMatrices",
     "TrueParameters",
     "structure_matrices",
-    "edge_matrix",
     "true_parameters",
 ]
 
@@ -45,27 +45,61 @@ DEGENERATE_LENGTH = 1e-9
 # at M = 1 a negative stride sends arctan2 down a loop that rounds otherwise.
 _PLANE_AXES = np.array([[0, 0, 1], [1, 2, 2], [1, 0, 0], [2, 2, 1]])
 
+# The most entries an array sized by a caller's count may hold: numpy would
+# answer a count of 10**9 with an untyped MemoryError, after trying. 2**24
+# float64 entries are 128 MiB, 2,000 times the default network's 85 x 85 mask.
+_MAX_ENTRIES = 2**24
+
+
+def _integer(name: str, value, low: int | None = None) -> int:
+    """The one count check: `value` as an int (a numpy integer is one; a bool
+    or float is not) of at least `low` when given, else `OutOfRange`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (low is not None and value < low)):
+        bound = "" if low is None else f" >= {low}"
+        raise OutOfRange(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def _check_entries(what: str, entries: int) -> None:  # before allocating
+    if entries > _MAX_ENTRIES:
+        raise OutOfRange(f"{what} would hold {entries} entries, over {_MAX_ENTRIES}")
+
+
+def _points(name: str, x, rows: int | None = None, finite: bool = True) -> np.ndarray:
+    """The one check of a point array: `x` as a new (rows, 3) float array,
+    any number of rows when `rows` is None. Anything but real numbers
+    (complex ones included), or another shape, raises `ShapeMismatch`; a
+    non-finite coordinate raises `OutOfRange` unless `finite` is False."""
+    try:
+        arr = np.asarray(x)
+    except (TypeError, ValueError) as exc:  # e.g. a ragged nested list
+        raise ShapeMismatch(f"{name} must be an array of real numbers: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise ShapeMismatch(f"{name} must be real numbers, got dtype {arr.dtype}")
+    if arr.ndim != 2 or arr.shape[1] != 3 or rows not in (None, len(arr)):
+        raise ShapeMismatch(f"{name} must be an ({'N' if rows is None else rows}, 3) "
+                            f"array, got shape {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise OutOfRange(f"non-finite coordinates in {name}")
+    return arr.astype(float)
+
 
 @dataclass(frozen=True)
 class NetworkGeometry:
     """Anchor and target positions in meters, (N_A, 3) and (N_T, 3), copied.
 
-    One anchor may come as a 3-vector; N_T may be zero. Other shapes, and
-    positions that do not read as float arrays, raise `ShapeMismatch`."""
+    N_A must be at least one; N_T may be zero. `_points` checks both arrays
+    (`ShapeMismatch`, or `OutOfRange` for a non-finite coordinate)."""
 
     anchors: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
-        try:
-            anchors = np.atleast_2d(np.array(self.anchors, dtype=float))
-            targets = np.array(self.targets, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ShapeMismatch(f"positions must be float arrays: {exc}") from None
-        if anchors.ndim != 2 or anchors.shape[1] != 3 or len(anchors) < 1:
-            raise ShapeMismatch(f"anchors must be (N_A >= 1, 3), got {anchors.shape}")
-        if targets.ndim != 2 or targets.shape[1] != 3:
-            raise ShapeMismatch(f"targets must be an (N_T, 3) array, got {targets.shape}")
+        anchors = _points("anchors", self.anchors)
+        targets = _points("targets", self.targets)
+        if not len(anchors):
+            raise ShapeMismatch("need at least one anchor")
         anchors.setflags(write=False)
         targets.setflags(write=False)
         object.__setattr__(self, "anchors", anchors)
@@ -101,9 +135,14 @@ class StructureMatrices:
     c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n_a, n_t = self.n_anchors, self.n_targets
+        n_a = _integer("n_anchors", self.n_anchors)
+        n_t = _integer("n_targets", self.n_targets)
         if n_a < 1 or n_t < 0:
             raise ShapeMismatch("need n_anchors >= 1 and n_targets >= 0")
+        _check_entries("incidence matrix",
+                       (n_a * (n_a - 1) // 2 + n_a * n_t) * (n_a + n_t))
+        object.__setattr__(self, "n_anchors", n_a)
+        object.__setattr__(self, "n_targets", n_t)
         heads, tails = np.triu_indices(n_a, 1)
         heads = np.concatenate([heads, np.repeat(np.arange(n_a), n_t)])
         tails = np.concatenate([tails, n_a + np.tile(np.arange(n_t), n_a)])
@@ -120,18 +159,14 @@ class StructureMatrices:
         return self.n_anchors * (self.n_anchors - 1) // 2
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)  # typed: True is 1 to an untyped cache
 def structure_matrices(n_anchors: int, n_targets: int) -> StructureMatrices:
     """The incidence matrix of a network with the given node counts.
 
     The result is immutable and cached per size, so repeated calls share it.
+    Counts not integers within the size ceiling raise `OutOfRange`.
     """
     return StructureMatrices(n_anchors, n_targets)
-
-
-def edge_matrix(geometry: NetworkGeometry, structure: StructureMatrices) -> np.ndarray:
-    """Edge vectors x_i - x_j stacked as an (M, 3) array."""
-    return structure.c @ geometry.stacked
 
 
 @dataclass(frozen=True)
@@ -162,7 +197,7 @@ class TrueParameters:
 def true_parameters(geometry: NetworkGeometry) -> TrueParameters:
     """Compute exact per-edge distances and angles from node positions."""
     structure = structure_matrices(geometry.n_anchors, geometry.n_targets)
-    v = edge_matrix(geometry, structure)
+    v = structure.c @ geometry.stacked  # edge vectors x_i - x_j, (M, 3)
     d = np.linalg.norm(v, axis=1)
 
     first, second, *normal = v.T[_PLANE_AXES]

@@ -9,8 +9,8 @@ q = A + B j, where A = w + x i and B = y + z i. The halves encode the product,
 
 and the private `_qmul` is the one place that evaluates it. A quaternion
 vector u = u1 + u2 j has one form on the solve path, the (m, 2) complex
-array of columns [u1, u2]: `dominant_eigpair` returns it, `embed_r3` builds
-it, `r3_components` reads it, and `_qmul` multiplies a matrix into it.
+array of columns [u1, u2]: `dominant_eigpair` returns it, `_embed_r3` builds
+it, `_r3_components` reads it, and `_qmul` multiplies a matrix into it.
 `QuaternionMatrix` stores matrices only (kernels and `qsvd` factors) and
 implements no arithmetic. The complex adjoint [[A, B], [-conj(B), conj(A)]]
 of an M x N quaternion matrix maps products and conjugate transposes
@@ -33,8 +33,6 @@ __all__ = [
     "complex_adjoint",
     "qsvd",
     "dominant_eigpair",
-    "embed_r3",
-    "r3_components",
 ]
 
 # `dominant_eigpair` power steps: the certified eigenvector error r / g, and
@@ -102,13 +100,6 @@ class QuaternionMatrix:
     @property
     def shape(self) -> tuple[int, ...]:
         return self._a.shape
-
-    # ---- measures ----
-
-    def norm(self) -> float:
-        """Frobenius norm, the root of the summed squared entry norms."""
-        return math.sqrt(float(np.sum(np.abs(self._a) ** 2)
-                               + np.sum(np.abs(self._b) ** 2)))
 
     def __repr__(self) -> str:
         return f"QuaternionMatrix(shape={self.shape})"
@@ -236,26 +227,20 @@ def dominant_eigpair(k: QuaternionMatrix) -> tuple[float, np.ndarray]:
     return float(w[-1]), np.column_stack((top[:m], -np.conj(top[m:])))
 
 
-def embed_r3(rows: np.ndarray) -> np.ndarray:
+def _embed_r3(rows: np.ndarray) -> np.ndarray:
     """Map (n, 3) real rows (a, b, c) to the quaternion vector a + b i + c j,
     returned as its (n, 2) columns [a + b i, c].
 
     The k component is fixed at zero; this is the coordinate embedding every
     kernel and solver in this package shares.
     """
-    v = np.asarray(rows, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 3:
-        raise ShapeMismatch("rows must form an (n, 3) array")
-    return np.column_stack((v[:, 0] + 1j * v[:, 1], v[:, 2]))
+    return np.column_stack((rows[:, 0] + 1j * rows[:, 1], rows[:, 2]))
 
 
-def r3_components(u: np.ndarray) -> np.ndarray:
-    """Inverse of `embed_r3`: the real, i, and j components of quaternion
+def _r3_components(u: np.ndarray) -> np.ndarray:
+    """Inverse of `_embed_r3`: the real, i, and j components of quaternion
     columns [u1, u2], an (..., 2) array, as (..., 3) rows.
 
     Any k component is dropped; callers decide whether its size matters.
     """
-    u = np.asarray(u)
-    if u.shape[-1:] != (2,):
-        raise ShapeMismatch("expected quaternion columns [u1, u2]")
     return np.stack((u[..., 0].real, u[..., 0].imag, u[..., 1].real), -1)

@@ -25,6 +25,8 @@ coordinates are aligned on the anchors; both alignments permit reflections.
 Each solver checks its inputs first, in `_solver_inputs`: run the completion
 module first when entries are masked. The kernel types reject a non-finite
 or non-Hermitian kernel at construction, so no solver scans or symmetrizes.
+The private steps inside (`_resolve_edge_ambiguity`, `quat._embed_r3` and
+`quat._r3_components`) check nothing that `_solver_inputs` has checked.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from .errors import (
 )
 from .gek import QuatGek, RealGek, build_quat_gek, build_real_gek
 from .measurement import MeasurementSet
-from .network import StructureMatrices
-from .quat import _qmul, dominant_eigpair, embed_r3, r3_components
+from .network import StructureMatrices, _check_entries, _integer, _points
+from .quat import _embed_r3, _qmul, _r3_components, dominant_eigpair
 
 __all__ = [
     "Estimate",
@@ -55,7 +57,6 @@ __all__ = [
     "qd_mrc_smds",
     "qd_mrc_smds_iterative",
     "scenario_one_pipeline",
-    "resolve_edge_ambiguity",
     "anchored_inversion",
     "procrustes_align",
 ]
@@ -78,18 +79,14 @@ class Estimate:
 def _solver_inputs(gek: "RealGek | QuatGek", anchors: np.ndarray,
                    structure: StructureMatrices) -> tuple[np.ndarray, np.ndarray]:
     """The four solvers' one input contract, checked before any solve: a
-    complete kernel of the structure's edge count and (N_A, 3) anchors
-    (else `ShapeMismatch`), all finite (else `OutOfRange`). Returns the
+    complete kernel of the structure's edge count (else `ShapeMismatch`) and
+    the structure's (N_A, 3) anchors, checked by `_points`. Returns the
     anchors as floats and the known anchor-anchor edges, the first n_aa."""
     if gek.mask is not None and not gek.mask.all():
         raise ShapeMismatch("kernel carries unobserved entries; complete it first")
     if gek.m != (m := structure.c.shape[0]):
         raise ShapeMismatch(f"kernel size {gek.m} does not match structure's {m} edges")
-    anchors = np.asarray(anchors, dtype=float)
-    if anchors.shape != (n_a := structure.n_anchors, 3):
-        raise ShapeMismatch(f"anchors must be ({n_a}, 3), got {anchors.shape}")
-    if not np.isfinite(anchors).all():
-        raise OutOfRange("anchors hold non-finite coordinates")
+    anchors = _points("anchors", anchors, n_a := structure.n_anchors)
     return anchors, structure.c[:structure.n_aa, :n_a] @ anchors
 
 
@@ -104,20 +101,19 @@ def _inversion_operator(structure: StructureMatrices) -> np.ndarray:
     return op
 
 
-def anchored_inversion(
-    v_hat: np.ndarray, anchors: np.ndarray, structure: StructureMatrices
-) -> np.ndarray:
+def anchored_inversion(v_hat: np.ndarray, anchors: np.ndarray,
+                       structure: StructureMatrices) -> np.ndarray:
     """Recover all node positions from edge vectors with anchors pinned.
 
     Solves the stacked least-squares system that places each anchor at its
     known position and each edge difference at its estimated vector. The
     stack has full column rank whenever the incidence rows connect every
     target to an anchor, so the solution is unique; it is applied through
-    the stack's pseudo-inverse, computed once per structure.
+    the stack's pseudo-inverse, computed once per structure. `_points`
+    checks the structure's (M, 3) edges and (N_A, 3) anchors.
     """
-    if (v_hat.shape, anchors.shape) != ((structure.c.shape[0], 3),
-                                        (structure.n_anchors, 3)):
-        raise ShapeMismatch("edges or anchors do not match the structure")
+    v_hat = _points("the structure's edges", v_hat, structure.c.shape[0])
+    anchors = _points("the structure's anchors", anchors, structure.n_anchors)
     return _inversion_operator(structure) @ np.vstack([anchors, v_hat])
 
 
@@ -127,17 +123,14 @@ def procrustes_align(x_hat: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray
     The transform minimizing the summed squared misfit of the leading rows
     of `x_hat` against the anchors is applied to every row. Reflections are
     allowed. Needs at least four anchors that span all three dimensions, and
-    an (N, 3) `x_hat` with N >= N_A (else `ShapeMismatch`), finite (else
-    `OutOfRange`).
+    an `x_hat` of N >= N_A rows; `_points` checks both (N, 3) arrays.
     """
-    anchors, x_hat = np.asarray(anchors, dtype=float), np.asarray(x_hat, dtype=float)
+    anchors, x_hat = _points("anchors", anchors), _points("x_hat", x_hat)
     n_a = anchors.shape[0]
     if n_a < 4:
         raise DegenerateAnchors("similarity fit needs at least 4 anchors")
-    if x_hat.ndim != 2 or x_hat.shape[1] != 3 or len(x_hat) < n_a:
-        raise ShapeMismatch(f"x_hat must be (N >= {n_a}, 3), got {x_hat.shape}")
-    if not np.isfinite(x_hat).all():
-        raise OutOfRange("x_hat holds non-finite coordinates")
+    if len(x_hat) < n_a:
+        raise ShapeMismatch(f"x_hat must have at least {n_a} rows, got {len(x_hat)}")
 
     b = anchors - anchors.mean(axis=0)
     sv_b = np.linalg.svd(b, compute_uv=False)
@@ -180,23 +173,19 @@ def _align_edges(v_hat: np.ndarray, v_known: np.ndarray) -> np.ndarray:
     return v_hat @ (u @ vt)
 
 
-def resolve_edge_ambiguity(
-    nu_hat: np.ndarray, nu_aa_known: np.ndarray
-) -> tuple[np.ndarray, dict]:
+def _resolve_edge_ambiguity(nu_hat: np.ndarray,
+                            known: np.ndarray) -> tuple[np.ndarray, dict]:
     """Fix the right unit-quaternion factor of an estimated edge vector.
 
     An eigenvector is defined only up to a right unit-quaternion factor.
     The factor g minimizing the misfit of the leading anchor-anchor entries
     against their known values is s / |s| for the correlation
-    s = nu_hat^H nu over those entries; the whole vector is right-multiplied
-    by it. Both vectors are quaternion columns [u1, u2], (m, 2) arrays, and
-    both products go through `_qmul`. `info["phase"]` holds g as a read-only
-    (w, x, y, z) array. A vector of another shape, or a known block longer
-    than the estimate, raises `ShapeMismatch`.
+    s = nu_hat^H known over those entries; the whole vector is
+    right-multiplied by it. Both vectors are quaternion columns [u1, u2],
+    (m, 2) arrays, the known block no longer than the estimate, and both
+    products go through `_qmul`. `info["phase"]` holds g as a read-only
+    (w, x, y, z) array.
     """
-    nu_hat, known = np.asarray(nu_hat), np.asarray(nu_aa_known)
-    if nu_hat.shape[1:] != (2,) or known.shape[1:] != (2,) or len(known) > len(nu_hat):
-        raise ShapeMismatch(f"edge vectors {nu_hat.shape}, {known.shape}")
     head = nu_hat[:len(known)]
     s = _qmul(head[:, :1].conj().T, -head[:, 1:].T, known)[0]  # head^H known
     size = float(np.linalg.norm(s))
@@ -242,8 +231,8 @@ def qd_smds(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices) -> E
     lam, u = dominant_eigpair(kq.k)
     if lam < 0:
         raise RankDeficient("kernel has no positive eigenvalue; no edge vector")
-    nu_hat, phase_info = resolve_edge_ambiguity(u * math.sqrt(lam), embed_r3(v_known))
-    targets, fit = _place(r3_components(nu_hat), anchors, structure)
+    nu_hat, phase_info = _resolve_edge_ambiguity(u * math.sqrt(lam), _embed_r3(v_known))
+    targets, fit = _place(_r3_components(nu_hat), anchors, structure)
     k_abs = np.abs(nu_hat[:, 1].imag)
     diag = {
         "top_eigenvalue": lam,
@@ -263,7 +252,7 @@ def _mrc_core(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices,
     k21 = a[n_aa:, :n_aa], b[n_aa:, :n_aa]
     k3 = a[n_aa:, n_aa:], b[n_aa:, n_aa:]
 
-    nu_aa = embed_r3(v_known)
+    nu_aa = _embed_r3(v_known)
     aa_energy = np.linalg.norm(nu_aa) ** 2
     if aa_energy == 0:
         raise DegenerateAnchors("anchor-anchor edges are all zero length")
@@ -279,7 +268,7 @@ def _mrc_core(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices,
 
     # Edge i * n_t + t runs from anchor i to target t; the anchors'
     # estimates are averaged.
-    edges = r3_components(
+    edges = _r3_components(
         states.reshape(tau_max + 1, structure.n_anchors, structure.n_targets, 2))
     targets = (anchors[:, None, :] - edges).mean(axis=1)
     targets.setflags(write=False)
@@ -296,22 +285,17 @@ def qd_mrc_smds(
     return _mrc_core(kq, anchors, structure, tau_max=0)
 
 
-def qd_mrc_smds_iterative(
-    kq: QuatGek,
-    anchors: np.ndarray,
-    structure: StructureMatrices,
-    tau_max: int = 1,
-) -> Estimate:
+def qd_mrc_smds_iterative(kq: QuatGek, anchors: np.ndarray,
+                          structure: StructureMatrices, tau_max: int = 1) -> Estimate:
     """Closed-form recovery with a fixed-point refinement of the edges.
 
     `diagnostics["trajectory"]` is the read-only (tau_max + 1, N_T, 3) array
-    of target estimates after every sweep 0..tau_max. `tau_max` must be an
-    integer (a numpy integer too, not a bool), else `OutOfRange`.
+    of target estimates after every sweep 0..tau_max. `tau_max` must be a
+    nonnegative integer (a numpy integer too, not a bool) within the size
+    ceiling, else `OutOfRange` before anything is allocated.
     """
-    if isinstance(tau_max, bool) or not isinstance(tau_max, (int, np.integer)):
-        raise OutOfRange(f"tau_max must be an integer, got {tau_max!r}")
-    if tau_max < 0:
-        raise OutOfRange("tau_max must be nonnegative")
+    tau_max = _integer("tau_max", tau_max, 0)
+    _check_entries("the sweeps' edge estimates", (tau_max + 1) * structure.c.shape[0])
     return _mrc_core(kq, anchors, structure, tau_max)
 
 

@@ -2,13 +2,16 @@
 hand-expanded arithmetic on Cayley-Dickson halves is checked against.
 
 `qmds.quat.QuaternionMatrix` stores a pair (A, B), entry A + B j, and
-implements no arithmetic. Here the matrix product and conjugate transpose
-are written on the halves once, and `hamilton` multiplies single quaternions
-from the multiplication table alone, so `tests/test_quat.py` can check the
-matrix product against it entry by entry. The library holds a quaternion
-vector u = u1 + u2 j as the (m, 2) columns [u1, u2]; `column` turns that
-into the m x 1 matrix the oracle multiplies, and `columns` turns it back.
+implements no arithmetic. Here the matrix product, the conjugate transpose
+and the Frobenius `norm` are written on the halves once, and `hamilton`
+multiplies single quaternions from the multiplication table alone, so
+`tests/test_quat.py` can check the matrix product against it entry by entry.
+The library holds a quaternion vector u = u1 + u2 j as the (m, 2) columns
+[u1, u2]; `column` turns that into the m x 1 matrix the oracle multiplies,
+and `columns` turns it back.
 """
+
+import math
 
 import numpy as np
 
@@ -59,6 +62,11 @@ def add(p: QuaternionMatrix, q: QuaternionMatrix) -> QuaternionMatrix:
 
 def sub(p: QuaternionMatrix, q: QuaternionMatrix) -> QuaternionMatrix:
     return QuaternionMatrix(p.a - q.a, p.b - q.b)
+
+
+def norm(q: QuaternionMatrix) -> float:
+    """Frobenius norm, the root of the summed squared entry norms."""
+    return math.sqrt(float(np.sum(np.abs(q.a) ** 2) + np.sum(np.abs(q.b) ** 2)))
 
 
 def div(q: QuaternionMatrix, s: float) -> QuaternionMatrix:

@@ -24,16 +24,16 @@ from qmds.errors import NonConvergenceWarning
 from qmds.harness import ExperimentConfig, metric_xi, run_trial
 from qmds.measurement import (
     NoiseConfig,
+    _sample_angle,
+    _sample_distance,
     epsilon_to_rho,
-    sample_angle,
-    sample_distance,
     synthesize,
 )
 from qmds.network import NetworkGeometry, structure_matrices, true_parameters
 from qmds.quat import QuaternionMatrix, complex_adjoint, dominant_eigpair, qsvd
 from qmds.gek import build_real_gek, quat_gek_from_measurements
 from qmds.solvers import qd_mrc_smds_iterative
-from quaternion_oracle import reconstruct, sub
+from quaternion_oracle import norm, reconstruct, sub
 
 ROOM_ANCHORS = np.array(
     [[0, 0, 10], [30, 0, 10], [30, 30, 10], [0, 30, 10], [0, 0, 0]], dtype=float
@@ -111,7 +111,7 @@ def test_criterion_01_qsvd_reconstruction_and_adjoint_spectrum():
             rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)),
         )
         res = qsvd(q)
-        recon = sub(reconstruct(res), q).norm() / q.norm()
+        recon = norm(sub(reconstruct(res), q)) / norm(q)
         adjoint_spectrum = np.linalg.svd(complex_adjoint(q), compute_uv=False)
         spec = np.max(np.abs(res.singular_values - adjoint_spectrum[1::2]))
         worst_recon = max(worst_recon, recon)
@@ -303,7 +303,7 @@ def test_criterion_08_noise_model_statistics():
     rng = np.random.default_rng(9008)
     lines, ok = [], True
     for d, sigma in ((10.0, 2.0), (5.0, 1.0)):
-        draws = sample_distance(np.full(1_000_000, d), sigma, rng)
+        draws = _sample_distance(np.full(1_000_000, d), sigma, rng)
         mean_err = abs(draws.mean() - d) / d
         var_err = abs(draws.var(ddof=1) - sigma**2) / sigma**2
         pair_ok = mean_err < 0.02 and var_err < 0.02
@@ -314,7 +314,7 @@ def test_criterion_08_noise_model_statistics():
         )
     for eps in (10.0, 20.0, 30.0, 40.0, 50.0):
         rho = epsilon_to_rho(eps)
-        draws = sample_angle(np.zeros(1_000_000), rho, rng)
+        draws = _sample_angle(np.zeros(1_000_000), rho, rng)
         recovered = np.degrees(np.percentile(np.abs(draws), 90.0))
         angle_ok = abs(recovered - eps) < 1.0
         ok = ok and angle_ok

@@ -63,6 +63,15 @@ def test_package_exports_are_declared_where_defined():
     assert qmds.__all__ == [name for module in LIBRARY for name in module.__all__]
 
 
+def test_every_public_callable_has_a_census_entry():
+    # tests/test_census.py calls each public callable with bad inputs; a name
+    # added to (or dropped from) the surface must add (or drop) its entry.
+    import test_census
+
+    public = {name for name in qmds.__all__ if callable(getattr(qmds, name))}
+    assert public == set(test_census.CENSUS)
+
+
 def test_library_imports_no_scipy(tmp_path):
     # numpy is the only runtime dependency; scipy is for the tests alone. With
     # scipy unimportable, a masked run and a converge run still go through.

@@ -13,9 +13,9 @@ from qmds.gek import (
 )
 from qmds.measurement import MeasurementSet, NoiseConfig, missing_mask, synthesize
 from qmds.network import NetworkGeometry, structure_matrices, true_parameters
-from qmds.quat import QuaternionMatrix, embed_r3, qsvd
+from qmds.quat import QuaternionMatrix, _embed_r3, qsvd
 from qmds.solvers import _stage_two_kernel, qd_mrc_smds
-from quaternion_oracle import column, ctranspose, from_components, matmul, sub
+from quaternion_oracle import column, ctranspose, from_components, matmul, norm, sub
 
 
 def geometry(rng, n_anchors=5, n_targets=15):
@@ -107,6 +107,15 @@ def test_quat_kernel_rejects_mismatched_components():
         build_quat_gek(kr, planes[:2] + ((np.ones(2), np.ones(2)),))
 
 
+@pytest.mark.parametrize("keep", [0, 1, 2])
+def test_quat_kernel_needs_all_three_planes(keep):
+    # With fewer planes the unwritten parts of the halves kept whatever
+    # np.empty gave them: a large kernel came back with B = 0, silently.
+    kr, planes = _kernel_inputs(np.eye(3))
+    with pytest.raises(ShapeMismatch, match="three planes"):
+        build_quat_gek(kr, planes[:keep])
+
+
 def test_quat_kernel_diagonal_is_squared_distance():
     rng = np.random.default_rng(94)
     _, ms = exact_measurements(rng)
@@ -121,8 +130,8 @@ def test_quat_kernel_is_rank_one_outer_product():
     rng = np.random.default_rng(95)
     params, ms = exact_measurements(rng)
     k = quat_gek_from_measurements(ms).k
-    expected = outer(embed_r3(params.vectors))
-    assert sub(k, expected).norm() / expected.norm() < 1e-10
+    expected = outer(_embed_r3(params.vectors))
+    assert norm(sub(k, expected)) / norm(expected) < 1e-10
     s = qsvd(k).singular_values
     assert s[1] / s[0] < 1e-10
     assert s[0] == pytest.approx(np.sum(params.distances**2), rel=1e-10)
@@ -134,7 +143,7 @@ def test_quat_kernel_exactly_hermitian_under_noise():
     for noise in (NoiseConfig(2.0, 50.0), NoiseConfig(4.0, 150.0)):
         ms = synthesize(params, noise, "II", rng)
         k = quat_gek_from_measurements(ms).k
-        assert sub(k, ctranspose(k)).norm() == 0.0
+        assert norm(sub(k, ctranspose(k))) == 0.0
 
 
 def test_stage_two_kernel_exactly_hermitian():
@@ -192,10 +201,10 @@ def test_cross_block_is_mixed_outer_product():
     kq = quat_gek_from_measurements(ms)
     n_aa = structure_matrices(4, 6).n_aa
     k2 = QuaternionMatrix(kq.k.a[:n_aa, n_aa:], kq.k.b[:n_aa, n_aa:])
-    nu = embed_r3(params.vectors)
+    nu = _embed_r3(params.vectors)
     nu_aa, nu_at = column(nu[:n_aa]), column(nu[n_aa:])
     expected = matmul(nu_aa, ctranspose(nu_at))
-    assert sub(k2, expected).norm() / expected.norm() < 1e-10
+    assert norm(sub(k2, expected)) / norm(expected) < 1e-10
 
 
 def test_diagonal_blocks_hermitian():
@@ -205,7 +214,7 @@ def test_diagonal_blocks_hermitian():
     n_aa = structure_matrices(4, 5).n_aa
     for rows in (slice(None, n_aa), slice(n_aa, None)):
         block = QuaternionMatrix(kq.k.a[rows, rows], kq.k.b[rows, rows])
-        assert sub(block, ctranspose(block)).norm() == 0.0
+        assert norm(sub(block, ctranspose(block))) == 0.0
 
 
 # ---- masks ----

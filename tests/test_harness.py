@@ -184,6 +184,25 @@ def test_trial_index_changes_draws():
     assert a.xi != b.xi
 
 
+@pytest.mark.parametrize("key, error", [
+    (("III", 1.0, 30.0, 0), "scenario"),
+    (("II", np.nan, 30.0, 0), "sigma_d"),
+    (("II", -1.0, 30.0, 0), "sigma_d"),
+    (("II", np.inf, 30.0, 0), "sigma_d"),
+    (("II", 1.0, np.nan, 0), "epsilon"),
+    (("II", 1.0, -3, 0), "epsilon"),
+    (("II", 1.0, 30.0, 2.5), "trial_index"),
+    (("II", 1.0, 30.0, -3), "trial_index"),
+], ids=["scenario", "nan-sigma", "negative-sigma", "inf-sigma", "nan-epsilon",
+        "negative-epsilon", "fractional-index", "negative-index"])
+def test_trial_rejects_a_key_no_seed_is_built_from(key, error):
+    # These failed untyped while the seed key was built: SCENARIOS.index's
+    # ValueError, int(round(nan)), int(round(inf)), or SeedSequence's
+    # TypeError and ValueError.
+    with pytest.raises(OutOfRange, match=error):
+        run_trial(small_config(), *key)
+
+
 def test_trial_timing_column():
     cfg = small_config(timing="wall", algorithms=("qdsmds",))
     res = run_trial(cfg, "II", 1.0, 30.0, 0)["qdsmds"]

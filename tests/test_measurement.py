@@ -14,11 +14,11 @@ from qmds.measurement import (
     EPSILON_LIMIT_DEG,
     MeasurementSet,
     NoiseConfig,
+    _reflect_elevation,
+    _sample_angle,
+    _sample_distance,
     epsilon_to_rho,
     missing_mask,
-    reflect_elevation,
-    sample_angle,
-    sample_distance,
     synthesize,
 )
 from qmds.network import NetworkGeometry, true_parameters
@@ -35,7 +35,7 @@ def sample_params(rng):
 
 def test_gamma_moments():
     rng = np.random.default_rng(71)
-    draws = sample_distance(np.full(10**6, 10.0), 2.0, rng)
+    draws = _sample_distance(np.full(10**6, 10.0), 2.0, rng)
     assert abs(draws.mean() - 10.0) < 0.02
     assert abs(draws.var() - 4.0) < 0.08
     assert np.all(draws > 0)
@@ -44,7 +44,7 @@ def test_gamma_moments():
 def test_zero_sigma_is_exact():
     rng = np.random.default_rng(72)
     d = np.array([3.0, 5.0, 11.0])
-    np.testing.assert_array_equal(sample_distance(d, 0.0, rng), d)
+    np.testing.assert_array_equal(_sample_distance(d, 0.0, rng), d)
 
 
 @pytest.mark.parametrize("sigma_d", [1e-160, 1e-170])
@@ -53,17 +53,9 @@ def test_tiny_sigma_returns_distances_undrawn(sigma_d):
     # overflow or divide by zero: d comes back unchanged, nothing drawn.
     rng = np.random.default_rng(74)
     state = rng.bit_generator.state
-    np.testing.assert_array_equal(sample_distance([1.0, 30.0], sigma_d, rng),
+    np.testing.assert_array_equal(_sample_distance([1.0, 30.0], sigma_d, rng),
                                   [1.0, 30.0])
     assert rng.bit_generator.state == state
-
-
-def test_nonpositive_distance_rejected():
-    rng = np.random.default_rng(73)
-    with pytest.raises(OutOfRange, match="positive"):
-        sample_distance(np.array([2.0, 0.0]), 1.0, rng)
-    with pytest.raises(OutOfRange, match="positive"):
-        sample_distance(-1.0, 1.0, rng)
 
 
 # ---- angle noise calibration ----
@@ -99,6 +91,13 @@ def test_rho_reintegrates_to_ninety_percent(eps):
     assert abs(head / (np.pi * ive(0, rho)) - 0.9) < 1e-12
 
 
+@pytest.mark.parametrize("eps", [np.float16(1.5), np.float32(1.5), True])
+def test_rho_is_computed_in_double_precision(eps):
+    # np.deg2rad kept a float16, float32 or bool argument's precision, and
+    # the cache then served that rho for the equal float as well.
+    assert epsilon_to_rho(eps) == epsilon_to_rho.__wrapped__(float(eps))
+
+
 def test_epsilon_beyond_the_concentration_bracket_rejected():
     # rho = 1e8 holds 90% of the mass within about +-0.0094 degrees
     assert epsilon_to_rho(0.0095) > 9e7
@@ -123,13 +122,13 @@ def test_epsilon_bounds_rejected():
 
 def test_high_concentration_sampler():
     rng = np.random.default_rng(74)
-    delta = sample_angle(np.zeros(10**4), 1e6, rng)
+    delta = _sample_angle(np.zeros(10**4), 1e6, rng)
     assert np.mean(np.abs(delta) < 0.01) > 0.99
 
 
 def test_zero_concentration_is_uniform():
     rng = np.random.default_rng(75)
-    delta = sample_angle(np.zeros(10**5), 0.0, rng)
+    delta = _sample_angle(np.zeros(10**5), 0.0, rng)
     stat, _ = kstest(delta, "uniform", args=(-np.pi, 2 * np.pi))
     assert stat < 0.01
 
@@ -137,16 +136,16 @@ def test_zero_concentration_is_uniform():
 def test_percentile_round_trip():
     rng = np.random.default_rng(76)
     rho = epsilon_to_rho(30.0)
-    delta = sample_angle(np.zeros(10**6), rho, rng)
+    delta = _sample_angle(np.zeros(10**6), rho, rng)
     eps_hat = np.rad2deg(np.quantile(np.abs(delta), 0.9))
     assert abs(eps_hat - 30.0) < 1.0
 
 
 def test_reflect_elevation():
-    np.testing.assert_allclose(reflect_elevation([-0.1, 0.5, np.pi + 0.1]),
+    np.testing.assert_allclose(_reflect_elevation([-0.1, 0.5, np.pi + 0.1]),
                                [0.1, 0.5, np.pi - 0.1], atol=1e-15)
     rng = np.random.default_rng(77)
-    folded = reflect_elevation(rng.uniform(-10, 10, size=1000))
+    folded = _reflect_elevation(rng.uniform(-10, 10, size=1000))
     assert np.all(folded >= 0) and np.all(folded <= np.pi)
 
 
@@ -216,7 +215,7 @@ def test_synthesis_draw_order(sigma_d):
     noise = [rng.vonmises(0.0, rho, size=m) for _ in range(6)]
     np.testing.assert_array_equal(ms.azimuths, params.azimuths + noise[:3])
     np.testing.assert_array_equal(ms.elevations,
-                                  reflect_elevation(params.elevations + noise[3:]))
+                                  _reflect_elevation(params.elevations + noise[3:]))
 
 
 def test_zero_length_edges_rejected():
@@ -336,6 +335,13 @@ def test_mask_hides_exact_count():
     assert hidden == 2 * 1071  # 1071 unordered pairs, mirrored
     np.testing.assert_array_equal(mask, mask.T)
     assert np.all(np.diag(mask))
+
+
+@pytest.mark.parametrize("m", [85.0, -3, 2.5, np.nan, True, 10**9])
+def test_mask_size_must_be_a_nonnegative_integer_under_the_ceiling(m):
+    # 85.0 and 2.5 raised TypeError, -3 ValueError and 10**9 MemoryError.
+    with pytest.raises(OutOfRange, match="m must be|entries"):
+        missing_mask(m, 0.3, np.random.default_rng(89))
 
 
 def test_mask_fraction_bounds():

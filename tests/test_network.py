@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from qmds.errors import ShapeMismatch
+from qmds.errors import OutOfRange, ShapeMismatch
 from qmds.network import (
     NetworkGeometry,
     StructureMatrices,
-    edge_matrix,
     structure_matrices,
     true_parameters,
 )
@@ -43,6 +42,21 @@ def test_geometry_copies_callers_arrays():
 def test_geometry_rejects_misshaped_targets(targets):
     with pytest.raises(ShapeMismatch, match="targets"):
         NetworkGeometry(np.zeros((2, 3)), targets)
+
+
+@pytest.mark.parametrize("field", ["anchors", "targets"])
+@pytest.mark.parametrize("bad, error", [
+    (np.nan, OutOfRange), (np.inf, OutOfRange), (1j, ShapeMismatch),
+], ids=["nan", "inf", "complex"])
+def test_geometry_rejects_non_finite_and_complex_positions(field, bad, error):
+    # A NaN target once passed, and true_parameters spread it through the
+    # incidence product to every edge's distance; a complex position raised
+    # a ComplexWarning or lost its imaginary part.
+    positions = {"anchors": np.eye(3), "targets": np.ones((2, 3))}
+    positions[field] = positions[field].astype(type(bad))
+    positions[field][1, 2] = bad
+    with pytest.raises(error, match=field):
+        NetworkGeometry(**positions)
 
 
 # ---- edge layout ----
@@ -105,6 +119,28 @@ def test_edge_set_rejects_empty():
         StructureMatrices(3, -1)
 
 
+@pytest.mark.parametrize("counts", [(2.5, 3), (5, 3.0), (np.nan, 3), (5, np.inf),
+                                    (True, 3)])
+def test_structure_counts_must_be_integers(counts):
+    # These raised TypeError, ValueError or OverflowError from numpy.
+    with pytest.raises(OutOfRange, match="must be an integer"):
+        structure_matrices(*counts)
+
+
+def test_structure_takes_numpy_integer_counts():
+    st = StructureMatrices(np.int64(5), np.uint8(15))
+    assert (type(st.n_anchors), type(st.n_targets)) == (int, int)
+    assert st == structure_matrices(5, 15)
+
+
+def test_structure_size_ceiling():
+    # The incidence matrix of 10**9 nodes is refused before it is allocated;
+    # the largest structure the tests build is 228 x 33.
+    for counts in [(10**9, 3), (5, 10**9), (2**12, 0)]:
+        with pytest.raises(OutOfRange, match="entries"):
+            structure_matrices(*counts)
+
+
 def test_structure_is_shared_and_frozen():
     st = structure_matrices(5, 15)
     assert structure_matrices(5, 15) is st
@@ -138,7 +174,7 @@ def test_selectors_reproduce_anchor_target_rows():
     rng = np.random.default_rng(61)
     geo = random_geometry(rng, 4, 6)
     st = structure_matrices(4, 6)
-    v = edge_matrix(geo, st)
+    v = true_parameters(geo).vectors
     for i in range(4):
         for t in range(6):
             np.testing.assert_array_equal(
@@ -151,7 +187,7 @@ def test_selectors_reproduce_anchor_target_rows():
 
 def test_edge_vector_orientation():
     geo = NetworkGeometry([[0, 0, 0], [1, 0, 0]], np.zeros((0, 3)))
-    v = edge_matrix(geo, structure_matrices(2, 0))
+    v = true_parameters(geo).vectors
     np.testing.assert_array_equal(v, [[-1, 0, 0]])
 
 
@@ -159,7 +195,7 @@ def test_edge_matrix_matches_direct_differences():
     rng = np.random.default_rng(62)
     geo = random_geometry(rng, 3, 4)
     st = structure_matrices(3, 4)
-    v = edge_matrix(geo, st)
+    v = true_parameters(geo).vectors
     x = geo.stacked
     for m, (i, j) in enumerate(edge_ends(st)):
         np.testing.assert_allclose(v[m], x[i] - x[j], atol=1e-12)
@@ -167,7 +203,7 @@ def test_edge_matrix_matches_direct_differences():
 
 def test_coincident_nodes_give_zero_edges():
     geo = NetworkGeometry(np.ones((3, 3)), np.ones((2, 3)))
-    v = edge_matrix(geo, structure_matrices(3, 2))
+    v = true_parameters(geo).vectors
     np.testing.assert_array_equal(v, np.zeros((9, 3)))
 
 

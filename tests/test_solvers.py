@@ -22,13 +22,8 @@ from qmds.gek import (
     quat_gek_from_measurements,
 )
 from qmds.measurement import MeasurementSet, NoiseConfig, missing_mask, synthesize
-from qmds.network import (
-    NetworkGeometry,
-    edge_matrix,
-    structure_matrices,
-    true_parameters,
-)
-from qmds.quat import QuaternionMatrix, _mirrors, embed_r3, r3_components
+from qmds.network import NetworkGeometry, structure_matrices, true_parameters
+from qmds.quat import QuaternionMatrix, _embed_r3, _mirrors, _r3_components
 from quaternion_oracle import (
     add,
     column,
@@ -39,16 +34,17 @@ from quaternion_oracle import (
     hamilton,
     hermitian_part,
     matmul,
+    norm,
     sub,
 )
 from qmds.solvers import (
     _inversion_operator,
+    _resolve_edge_ambiguity,
     anchored_inversion,
     procrustes_align,
     qd_mrc_smds,
     qd_mrc_smds_iterative,
     qd_smds,
-    resolve_edge_ambiguity,
     scenario_one_pipeline,
     smds,
 )
@@ -88,7 +84,7 @@ def test_anchored_inversion_consistency():
     rng = np.random.default_rng(131)
     geo = room(rng, 6)
     st = structure_matrices(5, 6)
-    v = edge_matrix(geo, st)
+    v = true_parameters(geo).vectors
     x_hat = anchored_inversion(v, geo.anchors, st)
     np.testing.assert_allclose(x_hat, geo.stacked, atol=1e-10)
 
@@ -96,7 +92,7 @@ def test_anchored_inversion_consistency():
 def test_anchored_inversion_anchors_only():
     geo = NetworkGeometry(ROOM_ANCHORS, np.zeros((0, 3)))
     st = structure_matrices(5, 0)
-    v = edge_matrix(geo, st)
+    v = true_parameters(geo).vectors
     x_hat = anchored_inversion(v, geo.anchors, st)
     np.testing.assert_allclose(x_hat, ROOM_ANCHORS, atol=1e-12)
 
@@ -105,7 +101,7 @@ def test_anchored_inversion_bounded_sensitivity():
     rng = np.random.default_rng(132)
     geo = room(rng, 5)
     st = structure_matrices(5, 5)
-    v = edge_matrix(geo, st)
+    v = true_parameters(geo).vectors
     base = anchored_inversion(v, geo.anchors, st)
     delta = 1e-3 * rng.standard_normal(v.shape)
     moved = anchored_inversion(v + delta, geo.anchors, st)
@@ -151,6 +147,32 @@ def test_anchored_system_has_full_column_rank_for_every_structure():
             st = structure_matrices(n_a, n_t)
             stacked = np.vstack([np.eye(n_a, n_a + n_t), st.c])
             assert np.linalg.matrix_rank(stacked) == n_a + n_t
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.nan, OutOfRange), (np.inf, OutOfRange), (1j, ShapeMismatch),
+], ids=["nan", "inf", "complex"])
+@pytest.mark.parametrize("place", ["inversion", "procrustes"])
+def test_placement_helpers_check_their_anchors(place, bad, error):
+    # A NaN anchor once came back from anchored_inversion as NaN positions,
+    # silently, and made procrustes_align's SVD raise LinAlgError; complex
+    # anchors raised a ComplexWarning or lost their imaginary part.
+    rng = np.random.default_rng(157)
+    geo = room(rng, 4)
+    st = structure_matrices(5, 4)
+    anchors = _with_entry(geo.anchors.astype(type(bad)), bad)
+    with pytest.raises(error, match="anchors"):
+        if place == "inversion":
+            anchored_inversion(true_parameters(geo).vectors, anchors, st)
+        else:
+            procrustes_align(geo.stacked, anchors)
+
+
+def test_scenario_one_pipeline_rejects_complex_anchors():
+    rng = np.random.default_rng(158)
+    geo, _, ms, st = exact_setup(rng, "I", n_targets=4)
+    with pytest.raises(ShapeMismatch, match="anchors must be"):
+        scenario_one_pipeline(ms, geo.anchors + 0j, st)
 
 
 # ---- Procrustes alignment ----
@@ -211,7 +233,7 @@ def test_procrustes_checks_its_estimate(x_hat, error):
 
 
 def make_nu(rng, n):
-    return embed_r3(rng.standard_normal((n, 3)))
+    return _embed_r3(rng.standard_normal((n, 3)))
 
 
 def right_mul(nu, g):
@@ -231,7 +253,7 @@ def test_phase_resolution_recovers_true_vector():
     nu = make_nu(rng, 12)
     g0 = random_unit_quaternion(rng)
     spun = right_mul(nu, g0)
-    fixed, info = resolve_edge_ambiguity(spun, nu[:5])
+    fixed, info = _resolve_edge_ambiguity(spun, nu[:5])
     assert fixed.shape == (12, 2)
     assert np.linalg.norm(fixed - nu) <= 1e-10 * np.linalg.norm(nu)
     assert info["phase_residual"] < 1e-10
@@ -244,7 +266,7 @@ def test_phase_resolution_recovers_true_vector():
 def test_phase_resolution_identity():
     rng = np.random.default_rng(136)
     nu = make_nu(rng, 8)
-    fixed, info = resolve_edge_ambiguity(nu, nu[:4])
+    fixed, info = _resolve_edge_ambiguity(nu, nu[:4])
     assert np.linalg.norm(fixed - nu) <= 1e-12 * np.linalg.norm(nu)
     np.testing.assert_allclose(info["phase"], [1, 0, 0, 0], atol=1e-12)
     assert not info["phase"].flags.writeable
@@ -255,8 +277,8 @@ def test_phase_resolution_invariant_to_extra_phase():
     nu = make_nu(rng, 10)
     known = nu[:4]
     g0, h = random_unit_quaternion(rng), random_unit_quaternion(rng)
-    once, _ = resolve_edge_ambiguity(right_mul(nu, g0), known)
-    twice, _ = resolve_edge_ambiguity(right_mul(right_mul(nu, g0), h), known)
+    once, _ = _resolve_edge_ambiguity(right_mul(nu, g0), known)
+    twice, _ = _resolve_edge_ambiguity(right_mul(right_mul(nu, g0), h), known)
     assert np.linalg.norm(once - twice) <= 1e-10 * np.linalg.norm(nu)
 
 
@@ -264,26 +286,7 @@ def test_phase_resolution_failure_on_zero():
     rng = np.random.default_rng(138)
     nu = make_nu(rng, 6)
     with pytest.raises(AmbiguityResolutionFailure):
-        resolve_edge_ambiguity(np.zeros((6, 2), complex), nu[:3])
-
-
-def test_phase_resolution_rejects_longer_known_block():
-    # a 3-vector against 5 known edges used to fail as a broadcast ValueError
-    rng = np.random.default_rng(139)
-    nu = make_nu(rng, 5)
-    with pytest.raises(ShapeMismatch, match="edge vectors"):
-        resolve_edge_ambiguity(nu[:3], nu)
-
-
-def test_phase_resolution_rejects_columns():
-    # only (m, 2) columns [u1, u2] are vectors: a (3, 2, 1) stack of
-    # columns, the 1-D half u1 and an m x 1 QuaternionMatrix are not
-    rng = np.random.default_rng(140)
-    nu = make_nu(rng, 3)
-    for bad in (nu[:, :, None], nu[:, 0], column(nu)):
-        for args in ((bad, nu[:2]), (nu, bad)):
-            with pytest.raises(ShapeMismatch, match="edge vectors"):
-                resolve_edge_ambiguity(*args)
+        _resolve_edge_ambiguity(np.zeros((6, 2), complex), nu[:3])
 
 
 # ---- SMDS ----
@@ -464,17 +467,17 @@ def _quaternion_algebra_mrc(kq, anchors, structure, tau_max):
     a, b = kq.k.a, kq.k.b
     k2 = QuaternionMatrix(a[:n_aa, n_aa:], b[:n_aa, n_aa:])
     k3 = QuaternionMatrix(a[n_aa:, n_aa:], b[n_aa:, n_aa:])
-    nu_aa = column(embed_r3(structure.c[:structure.n_aa, :n_a] @ anchors))
-    aa_energy = nu_aa.norm() ** 2
+    nu_aa = column(_embed_r3(structure.c[:structure.n_aa, :n_a] @ anchors))
+    aa_energy = norm(nu_aa) ** 2
     k2h_nu = matmul(ctranspose(k2), nu_aa)
     states, residuals = [div(k2h_nu, aa_energy)], []
     for _ in range(tau_max):
         prev = states[-1]
-        nu = div(add(k2h_nu, matmul(ctranspose(k3), prev)), aa_energy + prev.norm() ** 2)
-        residuals.append(sub(nu, prev).norm() / max(prev.norm(), np.finfo(float).tiny))
+        nu = div(add(k2h_nu, matmul(ctranspose(k3), prev)), aa_energy + norm(prev) ** 2)
+        residuals.append(norm(sub(nu, prev)) / max(norm(prev), np.finfo(float).tiny))
         states.append(nu)
     trajectory = [
-        (anchors[:, None, :] - r3_components(columns(nu)).reshape(n_a, n_t, 3)).mean(axis=0)
+        (anchors[:, None, :] - _r3_components(columns(nu)).reshape(n_a, n_t, 3)).mean(axis=0)
         for nu in states
     ]
     return trajectory, residuals
@@ -571,6 +574,8 @@ BAD_INPUTS = {
                    lambda k, a, st: (k, a[:, :2], st)),
     "one-anchor-vector": (ShapeMismatch, "anchors must be",
                           lambda k, a, st: (k, a[0], st)),
+    "complex-anchors": (ShapeMismatch, "anchors must be",
+                        lambda k, a, st: (k, a + 0j, st)),
     "nan-anchor": (OutOfRange, "non-finite",
                    lambda k, a, st: (k, _with_entry(a, np.nan), st)),
     "inf-anchor": (OutOfRange, "non-finite",
@@ -600,7 +605,8 @@ def count_eigen_solves(monkeypatch):
 def test_solver_input_contract(monkeypatch, case, solve):
     # Each solver checks one contract before any eigen-solve. Without it, bad
     # anchor shapes failed as numpy matmul ValueErrors, a NaN anchor as a
-    # LinAlgError (or as NaN targets from the MRC solvers), and smds and
+    # LinAlgError (or as NaN targets from the MRC solvers), complex anchors
+    # as a ComplexWarning (or lost their imaginary part), and smds and
     # qd_smds saw the size mismatch only after their eigen-solve.
     error, pattern, make = BAD_INPUTS[case]
     rng = np.random.default_rng(156)
