@@ -7,8 +7,8 @@ imaginary parts:
 
     K = K_r + i S_xy + j S_xz + k S_yz,    S = v u^T - u v^T,
 
-where (u, v) = d sin(theta) (cos phi, sin phi) are an edge's two in-plane
-components. Entrywise that is
+where (u, v) = d sin(theta) (cos phi, sin phi) are the edges' in-plane
+components, one real (2, 3, M) array [u; v] with rows xy, xz, yz. Entrywise
 
     S[m, p] = v_m u_p - u_m v_p = -d_m^xy d_p^xy sin(phi_p^xy - phi_m^xy)
 
@@ -23,9 +23,9 @@ with a zero diagonal in IEEE arithmetic (v_m u_p and u_p v_m round alike),
 so both kernels are Hermitian to the bit even under noise.
 
 Both kernel types check their contract once, at construction: a square,
-finite kernel, Hermitian to the bit, and a mask (if any) that is a symmetric
-bool (M, M) array with an observed diagonal; `quat._mirrors` tests both
-symmetries. Completion and the solvers check none of it.
+finite kernel (real for `RealGek`), Hermitian to the bit, and a mask (if any)
+that is a symmetric bool (M, M) array with an observed diagonal; `quat._mirrors`
+tests both symmetries. Completion and the solvers check none of it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import AsymmetricMask, OutOfRange, ShapeMismatch
 from .measurement import MeasurementSet
+from .network import _array
 from .quat import QuaternionMatrix, _mirrors
 
 __all__ = [
@@ -53,7 +54,7 @@ def _check_contract(shape: tuple, parts: tuple, mask) -> None:
     `mask` is None or a symmetric bool array of its shape with an observed
     diagonal (checked first, then frozen). The kernel comes as (array, flip)
     parts, each array equal to flip(array^T): K = K^T, A = A^H, B = -B^T."""
-    if len(shape) != 2 or shape[0] != shape[1]:
+    if shape[0] != shape[1]:  # both kernel types are 2-D already
         raise ShapeMismatch(f"kernel must be square, got shape {shape}")
     if not all(np.isfinite(x).all() for x, _ in parts):
         raise OutOfRange("kernel holds non-finite entries")
@@ -78,8 +79,7 @@ class RealGek:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.k, np.ndarray) and self.k.dtype.kind in "biufc"):
-            raise ShapeMismatch("kernel must be a numeric ndarray")
+        _array("kernel", self.k, "biuf", (None, None))
         _check_contract(self.k.shape, ((self.k, None),), self.mask)
         self.k.setflags(write=False)
 
@@ -112,25 +112,21 @@ def build_real_gek(ms: MeasurementSet) -> RealGek:
     return RealGek(np.outer(d, d) * np.cos(ms.adoa))
 
 
-def build_quat_gek(
-    kr: RealGek, planes: tuple[tuple[np.ndarray, np.ndarray], ...]
-) -> QuatGek:
+def build_quat_gek(kr: RealGek, planes: np.ndarray) -> QuatGek:
     """Quaternion kernel K_r + i S_xy + j S_xz + k S_yz.
 
-    `kr` is the real kernel; `planes` holds the in-plane edge components
-    (u, v) of the xy, xz and yz planes, each plane giving S = v u^T - u v^T.
-    The components may be measured (Scenario II) or taken from a first
-    positioning pass (Scenario I); the kernel does not care.
+    `kr` is the real kernel; `planes` is the real (2, 3, M) array [u; v] of
+    in-plane edge components, rows xy, xz and yz, each plane giving
+    S = v u^T - u v^T. The components may be measured (Scenario II) or taken
+    from a first positioning pass (Scenario I); the kernel does not care.
     """
-    if len(planes) != 3 or any(u.shape != (kr.m,) or v.shape != (kr.m,)
-                               for u, v in planes):
-        raise ShapeMismatch("need three planes of components matching the edge count")
+    u, v = _array("planes", planes, "biuf", (2, 3, kr.m))
     # Parts go straight into the complex halves, which are adopted uncopied.
     a, b = np.empty((kr.m, kr.m), dtype=complex), np.empty((kr.m, kr.m), dtype=complex)
     a.real = kr.k
-    for part, (u, v) in zip((a.imag, b.real, b.imag), planes):
-        np.multiply.outer(v, u, out=part)
-        part -= np.multiply.outer(u, v)
+    for part, up, vp in zip((a.imag, b.real, b.imag), u, v):
+        np.multiply.outer(vp, up, out=part)
+        part -= np.multiply.outer(up, vp)
     return QuatGek(QuaternionMatrix(a, b))
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import time
 from collections import abc
 from dataclasses import dataclass, replace
@@ -55,6 +54,7 @@ from .network import (
     StructureMatrices,
     _integer,
     _points,
+    _real,
     structure_matrices,
     true_parameters,
 )
@@ -121,13 +121,6 @@ def _sequence(name: str, values) -> tuple:
     return tuple(values)
 
 
-def _real(name: str, value) -> float:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise OutOfRange(f"{name} must hold finite numbers, got {value!r}")
-    return float(value)
-
-
 def _reals(name: str, values) -> tuple[float, ...]:
     return tuple(_real(name, v) for v in _sequence(name, values))
 
@@ -177,12 +170,10 @@ class ExperimentConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         sigmas = _reals("sigma_d_grid", self.sigma_d_grid)
         epsilons = _reals("epsilon_grid", self.epsilon_grid)
-        if not sigmas or any(s < 0 for s in sigmas):
-            raise OutOfRange("sigma_d_grid must be nonempty and nonnegative")
-        if not epsilons:
-            raise OutOfRange("epsilon_grid must be nonempty")
-        for e in epsilons:
-            NoiseConfig(epsilon_deg=e)  # measurement defines the valid range
+        if not sigmas or not epsilons:
+            raise OutOfRange("sigma_d_grid and epsilon_grid must be nonempty")
+        for sigma_d, epsilon in product(sigmas, epsilons):
+            NoiseConfig(sigma_d, epsilon)  # measurement defines the valid ranges
         object.__setattr__(self, "sigma_d_grid", sigmas)
         object.__setattr__(self, "epsilon_grid", epsilons)
         scenarios = _sequence("scenarios", self.scenarios)

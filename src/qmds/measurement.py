@@ -15,10 +15,10 @@ Two measurement scenarios exist. Scenario I carries distances and
 edge-to-edge angles only. Scenario II additionally measures each edge's
 three plane azimuths and three axis elevations, stored as two (3, M) arrays
 in the row order of `network.TrueParameters`: azimuths in the xy, xz and yz
-planes, elevations from the +x, +y and +z axes. A plane's components are
-scaled by the sine of the elevation from its normal axis, so the xy, xz and
-yz planes pair with elevation rows z, y and x. Noisy elevations are folded
-back into [0, pi] by reflection so projected lengths stay nonnegative; noisy
+planes, elevations from the +x, +y and +z axes. A plane's components (one
+(2, 3, M) array [u; v]) are scaled by the sine of the elevation from its
+normal axis, so planes xy, xz, yz pair with elevation rows z, y, x. Noisy
+elevations fold into [0, pi] by reflection so projected lengths stay >= 0; noisy
 azimuths are left unwrapped since only their sines and cosines are consumed.
 """
 
@@ -30,7 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateEdge, OutOfRange, ShapeMismatch
-from .network import DEGENERATE_LENGTH, TrueParameters, _check_entries, _integer
+from .network import (DEGENERATE_LENGTH, TrueParameters, _array, _check_entries,
+                      _integer, _real)
 from .quat import _mirrors
 
 __all__ = [
@@ -62,17 +63,15 @@ class NoiseConfig:
     epsilon_deg: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.sigma_d) or self.sigma_d < 0:
-            raise OutOfRange(f"sigma_d must be finite and >= 0, got {self.sigma_d}")
-        if self.epsilon_deg != 0:
+        if _real("sigma_d", self.sigma_d) < 0:
+            raise OutOfRange(f"sigma_d must be >= 0, got {self.sigma_d}")
+        if _real("epsilon_deg", self.epsilon_deg) != 0:
             epsilon_to_rho(self.epsilon_deg)  # the one check of the valid range
 
     @property
     def rho(self) -> float | None:
         """Concentration for the configured epsilon; None means exact angles."""
-        if self.epsilon_deg == 0:
-            return None
-        return epsilon_to_rho(self.epsilon_deg)
+        return epsilon_to_rho(self.epsilon_deg) if self.epsilon_deg else None
 
 
 def _vm_mass(eps_rad: float, rho: float) -> float:
@@ -92,21 +91,24 @@ def _vm_mass(eps_rad: float, rho: float) -> float:
     return integral(eps_rad) / integral(np.pi)
 
 
-@lru_cache(maxsize=None)
 def epsilon_to_rho(epsilon_deg: float) -> float:
     """Concentration rho whose central 90% interval is +-epsilon degrees.
 
     Bisects log rho on [1e-6, 1e8] until the bracket cannot shrink. An
-    epsilon so narrow that even rho = 1e8 holds less than 90% of the mass
-    (below about 0.0094 degrees) is rejected with `OutOfRange`.
+    epsilon not a real number in (0, 162), or so narrow that even rho = 1e8
+    holds under 90% of the mass (below about 0.0094 degrees), raises `OutOfRange`.
     """
+    epsilon_deg = _real("epsilon_deg", epsilon_deg)
     if not 0 < epsilon_deg < EPSILON_LIMIT_DEG:
         raise OutOfRange(
             f"epsilon_deg must lie in (0, {EPSILON_LIMIT_DEG}), got {epsilon_deg}"
         )
-    # in double precision whatever the argument's type: the deg2rad of a bool
-    # is a float16, and the cache would serve that rho for the equal float
-    eps = np.deg2rad(float(epsilon_deg))
+    return _rho(epsilon_deg)
+
+
+@lru_cache(maxsize=None)  # sees only the floats epsilon_to_rho checked
+def _rho(epsilon_deg: float) -> float:
+    eps = np.deg2rad(epsilon_deg)
     lo, hi = _RHO_BRACKET
     if _vm_mass(eps, lo) >= 0.9:
         return lo
@@ -153,11 +155,11 @@ class MeasurementSet:
     mirrored. `azimuths` and `elevations` are both (3, M) in Scenario II and
     both None in Scenario I, with the row order of `TrueParameters`:
     azimuths in the xy, xz and yz planes, elevations from the +x, +y and +z
-    axes. Any other shape, or a field that is not a numeric ndarray, raises
-    `ShapeMismatch`. Masks apply to the kernels built from a set, not to the
-    set. A pair-angle matrix not symmetric to the bit (`quat._mirrors`), or
-    any non-finite value, raises `OutOfRange`: the kernels rely on both. The
-    set owns its arrays and freezes them in place.
+    axes. Any other shape, or a field that is not an ndarray of real numbers,
+    raises `ShapeMismatch`. Masks apply to the kernels built from a set, not
+    to the set. A pair-angle matrix not symmetric to the bit (`quat._mirrors`),
+    or any non-finite value, raises `OutOfRange`: the kernels rely on both.
+    The set owns its arrays and freezes them in place.
     """
 
     distances: np.ndarray
@@ -166,26 +168,19 @@ class MeasurementSet:
     elevations: np.ndarray | None = None
 
     def __post_init__(self):
-        angles = [a for a in (self.azimuths, self.elevations) if a is not None]
-        if not all(isinstance(a, np.ndarray) and a.dtype.kind in "biufc"
-                   for a in (self.distances, self.adoa, *angles)):
-            raise ShapeMismatch("measured fields must be numeric ndarrays")
-        m = self.distances.size
-        if self.distances.ndim != 1 or self.adoa.shape != (m, m):
-            raise ShapeMismatch("need (M,) distances and an (M, M) adoa matrix")
-        angle_shapes = {a if a is None else a.shape
-                        for a in (self.azimuths, self.elevations)}
-        if angle_shapes not in ({None}, {(3, m)}):
-            raise ShapeMismatch(
-                "azimuths and elevations must be both None or both (3, M)")
+        m = len(_array("distances", self.distances, "biuf", (None,)))
+        if (self.azimuths is None) != (self.elevations is None):
+            raise ShapeMismatch("azimuths and elevations must be both None or both set")
+        shapes = {"distances": (m,), "adoa": (m, m),
+                  "azimuths": (3, m), "elevations": (3, m)}
+        arrays = {name: _array(name, arr, "biuf", dims) for name, dims in shapes.items()
+                  if (arr := getattr(self, name)) is not None}
         if not _mirrors(self.adoa):
             raise OutOfRange("pair-angle matrix must be exactly symmetric")
-        for name in ("distances", "adoa", "azimuths", "elevations"):
-            arr = getattr(self, name)
-            if arr is not None:
-                if not np.isfinite(arr).all():
-                    raise OutOfRange(f"measured {name} must be finite")
-                arr.setflags(write=False)
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
+                raise OutOfRange(f"measured {name} must be finite")
+            arr.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -195,15 +190,19 @@ class MeasurementSet:
     def has_angles(self) -> bool:
         return self.azimuths is not None
 
-    def plane_components(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """In-plane edge components (u, v) = d sin(theta) (cos phi, sin phi)
-        for the xy, xz and yz planes, in that order; Scenario II only. Each
-        plane's theta is the elevation from its normal axis (z, y, x)."""
+    def plane_components(self) -> np.ndarray:
+        """The real (2, 3, M) array [u; v] of in-plane edge components
+        (u, v) = d sin(theta) (cos phi, sin phi), rows xy, xz and yz;
+        Scenario II only. Each plane's theta is the elevation from its
+        normal axis (z, y, x)."""
         if not self.has_angles:
             raise ShapeMismatch("measurement set carries no angles; build the "
                                 "kernel from estimated edge vectors instead")
-        r = self.distances * np.sin(self.elevations[::-1])
-        return tuple(zip(r * np.cos(self.azimuths), r * np.sin(self.azimuths)))
+        uv = np.empty((2, *self.azimuths.shape))
+        np.cos(self.azimuths, out=uv[0])
+        np.sin(self.azimuths, out=uv[1])
+        uv *= self.distances * np.sin(self.elevations[::-1])
+        return uv
 
 
 def synthesize(
@@ -259,14 +258,14 @@ def missing_mask(m: int, fraction: float, rng: np.random.Generator) -> np.ndarra
     """
     m = _integer("m", m, 0)
     _check_entries("mask", m * m)
-    if not 0 <= fraction < 1:
+    if not 0 <= _real("fraction", fraction) < 1:
         raise OutOfRange(f"fraction must lie in [0, 1), got {fraction}")
     mask = np.ones((m, m), dtype=bool)
     n_pairs = m * (m - 1) // 2
     n_hide = round(fraction * n_pairs)
     if n_hide == 0:
         return mask
-    iu = np.triu_indices(m, 1)
+    iu = _triu_indices(m, 1)
     hide = rng.choice(n_pairs, size=n_hide, replace=False)
     mask[iu[0][hide], iu[1][hide]] = False
     mask[iu[1][hide], iu[0][hide]] = False

@@ -20,6 +20,7 @@ pairs with elevation row 2 - p.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -66,20 +67,38 @@ def _check_entries(what: str, entries: int) -> None:  # before allocating
         raise OutOfRange(f"{what} would hold {entries} entries, over {_MAX_ENTRIES}")
 
 
+def _real(name: str, value) -> float:
+    """The one real-number check: `value` as a float (a numpy integer or float
+    is one; a bool, complex, str or None is not), finite, else `OutOfRange`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise OutOfRange(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _array(name: str, x, kinds: str, shape: tuple) -> np.ndarray:
+    """The one array check: `x` itself when it is an ndarray whose dtype kind
+    is in `kinds` ("biuf" for real numbers, "biufc" for any number) and whose
+    shape matches `shape`, a None there matching any length; anything else,
+    a list included, raises `ShapeMismatch`."""
+    if (isinstance(x, np.ndarray) and x.dtype.kind in kinds and x.ndim == len(shape)
+            and all(n in (None, k) for n, k in zip(shape, x.shape))):
+        return x
+    dims = ", ".join("N" if n is None else str(n) for n in shape)
+    got = f"{x.dtype} {x.shape}" if isinstance(x, np.ndarray) else type(x).__name__
+    raise ShapeMismatch(f"{name} must be a {len(shape)}-D ({dims}) array of dtype "
+                        f"kind in {kinds!r}, got {got}")
+
+
 def _points(name: str, x, rows: int | None = None, finite: bool = True) -> np.ndarray:
     """The one check of a point array: `x` as a new (rows, 3) float array,
     any number of rows when `rows` is None. Anything but real numbers
     (complex ones included), or another shape, raises `ShapeMismatch`; a
     non-finite coordinate raises `OutOfRange` unless `finite` is False."""
     try:
-        arr = np.asarray(x)
+        arr = _array(name, np.asarray(x), "biuf", (rows, 3))
     except (TypeError, ValueError) as exc:  # e.g. a ragged nested list
         raise ShapeMismatch(f"{name} must be an array of real numbers: {exc}") from None
-    if arr.dtype.kind not in "biuf":
-        raise ShapeMismatch(f"{name} must be real numbers, got dtype {arr.dtype}")
-    if arr.ndim != 2 or arr.shape[1] != 3 or rows not in (None, len(arr)):
-        raise ShapeMismatch(f"{name} must be an ({'N' if rows is None else rows}, 3) "
-                            f"array, got shape {arr.shape}")
     if finite and not np.isfinite(arr).all():
         raise OutOfRange(f"non-finite coordinates in {name}")
     return arr.astype(float)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
+from .network import _array
 
 __all__ = [
     "QuaternionMatrix",
@@ -75,14 +76,8 @@ class QuaternionMatrix:
     __slots__ = ("_a", "_b")
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
-        a, b = np.asarray(a), np.asarray(b)
-        if not (a.dtype.kind in "biufc" and b.dtype.kind in "biufc"):
-            raise ShapeMismatch("quaternion halves must be numeric arrays")
-        a, b = np.asarray(a, np.complex128), np.asarray(b, np.complex128)
-        if a.shape != b.shape:
-            raise ShapeMismatch(f"pair shapes differ: {a.shape} vs {b.shape}")
-        if a.ndim != 2:
-            raise ShapeMismatch("quaternion matrices must be 2-D")
+        a = np.asarray(_array("a", np.asarray(a), "biufc", (None, None)), np.complex128)
+        b = np.asarray(_array("b", np.asarray(b), "biufc", a.shape), np.complex128)
         a.setflags(write=False)
         b.setflags(write=False)
         self._a, self._b = a, b

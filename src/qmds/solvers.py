@@ -47,7 +47,7 @@ from .errors import (
 )
 from .gek import QuatGek, RealGek, build_quat_gek, build_real_gek
 from .measurement import MeasurementSet
-from .network import StructureMatrices, _check_entries, _integer, _points
+from .network import _PLANE_AXES, StructureMatrices, _check_entries, _integer, _points
 from .quat import _embed_r3, _qmul, _r3_components, dominant_eigpair
 
 __all__ = [
@@ -322,8 +322,7 @@ def _stage_two_kernel(
     v = structure.c @ np.vstack([anchors, targets])
     n = np.linalg.norm(v, axis=1)
     v *= np.divide(ms.distances, n, out=np.zeros_like(n), where=n > 0)[:, None]
-    a, b, c = v.T
-    return build_quat_gek(kr, ((a, b), (a, c), (b, c)))
+    return build_quat_gek(kr, v.T[_PLANE_AXES[:2]])
 
 
 def scenario_one_pipeline(

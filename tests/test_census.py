@@ -54,6 +54,7 @@ BAD_ARRAYS = {
     "inf-85": lambda: np.full(85, np.inf),
     "3-d": lambda: np.ones((5, 3, 2)),
     "complex": lambda: ANCHORS + 1j,
+    "complex-85x85": lambda: np.ones((85, 85), complex),
     "str": lambda: ANCHORS.astype(str),
     "nested-list": lambda: ANCHORS.tolist(),
 }
@@ -61,6 +62,7 @@ BAD_ARRAYS = {
 BAD_NUMBERS = {
     "-1.0": -1.0, "0.0": 0.0, "True": True, "1e9": 10**9,
     "nan": math.nan, "inf": math.inf, "-3": -3, "2.5": 2.5,
+    '"20"': "20", "None": None, "1j": 1j,
 }
 
 
@@ -131,7 +133,7 @@ CENSUS = {
                 ("mask",), ()),
     "build_real_gek": (lambda i: dict(ms=i["ms"]), (), ()),
     "build_quat_gek": (lambda i: dict(kr=i["kr"], planes=i["ms"].plane_components()),
-                       (), ()),
+                       ("planes",), ()),
     "quat_gek_from_measurements": (lambda i: dict(ms=i["ms"]), (), ()),
     "apply_mask": (lambda i: dict(gek=i["kr"], mask=i["mask"].copy()), ("mask",), ()),
     # completion

@@ -84,9 +84,10 @@ def test_quat_kernel_unit_oracle():
 
 
 def _kernel_inputs(v):
-    """Exact real kernel and in-plane (u, v) components of edge vectors."""
+    """Exact real kernel and the (2, 3, M) in-plane components [u; v] of
+    edge vectors, rows xy, xz and yz."""
     a, b, c = v.T
-    return RealGek(v @ v.T), ((a, b), (a, c), (b, c))
+    return RealGek(v @ v.T), np.array([[a, a, b], [b, c, c]])
 
 
 def test_plane_parts_match_angle_form():
@@ -104,7 +105,7 @@ def test_plane_parts_match_angle_form():
 def test_quat_kernel_rejects_mismatched_components():
     kr, planes = _kernel_inputs(np.eye(3))
     with pytest.raises(ShapeMismatch):
-        build_quat_gek(kr, planes[:2] + ((np.ones(2), np.ones(2)),))
+        build_quat_gek(kr, planes[..., :2])
 
 
 @pytest.mark.parametrize("keep", [0, 1, 2])
@@ -112,8 +113,8 @@ def test_quat_kernel_needs_all_three_planes(keep):
     # With fewer planes the unwritten parts of the halves kept whatever
     # np.empty gave them: a large kernel came back with B = 0, silently.
     kr, planes = _kernel_inputs(np.eye(3))
-    with pytest.raises(ShapeMismatch, match="three planes"):
-        build_quat_gek(kr, planes[:keep])
+    with pytest.raises(ShapeMismatch, match=r"planes must be a 3-D \(2, 3, 3\) array"):
+        build_quat_gek(kr, planes[:, :keep])
 
 
 def test_quat_kernel_diagonal_is_squared_distance():
@@ -170,15 +171,14 @@ def test_quat_kernel_built_in_place_matches_components():
     rng = np.random.default_rng(107)
     ms = synthesize(true_parameters(geometry(rng)), NoiseConfig(2.0, 50.0), "II", rng)
     kr = build_real_gek(ms)
-    planes = tuple((u.copy(), v.copy()) for u, v in ms.plane_components())
+    planes = ms.plane_components()
     k = build_quat_gek(kr, planes).k
     want = from_components(
-        kr.k, *(np.outer(v, u) - np.outer(u, v) for u, v in planes))
+        kr.k, *(np.outer(v, u) - np.outer(u, v) for u, v in zip(*planes)))
     assert np.array_equal(k.a, want.a) and np.array_equal(k.b, want.b)
     assert not k.a.flags.writeable and not k.b.flags.writeable
-    for u, v in planes:
-        u *= 2.0
-        v[:] = 1.0
+    planes[0] *= 2.0
+    planes[1] = 1.0
     assert np.array_equal(k.a, want.a) and np.array_equal(k.b, want.b)
 
 
@@ -305,6 +305,24 @@ def test_hidden_diagonal_or_non_bool_mask_rejected():
         for dtype in (str, float):
             with pytest.raises(AsymmetricMask, match="bool or integer"):
                 apply_mask(gek, np.ones((gek.m, gek.m), dtype=dtype))
+
+
+def test_complex_real_kernel_rejected():
+    # It was accepted: the mirror test checks K = K^T, not K = K^H, and eigh
+    # read one triangle of this matrix (eigenvalues 2 +- i) as 1 and 3.
+    with pytest.raises(ShapeMismatch, match="kernel must be"):
+        RealGek(np.array([[2.0, 1j], [1j, 2.0]]))
+
+
+@pytest.mark.parametrize("planes", [
+    ((1.0, 2.0),) * 3,  # raised AttributeError: a float has no shape
+    np.zeros((2, 3, 3), complex),  # raised numpy's UFuncTypeError
+    np.zeros((3, 2, 3)),  # three (u, v) pairs: the layout before the array
+], ids=["tuple", "complex", "transposed"])
+def test_quat_kernel_planes_are_one_real_array(planes):
+    kr, _ = _kernel_inputs(np.eye(3))
+    with pytest.raises(ShapeMismatch, match="planes must be"):
+        build_quat_gek(kr, planes)
 
 
 def test_non_square_kernel_rejected():

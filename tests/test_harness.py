@@ -193,12 +193,15 @@ def test_trial_index_changes_draws():
     (("II", 1.0, -3, 0), "epsilon"),
     (("II", 1.0, 30.0, 2.5), "trial_index"),
     (("II", 1.0, 30.0, -3), "trial_index"),
+    (("II", "1", 30.0, 0), "sigma_d"),
+    (("II", 1.0, None, 0), "epsilon"),
 ], ids=["scenario", "nan-sigma", "negative-sigma", "inf-sigma", "nan-epsilon",
-        "negative-epsilon", "fractional-index", "negative-index"])
+        "negative-epsilon", "fractional-index", "negative-index", "str-sigma",
+        "none-epsilon"])
 def test_trial_rejects_a_key_no_seed_is_built_from(key, error):
     # These failed untyped while the seed key was built: SCENARIOS.index's
     # ValueError, int(round(nan)), int(round(inf)), or SeedSequence's
-    # TypeError and ValueError.
+    # TypeError and ValueError; a str or None noise level raised TypeError.
     with pytest.raises(OutOfRange, match=error):
         run_trial(small_config(), *key)
 

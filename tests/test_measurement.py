@@ -4,6 +4,7 @@ from scipy.integrate import quad
 from scipy.special import ive
 from scipy.stats import kstest
 
+from qmds import measurement
 from qmds.errors import (
     DegenerateEdge,
     OutOfRange,
@@ -91,11 +92,12 @@ def test_rho_reintegrates_to_ninety_percent(eps):
     assert abs(head / (np.pi * ive(0, rho)) - 0.9) < 1e-12
 
 
-@pytest.mark.parametrize("eps", [np.float16(1.5), np.float32(1.5), True])
+@pytest.mark.parametrize("eps", [np.float16(1.5), np.float32(1.5)])
 def test_rho_is_computed_in_double_precision(eps):
-    # np.deg2rad kept a float16, float32 or bool argument's precision, and
-    # the cache then served that rho for the equal float as well.
-    assert epsilon_to_rho(eps) == epsilon_to_rho.__wrapped__(float(eps))
+    # np.deg2rad kept a float16 or float32 argument's precision, and the
+    # cache then served that rho for the equal float as well. The argument
+    # is now a float before it reaches the cache.
+    assert epsilon_to_rho(eps) == measurement._rho.__wrapped__(float(eps))
 
 
 def test_epsilon_beyond_the_concentration_bracket_rejected():
@@ -115,7 +117,9 @@ def test_near_uniform_limit():
 
 
 def test_epsilon_bounds_rejected():
-    for bad in (0.0, -5.0, EPSILON_LIMIT_DEG, 175.0):
+    # True returned 8882.25, the rho for 1 degree; "20", None, [20.0] and 1j
+    # raised TypeError from the range comparison.
+    for bad in (0.0, -5.0, EPSILON_LIMIT_DEG, 175.0, True, "20", None, [20.0], 1j):
         with pytest.raises(OutOfRange):
             epsilon_to_rho(bad)
 
@@ -154,6 +158,13 @@ def test_noise_config_validation():
         NoiseConfig(sigma_d=-1.0)
     with pytest.raises(OutOfRange):
         NoiseConfig(epsilon_deg=162.0)
+    # Each raised TypeError from np.isfinite or a comparison, but True,
+    # which was taken as 1 m.
+    for bad in ("1", None, 1j, True):
+        with pytest.raises(OutOfRange, match="sigma_d must be a finite real"):
+            NoiseConfig(sigma_d=bad)
+    with pytest.raises(OutOfRange, match="epsilon_deg must be a finite real"):
+        NoiseConfig(epsilon_deg="20")
     assert NoiseConfig().rho is None
     assert NoiseConfig(epsilon_deg=25.0).rho == pytest.approx(epsilon_to_rho(25.0))
 
@@ -236,8 +247,7 @@ def test_axis_parallel_edges_tolerated():
     assert params.degenerate.any()
     ms = synthesize(params, NoiseConfig(1.0, 30.0), "II", np.random.default_rng(9))
     assert np.all(ms.distances > 0)
-    for u, v in ms.plane_components():
-        assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+    assert np.all(np.isfinite(ms.plane_components()))
 
 
 def test_plane_components_match_definition():
@@ -245,9 +255,9 @@ def test_plane_components_match_definition():
     params = sample_params(rng)
     ms = synthesize(params, NoiseConfig(1.0, 20.0), "II", rng)
     planes = ms.plane_components()
+    assert planes.shape == (2, 3, ms.m) and planes.dtype == float
     # the xy, xz and yz planes pair with the elevations from z, y and x
-    cases = zip(ms.elevations[[2, 1, 0]], ms.azimuths)
-    for (u, v), (theta, phi) in zip(planes, cases):
+    for u, v, theta, phi in zip(*planes, ms.elevations[[2, 1, 0]], ms.azimuths):
         r = ms.distances * np.sin(theta)
         np.testing.assert_allclose(u, r * np.cos(phi), atol=1e-12)
         np.testing.assert_allclose(v, r * np.sin(phi), atol=1e-12)
@@ -259,9 +269,8 @@ def test_exact_plane_components_are_edge_components():
     params = sample_params(rng)
     ms = synthesize(params, NoiseConfig(), "II", rng)
     a, b, c = params.vectors.T
-    for (u, v), expected in zip(ms.plane_components(), ((a, b), (a, c), (b, c))):
-        np.testing.assert_allclose(u, expected[0], atol=1e-10)
-        np.testing.assert_allclose(v, expected[1], atol=1e-10)
+    np.testing.assert_allclose(ms.plane_components(), [[a, a, b], [b, c, c]],
+                               atol=1e-10)
 
 
 def test_non_finite_measurements_rejected():
@@ -294,6 +303,12 @@ def _angle_set(m=4):
     {"azimuths": np.zeros((3, 5))},
     {"distances": np.ones((4, 1))},
     {"adoa": np.zeros((4, 5))},
+    # complex values were accepted; build_quat_gek then dropped the imaginary
+    # part of complex distances with a ComplexWarning and failed untyped
+    {"distances": np.ones(4, complex)},
+    {"adoa": np.zeros((4, 4), complex)},
+    {"azimuths": np.zeros((3, 4), complex)},
+    {"elevations": np.ones((3, 4), complex)},
 ])
 def test_misshaped_sets_rejected(change):
     with pytest.raises(ShapeMismatch):
@@ -345,5 +360,6 @@ def test_mask_size_must_be_a_nonnegative_integer_under_the_ceiling(m):
 
 
 def test_mask_fraction_bounds():
-    with pytest.raises(OutOfRange):
-        missing_mask(10, 1.0, np.random.default_rng(87))
+    for bad in (1.0, "0.3"):  # "0.3" raised TypeError from the comparison
+        with pytest.raises(OutOfRange):
+            missing_mask(10, bad, np.random.default_rng(87))

@@ -70,7 +70,7 @@ def exact_setup(rng, scenario, n_targets=15):
 def exact_quat_gek(v):
     """Quaternion kernel of exact edge vectors, zero-length ones included."""
     a, b, c = v.T
-    return build_quat_gek(RealGek(v @ v.T), ((a, b), (a, c), (b, c)))
+    return build_quat_gek(RealGek(v @ v.T), np.array([[a, a, b], [b, c, c]]))
 
 
 def xi(est_targets, true_targets):
