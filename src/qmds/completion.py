@@ -49,9 +49,9 @@ kernel has rank at most 2, so both halves complete at rank 2. The first
 half comes back Hermitian to the bit; the second is antisymmetrized, which
 makes the merged kernel Hermitian.
 
-The kernel types guarantee a square, finite, Hermitian kernel and a
-symmetric mask with an observed diagonal. Each wrapper checks once, before
-the first sweep, that enough real values are observed for the rank-r model.
+The kernel types guarantee a square, finite, Hermitian kernel. Each wrapper
+runs `gek.apply_mask` once, to check the mask and zero-fill what it hides,
+then checks that enough real values are observed for the rank-r model.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceWarning, RankDeficient
-from .gek import QuatGek, RealGek
+from .gek import QuatGek, RealGek, apply_mask
 from .quat import QuaternionMatrix
 
 __all__ = [
@@ -169,13 +169,12 @@ def _require_identifiable(mask: np.ndarray, rank: int, c: int) -> None:
                             f"{dof} degrees of freedom of a rank-{rank} completion")
 
 
-def _complete(k: np.ndarray, mask: np.ndarray, rank: int,
+def _complete(data: np.ndarray, mask: np.ndarray, rank: int,
               hermitian: bool) -> CompletionResult:
-    """Fill the entries a kernel's symmetric mask hides in `k` at fixed rank,
-    on the route the wrapper names: `hermitian` for a Hermitian `k`, else Gram."""
-    data = np.where(mask, k, 0)
-    x = data.copy()
-    state = _Truncation(len(k), rank, np.result_type(data, 1.0))
+    """Fill the entries the symmetric `mask` hides (zeros in `data`) at fixed
+    rank: `hermitian` for a Hermitian `data`, else by the Gram route."""
+    x = data  # no sweep writes into an iterate
+    state = _Truncation(len(data), rank, np.result_type(data, 1.0))
     step = np.inf  # ||x - x_prev||_F
     gram = 0.0  # the Gram route's previous x^H x
     gap = np.inf  # ||x - low||_F, the monotone quantity
@@ -211,24 +210,27 @@ def _complete(k: np.ndarray, mask: np.ndarray, rank: int,
     return CompletionResult(x, it, False, rel_change)
 
 
-def complete_real_gek(gek: RealGek) -> tuple[RealGek, CompletionResult]:
-    """Complete a masked real kernel at rank 3; no symmetrization follows."""
-    if gek.mask is None or gek.mask.all():
-        return gek, CompletionResult(gek.k, 0, True, 0.0)
-    _require_identifiable(gek.mask, _REAL_RANK, 1)
-    res = _complete(gek.k, gek.mask, _REAL_RANK, True)
+def complete_real_gek(kr: RealGek,
+                      mask: np.ndarray) -> tuple[RealGek, CompletionResult]:
+    """Complete `kr` where `mask` hides it at rank 3; a full mask returns `kr`."""
+    data, mask = apply_mask(kr, mask)
+    if mask.all():
+        return kr, CompletionResult(kr.k, 0, True, 0.0)
+    _require_identifiable(mask, _REAL_RANK, 1)
+    res = _complete(data, mask, _REAL_RANK, True)
     return RealGek(res.matrix), res
 
 
-def complete_quat_gek(gek: QuatGek) -> tuple[QuatGek, dict]:
-    """Complete a masked quaternion kernel through its complex halves. One
-    check covers both: the second half's count, 2 |mask| against
-    2 r (2n - r), is the first half's inequality."""
-    if gek.mask is None or gek.mask.all():
-        return gek, {"iterations": 0, "converged": True}
-    _require_identifiable(gek.mask, _SPLIT_RANK, 2)
-    res_a = _complete(gek.k.a, gek.mask, _SPLIT_RANK, True)
-    res_b = _complete(gek.k.b, gek.mask, _SPLIT_RANK, False)
+def complete_quat_gek(kq: QuatGek, mask: np.ndarray) -> tuple[QuatGek, dict]:
+    """Complete `kq` where `mask` hides it through its complex halves; a full
+    mask returns `kq`. One check covers both halves: the second's count,
+    2 |mask| against 2 r (2n - r), is the first's inequality."""
+    data, mask = apply_mask(kq, mask)
+    if mask.all():
+        return kq, {"iterations": 0, "converged": True}
+    _require_identifiable(mask, _SPLIT_RANK, 2)
+    res_a = _complete(data.a, mask, _SPLIT_RANK, True)
+    res_b = _complete(data.b, mask, _SPLIT_RANK, False)
     b = res_b.matrix
     k = QuaternionMatrix(res_a.matrix, (b - b.T) / 2)
     info = {

@@ -22,10 +22,9 @@ holds an exactly symmetric pair-angle matrix, and each S is antisymmetric
 with a zero diagonal in IEEE arithmetic (v_m u_p and u_p v_m round alike),
 so both kernels are Hermitian to the bit even under noise.
 
-Both kernel types check their contract once, at construction: a square,
-finite kernel (real for `RealGek`), Hermitian to the bit, and a mask (if any)
-that is a symmetric bool (M, M) array with an observed diagonal; `quat._mirrors`
-tests both symmetries. Completion and the solvers check none of it.
+Both kernel types carry no mask and check their contract once, at
+construction: a square, finite kernel (real for `RealGek`), Hermitian to the
+bit (`quat._mirrors`). Completion and the solvers check none of it.
 """
 
 from __future__ import annotations
@@ -49,38 +48,26 @@ __all__ = [
 ]
 
 
-def _check_contract(shape: tuple, parts: tuple, mask) -> None:
-    """Raise unless the kernel is square, finite and Hermitian to the bit and
-    `mask` is None or a symmetric bool array of its shape with an observed
-    diagonal (checked first, then frozen). The kernel comes as (array, flip)
-    parts, each array equal to flip(array^T): K = K^T, A = A^H, B = -B^T."""
+def _check_contract(shape: tuple, parts: tuple) -> None:
+    """Raise unless the kernel is square, finite and Hermitian to the bit, as
+    (array, flip) parts with array = flip(array^T): K = K^T, A = A^H, B = -B^T."""
     if shape[0] != shape[1]:  # both kernel types are 2-D already
         raise ShapeMismatch(f"kernel must be square, got shape {shape}")
     if not all(np.isfinite(x).all() for x, _ in parts):
         raise OutOfRange("kernel holds non-finite entries")
-    if mask is not None:
-        if not (isinstance(mask, np.ndarray) and mask.dtype == bool
-                and mask.shape == shape):
-            raise AsymmetricMask(f"mask must be a bool array of shape {shape}")
-        if not _mirrors(mask):
-            raise AsymmetricMask("observation mask must be symmetric")
-        if not mask.diagonal().all():
-            raise AsymmetricMask("diagonal entries must be observed")
-        mask.setflags(write=False)
     if not all(_mirrors(x, flip) for x, flip in parts):
         raise OutOfRange("kernel must be Hermitian to the bit")
 
 
 @dataclass(frozen=True)
 class RealGek:
-    """Real symmetric kernel with an optional mask; it owns and freezes both."""
+    """Real symmetric kernel, which it owns and freezes."""
 
     k: np.ndarray
-    mask: np.ndarray | None = None
 
     def __post_init__(self):
         _array("kernel", self.k, "biuf", (None, None))
-        _check_contract(self.k.shape, ((self.k, None),), self.mask)
+        _check_contract(self.k.shape, ((self.k, None),))
         self.k.setflags(write=False)
 
     @property
@@ -90,16 +77,15 @@ class RealGek:
 
 @dataclass(frozen=True)
 class QuatGek:
-    """Hermitian quaternion kernel with an optional mask, which it owns and freezes."""
+    """Hermitian quaternion kernel."""
 
     k: QuaternionMatrix
-    mask: np.ndarray | None = None
 
     def __post_init__(self):
         if not isinstance(self.k, QuaternionMatrix):
             raise ShapeMismatch("kernel must be a QuaternionMatrix")
         parts = (self.k.a, np.conjugate), (self.k.b, np.negative)
-        _check_contract(self.k.shape, parts, self.mask)
+        _check_contract(self.k.shape, parts)
 
     @property
     def m(self) -> int:
@@ -135,17 +121,24 @@ def quat_gek_from_measurements(ms: MeasurementSet) -> QuatGek:
     return build_quat_gek(build_real_gek(ms), ms.plane_components())
 
 
-def apply_mask(gek: "RealGek | QuatGek", mask: np.ndarray) -> "RealGek | QuatGek":
-    """Zero unobserved entries and keep a copy of the mask on the kernel.
-    The mask is bool or integer (nonzero is observed), of the kernel's shape."""
+def apply_mask(gek: "RealGek | QuatGek", mask: np.ndarray):
+    """The one masking step: `(k, mask)`, the kernel's entries zeroed where
+    the mask hides them (an ndarray or a `QuaternionMatrix`, never a kernel
+    type, so no solver takes it) and the mask as a new frozen bool array.
+    The mask is bool or integer (nonzero is observed), of the kernel's shape,
+    symmetric, with an observed diagonal, else `AsymmetricMask`."""
     mask = np.asarray(mask)
     if mask.dtype.kind not in "biu":  # a str or float mask would cast silently
         raise AsymmetricMask(f"mask must be bool or integer, got {mask.dtype}")
     mask = mask.astype(bool)  # a copy, so the caller's mask stays writeable
     if mask.shape != (gek.m, gek.m):  # else np.where broadcasts or fails untyped
         raise AsymmetricMask(f"mask shape {mask.shape} does not match M={gek.m}")
+    if not _mirrors(mask):
+        raise AsymmetricMask("observation mask must be symmetric")
+    if not mask.diagonal().all():
+        raise AsymmetricMask("diagonal entries must be observed")
+    mask.setflags(write=False)
     if isinstance(gek, RealGek):
-        return RealGek(np.where(mask, gek.k, 0.0), mask)
+        return np.where(mask, gek.k, 0.0), mask
     a, b = np.where(mask, gek.k.a, 0.0), np.where(mask, gek.k.b, 0.0)
-    return QuatGek(QuaternionMatrix(a, b), mask)
-
+    return QuaternionMatrix(a, b), mask

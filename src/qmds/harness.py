@@ -46,7 +46,7 @@ from .errors import (
     QmdsError,
     ShapeMismatch,
 )
-from .gek import apply_mask, build_quat_gek, build_real_gek
+from .gek import build_quat_gek, build_real_gek
 from .measurement import SCENARIOS, NoiseConfig, missing_mask, synthesize
 from .network import (
     DEGENERATE_LENGTH,
@@ -159,15 +159,16 @@ class ExperimentConfig:
         pts = _points("anchors", self.anchors)
         if not len(pts):
             raise ShapeMismatch("need at least one anchor")
+        for name, low in (("n_targets", 1), ("trials", 1), ("tau_max", 0),
+                          ("master_seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+        structure_matrices(len(pts), self.n_targets)  # the ceilings, before the pairs
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if np.linalg.norm(pts[i] - pts[j]) <= DEGENERATE_LENGTH:
                     raise DegenerateAnchors(f"anchors {i} and {j} coincide")
         object.__setattr__(self, "room", room)
         object.__setattr__(self, "anchors", tuple(map(tuple, pts.tolist())))
-        for name, low in (("n_targets", 1), ("trials", 1), ("tau_max", 0),
-                          ("master_seed", 0)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         sigmas = _reals("sigma_d_grid", self.sigma_d_grid)
         epsilons = _reals("epsilon_grid", self.epsilon_grid)
         if not sigmas or not epsilons:
@@ -277,7 +278,7 @@ def _real_kernel(kr, mask):
     """The raw real kernel `kr`, completed when masked, and its sweep count."""
     if mask is None:
         return kr, 0
-    kr, res = complete_real_gek(apply_mask(kr, mask))
+    kr, res = complete_real_gek(kr, mask)
     return kr, res.iterations
 
 
@@ -287,7 +288,7 @@ def _quat_kernel(ms, kr, mask):
     kq = build_quat_gek(kr, ms.plane_components())
     if mask is None:
         return kq, 0
-    kq, info = complete_quat_gek(apply_mask(kq, mask))
+    kq, info = complete_quat_gek(kq, mask)
     return kq, int(info["iterations"])
 
 

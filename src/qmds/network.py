@@ -70,10 +70,13 @@ def _check_entries(what: str, entries: int) -> None:  # before allocating
 def _real(name: str, value) -> float:
     """The one real-number check: `value` as a float (a numpy integer or float
     is one; a bool, complex, str or None is not), finite, else `OutOfRange`."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise OutOfRange(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
+    try:
+        if (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(real := float(value))):
+            return real
+    except OverflowError:  # float() of an int past the float range
+        pass
+    raise OutOfRange(f"{name} must be a finite real number, got {value!r}")
 
 
 def _array(name: str, x, kinds: str, shape: tuple) -> np.ndarray:
@@ -158,8 +161,9 @@ class StructureMatrices:
         n_t = _integer("n_targets", self.n_targets)
         if n_a < 1 or n_t < 0:
             raise ShapeMismatch("need n_anchors >= 1 and n_targets >= 0")
-        _check_entries("incidence matrix",
-                       (n_a * (n_a - 1) // 2 + n_a * n_t) * (n_a + n_t))
+        m = n_a * (n_a - 1) // 2 + n_a * n_t
+        _check_entries("incidence matrix", m * (n_a + n_t))
+        _check_entries("M x M edge kernel", m * m)
         object.__setattr__(self, "n_anchors", n_a)
         object.__setattr__(self, "n_targets", n_t)
         heads, tails = np.triu_indices(n_a, 1)

@@ -22,9 +22,9 @@ transform, and a pseudo-inverse step does not restore it, so the kernel
 estimates are aligned on the anchor-anchor edges first and the final
 coordinates are aligned on the anchors; both alignments permit reflections.
 
-Each solver checks its inputs first, in `_solver_inputs`: run the completion
-module first when entries are masked. The kernel types reject a non-finite
-or non-Hermitian kernel at construction, so no solver scans or symmetrizes.
+Each solver checks its inputs first, in `_solver_inputs`. The kernel types
+carry no mask and reject a non-finite or non-Hermitian kernel at
+construction, so no solver scans or symmetrizes.
 The private steps inside (`_resolve_edge_ambiguity`, `quat._embed_r3` and
 `quat._r3_components`) check nothing that `_solver_inputs` has checked.
 """
@@ -79,11 +79,9 @@ class Estimate:
 def _solver_inputs(gek: "RealGek | QuatGek", anchors: np.ndarray,
                    structure: StructureMatrices) -> tuple[np.ndarray, np.ndarray]:
     """The four solvers' one input contract, checked before any solve: a
-    complete kernel of the structure's edge count (else `ShapeMismatch`) and
+    kernel of the structure's edge count (else `ShapeMismatch`) and
     the structure's (N_A, 3) anchors, checked by `_points`. Returns the
     anchors as floats and the known anchor-anchor edges, the first n_aa."""
-    if gek.mask is not None and not gek.mask.all():
-        raise ShapeMismatch("kernel carries unobserved entries; complete it first")
     if gek.m != (m := structure.c.shape[0]):
         raise ShapeMismatch(f"kernel size {gek.m} does not match structure's {m} edges")
     anchors = _points("anchors", anchors, n_a := structure.n_anchors)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -148,6 +149,29 @@ def test_mistyped_config_value_fails_cleanly(tmp_path, capsys, bad):
     assert code == 2
     assert capsys.readouterr().err.startswith("qmds: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad, message", [
+    # float() of the 400-digit int raised OverflowError, a traceback
+    ({"sigma_d_grid": [10**400]}, "sigma_d_grid must be a finite real number"),
+    # M = 49,350 edges: true_parameters asked for an 18.1 GiB v @ v.T and
+    # died with MemoryError, after a 44,850-pair anchor loop
+    ({"anchors": [[i, 0.0, 0.0] for i in range(300)]}, "M x M edge kernel"),
+], ids=["400-digit-sigma", "300-anchors"])
+def test_oversized_config_value_fails_before_allocating(tmp_path, capsys, bad, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad))
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qmds: ") and message in err
+    assert peak < 2**20 and not out.exists()
 
 
 def test_missing_config_file_fails(tmp_path, capsys):

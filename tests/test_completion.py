@@ -23,59 +23,60 @@ from quaternion_oracle import ctranspose, matmul, norm, sub
 
 
 def masked_rank_k(rng, n, rank, fraction):
+    """A symmetric rank-`rank` matrix, a mask, and the matrix zero-filled
+    where the mask hides it, which is the data the loop starts from."""
     g = rng.standard_normal((n, rank))
     k = g @ g.T
     mask = missing_mask(n, fraction, rng)
-    return k, mask
+    return k, mask, np.where(mask, k, 0.0)
 
 
 # ---- the completion loop, on symmetric masks ----
 
 
 def test_full_mask_returns_input():
-    # A mask that hides nothing takes each wrapper's exit: no sweep runs.
+    # A mask that hides nothing takes each wrapper's exit: no sweep runs, and
+    # the kernel comes back as it went in.
     rng = np.random.default_rng(111)
-    kr, kq, _, _ = scenario_kernels(rng, 0.0)
-    assert kr.mask.all() and kq.mask.all()
-    done_r, res = complete_real_gek(kr)
-    done_q, info = complete_quat_gek(kq)
+    kr, kq, mask = scenario_kernels(rng, 0.0)
+    assert mask.all()
+    done_r, res = complete_real_gek(kr, mask)
+    done_q, info = complete_quat_gek(kq, mask)
     assert (res.iterations, res.converged) == (0, True)
     assert info == {"iterations": 0, "converged": True}
+    assert done_r is kr and done_q is kq
     np.testing.assert_array_equal(res.matrix, kr.k)
-    np.testing.assert_array_equal(done_r.k, kr.k)
-    np.testing.assert_array_equal(done_q.k.a, kq.k.a)
-    np.testing.assert_array_equal(done_q.k.b, kq.k.b)
 
 
 def test_rank_one_recovery():
     rng = np.random.default_rng(112)
-    k, mask = masked_rank_k(rng, 40, 1, 0.3)
-    res = _complete(k, mask, 1, True)
+    k, mask, data = masked_rank_k(rng, 40, 1, 0.3)
+    res = _complete(data, mask, 1, True)
     assert res.converged
     assert np.linalg.norm(res.matrix - k) / np.linalg.norm(k) < 1e-3
 
 
 def test_rank_three_beats_zero_fill():
     rng = np.random.default_rng(113)
-    k, mask = masked_rank_k(rng, 40, 3, 0.3)
-    res = _complete(k, mask, 3, True)
-    zero_fill_err = np.linalg.norm(np.where(mask, k, 0.0) - k)
+    k, mask, data = masked_rank_k(rng, 40, 3, 0.3)
+    res = _complete(data, mask, 3, True)
+    zero_fill_err = np.linalg.norm(data - k)
     assert np.linalg.norm(res.matrix - k) < zero_fill_err
 
 
 def test_observed_entries_never_change():
     rng = np.random.default_rng(114)
-    k, mask = masked_rank_k(rng, 30, 2, 0.4)
-    res = _complete(k, mask, 2, True)
+    k, mask, data = masked_rank_k(rng, 30, 2, 0.4)
+    res = _complete(data, mask, 2, True)
     np.testing.assert_array_equal(res.matrix[mask], k[mask])
 
 
 def test_nonconvergence_warns_and_returns(monkeypatch):
     rng = np.random.default_rng(115)
-    k, mask = masked_rank_k(rng, 25, 3, 0.3)
+    k, mask, data = masked_rank_k(rng, 25, 3, 0.3)
     monkeypatch.setattr(completion, "_MAX_SWEEPS", 2)
     with pytest.warns(NonConvergenceWarning):
-        res = _complete(k, mask, 3, True)
+        res = _complete(data, mask, 3, True)
     assert not res.converged
     assert res.iterations == 2
     np.testing.assert_array_equal(res.matrix[mask], k[mask])
@@ -96,10 +97,10 @@ def worsening_truncation(monkeypatch):
 
 def test_rising_gap_raises_typed_error(monkeypatch):
     rng = np.random.default_rng(122)
-    k, mask = masked_rank_k(rng, 20, 3, 0.3)
+    _, mask, data = masked_rank_k(rng, 20, 3, 0.3)
     worsening_truncation(monkeypatch)
     with pytest.raises(RankDeficient, match="gap rose"):
-        _complete(k, mask, 3, True)
+        _complete(data, mask, 3, True)
 
 
 def test_rising_gap_is_a_failed_trial(monkeypatch):
@@ -117,21 +118,25 @@ def test_complex_matrix_completion():
     k = g @ np.conj(g).T
     mask = missing_mask(30, 0.3, rng)
     # g g^H from a general product is not Hermitian to the bit: the Gram route
-    res = _complete(k, mask, 2, False)
+    res = _complete(np.where(mask, k, 0.0), mask, 2, False)
     assert np.linalg.norm(res.matrix - k) / np.linalg.norm(k) < 1e-3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_observed_entry_raises(bad):
+def test_apply_mask_zeroes_what_the_loop_starts_from(bad):
+    # The loop fills nothing itself: every hidden entry of apply_mask's data
+    # is zero, and every observed one is the kernel's.
     rng = np.random.default_rng(124)
-    k, mask = masked_rank_k(rng, 20, 2, 0.3)
-    hidden = tuple(np.argwhere(~mask)[0])
-    k[hidden] = bad  # the loop never reads a hidden entry
-    assert _complete(k, mask, 2, True).converged
-    k[hidden] = 0.0
-    k[0, 0] = bad  # an observed one never gets past the kernel
+    kr, kq, mask = scenario_kernels(rng, 0.3)
+    data, _ = apply_mask(kr, mask)
+    assert not data[~mask].any()
+    np.testing.assert_array_equal(data[mask], kr.k[mask])
+    qdata, _ = apply_mask(kq, mask)
+    assert not qdata.a[~mask].any() and not qdata.b[~mask].any()
+    k = kr.k.copy()
+    k[0, 0] = bad  # a non-finite entry never gets past the kernel
     with pytest.raises(OutOfRange, match="finite"):
-        complete_real_gek(RealGek(k, mask))
+        complete_real_gek(RealGek(k), mask)
 
 
 def kept_pairs_mask(rng, n, kept):
@@ -156,23 +161,23 @@ def identifiability_case(route, rng, short):
         nu = QuaternionMatrix(a, b)
         kernel, complete = QuatGek(matmul(nu, ctranspose(nu))), complete_quat_gek
         kept = 16 - short
-    return apply_mask(kernel, kept_pairs_mask(rng, n, kept)), complete
+    return kernel, kept_pairs_mask(rng, n, kept), complete
 
 
 @pytest.mark.parametrize("route", ["real-symmetric", "complex-hermitian"])
 def test_unidentifiable_completion_raises(route):
     rng = np.random.default_rng(125)
-    masked, complete = identifiability_case(route, rng, short=1)
+    kernel, mask, complete = identifiability_case(route, rng, short=1)
     with pytest.raises(RankDeficient, match="degrees of freedom"):
-        complete(masked)
-    masked, complete = identifiability_case(route, rng, short=0)
+        complete(kernel, mask)
+    kernel, mask, complete = identifiability_case(route, rng, short=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonConvergenceWarning)
-        done, _ = complete(masked)
+        done, _ = complete(kernel, mask)
     halves = (done.k,) if route == "real-symmetric" else (done.k.a, done.k.b)
-    observed = (masked.k,) if route == "real-symmetric" else (masked.k.a, masked.k.b)
+    observed = (kernel.k,) if route == "real-symmetric" else (kernel.k.a, kernel.k.b)
     for half, data in zip(halves, observed):
-        np.testing.assert_array_equal(half[masked.mask], data[masked.mask])
+        np.testing.assert_array_equal(half[mask], data[mask])
 
 
 def test_unidentifiable_mask_fails_every_algorithm():
@@ -196,21 +201,16 @@ def scenario_kernels(rng, fraction, n_anchors=4, n_targets=5):
     params = true_parameters(NetworkGeometry(anchors, targets))
     ms = synthesize(params, NoiseConfig(), "II", rng)
     mask = missing_mask(ms.m, fraction, rng)
-    kr = apply_mask(build_real_gek(ms), mask)
-    kq = apply_mask(quat_gek_from_measurements(ms), mask)
-    full_kr = build_real_gek(ms)
-    full_kq = quat_gek_from_measurements(ms)
-    return kr, kq, full_kr, full_kq
+    return build_real_gek(ms), quat_gek_from_measurements(ms), mask
 
 
 def test_real_kernel_completion_recovers():
     rng = np.random.default_rng(118)
-    kr, _, full_kr, _ = scenario_kernels(rng, 0.3)
-    done, res = complete_real_gek(kr)
+    kr, _, mask = scenario_kernels(rng, 0.3)
+    done, res = complete_real_gek(kr, mask)
     assert res.converged
-    assert np.linalg.norm(done.k - full_kr.k) / np.linalg.norm(full_kr.k) < 1e-3
+    assert np.linalg.norm(done.k - kr.k) / np.linalg.norm(kr.k) < 1e-3
     np.testing.assert_array_equal(done.k, done.k.T)
-    assert done.mask is None
 
 
 # Trials of criterion 9's cell (seed 9009, sigma_d 2 m, eps 50 deg, 30%
@@ -224,10 +224,10 @@ def test_real_completion_iterate_stays_symmetric(trial):
     cfg = ExperimentConfig(scenarios=("II",), missing_fraction=0.3, master_seed=9009)
     instance = harness._Instance(cfg, "II", 2.0, 50.0, trial)
     _, ms, mask = instance.data()
-    kr = apply_mask(build_real_gek(ms), mask)
+    data, mask = apply_mask(build_real_gek(ms), mask)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonConvergenceWarning)
-        x = _complete(kr.k, kr.mask, completion._REAL_RANK, True).matrix
+        x = _complete(data, mask, completion._REAL_RANK, True).matrix
     assert np.linalg.norm(x - x.T) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -247,33 +247,25 @@ def test_real_completion_converges_on_former_cap_instances(seed):
     assert res.ok and res.iterations < completion._MAX_SWEEPS
 
 
-def test_real_kernel_without_mask_is_noop():
-    rng = np.random.default_rng(119)
-    _, _, full_kr, _ = scenario_kernels(rng, 0.3)
-    done, res = complete_real_gek(full_kr)
-    assert done is full_kr and res.iterations == 0
-
-
 def test_quat_kernel_completion_recovers_rank_one():
     rng = np.random.default_rng(120)
-    _, kq, _, full_kq = scenario_kernels(rng, 0.3, n_anchors=5, n_targets=8)
-    done, info = complete_quat_gek(kq)
+    _, kq, mask = scenario_kernels(rng, 0.3, n_anchors=5, n_targets=8)
+    done, info = complete_quat_gek(kq, mask)
     assert info["converged"]
     s = qsvd(done.k).singular_values
     assert s[1] / s[0] < 1e-2
-    rel = norm(sub(done.k, full_kq.k)) / norm(full_kq.k)
-    zero_fill = norm(sub(kq.k, full_kq.k)) / norm(full_kq.k)
+    rel = norm(sub(done.k, kq.k)) / norm(kq.k)
+    zero_fill = norm(sub(apply_mask(kq, mask)[0], kq.k)) / norm(kq.k)
     assert rel < zero_fill
     assert norm(sub(done.k, ctranspose(done.k))) == 0.0
 
 
 def test_quat_completion_preserves_observed_entries():
     rng = np.random.default_rng(121)
-    _, kq, _, full_kq = scenario_kernels(rng, 0.25)
-    done, _ = complete_quat_gek(kq)
-    mask = kq.mask
-    np.testing.assert_array_equal(done.k.a[mask], full_kq.k.a[mask])
-    np.testing.assert_array_equal(done.k.b[mask], full_kq.k.b[mask])
+    _, kq, mask = scenario_kernels(rng, 0.25)
+    done, _ = complete_quat_gek(kq, mask)
+    np.testing.assert_array_equal(done.k.a[mask], kq.k.a[mask])
+    np.testing.assert_array_equal(done.k.b[mask], kq.k.b[mask])
 
 
 # ---- warm-started truncation ----

@@ -146,16 +146,16 @@ def test_names_the_benchmark_reads_resolve(spans):
     ms = qmds.synthesize(qmds.true_parameters(qmds.NetworkGeometry(anchors, targets)),
                          qmds.NoiseConfig(), "II", rng)
     mask = qmds.missing_mask(ms.m, 0.3, rng)
-    kr = qmds.apply_mask(qmds.build_real_gek(ms), mask)
-    kq = qmds.apply_mask(qmds.quat_gek_from_measurements(ms), mask)
+    kr, kq = qmds.build_real_gek(ms), qmds.quat_gek_from_measurements(ms)
 
     tracer = spans.Tracer()
     restore = tracer.install()
     try:  # through the wrappers, so that Tracer._observe reads both results
-        res = qmds.complete_real_gek(kr)[1]
-        info = qmds.complete_quat_gek(kq)[1]
+        res = qmds.complete_real_gek(kr, mask)[1]
+        info = qmds.complete_quat_gek(kq, mask)[1]
     finally:
         restore()
+    assert tracer.calls["gek.apply_mask"] == 2  # one masking step per completion
     assert tracer.completion_calls == 2
     assert tracer.completion_sweeps == res.iterations + info["iterations"] > 0
     assert tracer.completion_converged == res.converged + info["converged"]

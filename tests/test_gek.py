@@ -1,7 +1,11 @@
+import functools
+import re
+
 import numpy as np
 import pytest
 
 from qmds import harness
+from qmds.completion import complete_quat_gek, complete_real_gek
 from qmds.errors import AsymmetricMask, OutOfRange, ShapeMismatch
 from qmds.gek import (
     QuatGek,
@@ -224,8 +228,9 @@ def test_all_true_mask_is_identity():
     rng = np.random.default_rng(102)
     _, ms = exact_measurements(rng, "I", 3, 4)
     gek = build_real_gek(ms)
-    masked = apply_mask(gek, np.ones((gek.m, gek.m), dtype=bool))
-    np.testing.assert_array_equal(masked.k, gek.k)
+    data, mask = apply_mask(gek, np.ones((gek.m, gek.m), dtype=int))
+    np.testing.assert_array_equal(data, gek.k)
+    assert mask.dtype == bool and mask.all()  # an integer mask is converted
 
 
 def test_mask_zeroes_symmetric_entries():
@@ -233,25 +238,73 @@ def test_mask_zeroes_symmetric_entries():
     _, ms = exact_measurements(rng, "II", 3, 4)
     gek = quat_gek_from_measurements(ms)
     mask = missing_mask(gek.m, 0.3, rng)
-    masked = apply_mask(gek, mask)
-    assert np.all(np.hypot(np.abs(masked.k.a), np.abs(masked.k.b))[~mask] == 0.0)
-    np.testing.assert_array_equal(masked.k.a.real[mask], gek.k.a.real[mask])
-    np.testing.assert_allclose(np.diag(masked.k.a.real), np.diag(gek.k.a.real))
+    data, _ = apply_mask(gek, mask)
+    assert isinstance(data, QuaternionMatrix)  # bare data, not a kernel type
+    assert np.all(np.hypot(np.abs(data.a), np.abs(data.b))[~mask] == 0.0)
+    np.testing.assert_array_equal(data.a.real[mask], gek.k.a.real[mask])
+    np.testing.assert_allclose(np.diag(data.a.real), np.diag(gek.k.a.real))
 
 
-def test_asymmetric_mask_rejected():
-    rng = np.random.default_rng(104)
-    _, ms = exact_measurements(rng, "I", 3, 2)
-    gek = build_real_gek(ms)
-    bad = np.ones((gek.m, gek.m), dtype=bool)
-    bad[0, 1] = False
-    with pytest.raises(AsymmetricMask):
-        apply_mask(gek, bad)
-    hole = np.ones((gek.m, gek.m), dtype=bool)
-    np.fill_diagonal(hole, False)
-    with pytest.raises(AsymmetricMask):
-        apply_mask(gek, hole)
+def test_kernel_types_carry_no_mask():
+    rng = np.random.default_rng(119)
+    for gek in small_kernels(rng):
+        assert not hasattr(gek, "mask")
+        with pytest.raises(TypeError):
+            type(gek)(gek.k, np.ones((gek.m, gek.m), dtype=bool))
 
+
+@functools.cache
+def masked_default_instance():
+    """Default config, Scenario II, sigma_d 2 m, eps 50 deg, 30% hidden,
+    trial 0: the two kernels and the mask."""
+    cfg = harness.ExperimentConfig(scenarios=("II",), missing_fraction=0.3)
+    _, ms, mask = harness._Instance(cfg, "II", 2.0, 50.0, 0).data()
+    return build_real_gek(ms), quat_gek_from_measurements(ms), mask
+
+
+def _edited(mask, *entries):
+    bad = mask.copy()
+    for i, j, observed in entries:
+        bad[i, j] = observed
+    return bad
+
+
+# name -> (a bad mask made from a good one, the message it must raise)
+BAD_MASKS = {
+    "float": (lambda m: m.astype(float), "mask must be bool or integer, got float64"),
+    # a str or float mask used to cast to bool, "False" or 0.5 becoming observed
+    "str": (lambda m: m.astype(str), "mask must be bool or integer, got <U5"),
+    "shape": (lambda m: m[:4, :4], "mask shape (4, 4) does not match M=85"),
+    # hiding (3, 40) but not (40, 3) used to complete to a real kernel 176 m^2
+    # away from symmetric, which smds symmetrized and qd_mrc_smds solved
+    "asymmetric": (lambda m: _edited(m, (3, 40, False), (40, 3, True)),
+                   "observation mask must be symmetric"),
+    "hidden-diagonal": (lambda m: _edited(m, (2, 2, False)),
+                        "diagonal entries must be observed"),
+}
+
+MASK_ENTRY_POINTS = {
+    "apply_mask-real": lambda kr, kq, mask: apply_mask(kr, mask),
+    "apply_mask-quat": lambda kr, kq, mask: apply_mask(kq, mask),
+    "complete_real_gek": lambda kr, kq, mask: complete_real_gek(kr, mask),
+    "complete_quat_gek": lambda kr, kq, mask: complete_quat_gek(kq, mask),
+}
+
+
+@pytest.mark.parametrize("entry", list(MASK_ENTRY_POINTS))
+@pytest.mark.parametrize("case", list(BAD_MASKS))
+def test_mask_contract(entry, case):
+    # One contract through every entry point, checked before any fill or sweep.
+    kr, kq, good = masked_default_instance()
+    make, message = BAD_MASKS[case]
+    mask = make(good)
+    kept, kernels = mask.copy(), (kr.k.copy(), kq.k.a.copy(), kq.k.b.copy())
+    with pytest.raises(AsymmetricMask, match=f"^{re.escape(message)}$"):
+        MASK_ENTRY_POINTS[entry](kr, kq, mask)
+    np.testing.assert_array_equal(mask, kept)
+    assert mask.flags.writeable
+    for before, after in zip(kernels, (kr.k, kq.k.a, kq.k.b)):
+        np.testing.assert_array_equal(after, before)
 
 
 # ---- the kernel contract, checked at construction ----
@@ -260,51 +313,6 @@ def test_asymmetric_mask_rejected():
 def small_kernels(rng):
     _, ms = exact_measurements(rng, "II", 3, 4)
     return build_real_gek(ms), quat_gek_from_measurements(ms)
-
-
-def with_mask(gek, mask):
-    """The same kernel through its public constructor, with `mask` attached."""
-    return RealGek(gek.k, mask) if isinstance(gek, RealGek) else QuatGek(gek.k, mask)
-
-
-def test_asymmetric_mask_rejected_at_construction():
-    # Default config, Scenario II, sigma_d 2 m, eps 50 deg, 30% hidden,
-    # trial 0: a mask that hides (3, 40) but not (40, 3) used to complete
-    # to a real kernel 176 m^2 away from symmetric, which smds symmetrized
-    # and qd_mrc_smds solved without a word.
-    cfg = harness.ExperimentConfig(scenarios=("II",), missing_fraction=0.3)
-    _, ms, mask = harness._Instance(cfg, "II", 2.0, 50.0, 0).data()
-    mask = mask.copy()
-    mask[3, 40], mask[40, 3] = False, True
-    for gek in (build_real_gek(ms), quat_gek_from_measurements(ms)):
-        with pytest.raises(AsymmetricMask, match="symmetric"):
-            with_mask(gek, mask)
-
-
-def test_mask_shape_checked():
-    rng = np.random.default_rng(116)
-    for gek in small_kernels(rng):
-        with pytest.raises(AsymmetricMask):
-            with_mask(gek, np.ones((4, 4), dtype=bool))
-        with pytest.raises(AsymmetricMask):
-            apply_mask(gek, np.ones((4, 4), dtype=bool))
-
-
-def test_hidden_diagonal_or_non_bool_mask_rejected():
-    rng = np.random.default_rng(108)
-    for gek in small_kernels(rng):
-        hole = np.ones((gek.m, gek.m), dtype=bool)
-        hole[2, 2] = False
-        with pytest.raises(AsymmetricMask, match="diagonal"):
-            with_mask(gek, hole)
-        with pytest.raises(AsymmetricMask, match="bool"):
-            with_mask(gek, np.ones((gek.m, gek.m), dtype=int))
-        # apply_mask converts an integer mask; a str or float one used to
-        # cast to bool, every "a" or 0.5 becoming an observed entry
-        assert apply_mask(gek, np.ones((gek.m, gek.m), dtype=int)).mask.dtype == bool
-        for dtype in (str, float):
-            with pytest.raises(AsymmetricMask, match="bool or integer"):
-                apply_mask(gek, np.ones((gek.m, gek.m), dtype=dtype))
 
 
 def test_complex_real_kernel_rejected():
@@ -378,24 +386,23 @@ def test_apply_mask_leaves_callers_mask_writeable():
     rng = np.random.default_rng(118)
     for gek in small_kernels(rng):
         mask = missing_mask(gek.m, 0.3, rng)
-        masked = apply_mask(gek, mask)
-        kept = masked.mask.copy()
+        _, frozen = apply_mask(gek, mask)
+        kept = frozen.copy()
         mask[...] = missing_mask(gek.m, 0.3, rng)  # the buffer is reused
-        assert np.array_equal(masked.mask, kept)
-        assert not masked.mask.flags.writeable
+        assert np.array_equal(frozen, kept)
+        assert not frozen.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_entry_rejected(bad):
-    # observed or hidden, a non-finite entry never makes a kernel
+    # a non-finite entry never makes a kernel, so none reaches a mask
     rng = np.random.default_rng(109)
     kr, kq = small_kernels(rng)
-    mask = missing_mask(kr.m, 0.3, rng)
     k = kr.k.copy()
     k[0, 1] = bad
     with pytest.raises(OutOfRange, match="finite"):
-        RealGek(k, mask)
+        RealGek(k)
     b = kq.k.b.copy()
-    b[tuple(np.argwhere(~mask)[0])] = bad
+    b[1, 2] = bad
     with pytest.raises(OutOfRange, match="finite"):
-        QuatGek(QuaternionMatrix(kq.k.a, b), mask)
+        QuatGek(QuaternionMatrix(kq.k.a, b))

@@ -135,8 +135,10 @@ def test_structure_takes_numpy_integer_counts():
 
 def test_structure_size_ceiling():
     # The incidence matrix of 10**9 nodes is refused before it is allocated;
-    # the largest structure the tests build is 228 x 33.
-    for counts in [(10**9, 3), (5, 10**9), (2**12, 0)]:
+    # the largest structure the tests build is 228 x 33. With 300 anchors and
+    # 15 targets the incidence matrix fits, but the M x M kernels would need
+    # 18.1 GiB each (M = 49,350), which true_parameters asked for untyped.
+    for counts in [(10**9, 3), (5, 10**9), (2**12, 0), (300, 15)]:
         with pytest.raises(OutOfRange, match="entries"):
             structure_matrices(*counts)
 

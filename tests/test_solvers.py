@@ -16,12 +16,11 @@ from qmds.errors import (
 from qmds.gek import (
     QuatGek,
     RealGek,
-    apply_mask,
     build_quat_gek,
     build_real_gek,
     quat_gek_from_measurements,
 )
-from qmds.measurement import MeasurementSet, NoiseConfig, missing_mask, synthesize
+from qmds.measurement import MeasurementSet, NoiseConfig, synthesize
 from qmds.network import NetworkGeometry, structure_matrices, true_parameters
 from qmds.quat import QuaternionMatrix, _embed_r3, _mirrors, _r3_components
 from quaternion_oracle import (
@@ -563,8 +562,6 @@ def _with_entry(anchors, value):
 # Each case breaks the solvers' input contract one way:
 # name -> (error, message pattern, (kernel, anchors, structure) -> bad inputs).
 BAD_INPUTS = {
-    "masked-kernel": (ShapeMismatch, "complete it first", lambda k, a, st: (
-        apply_mask(k, missing_mask(k.m, 0.2, np.random.default_rng(142))), a, st)),
     "empty-kernel": (ShapeMismatch, "kernel size 0 .*structure",
                      lambda k, a, st: (_empty_like(k), a, st)),
     "kernel-size": (ShapeMismatch, "kernel size 85 .*structure",
