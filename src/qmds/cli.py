@@ -86,7 +86,10 @@ def _load_mapping(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or an integer past 4,300 digits
+            raise QmdsError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise QmdsError(f"config file must hold a JSON object: {path}")
     return data
@@ -119,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             rows = run_convergence(config)
             write_csv(rows, args.out, CONVERGENCE_COLUMNS)
-    except (QmdsError, OSError, json.JSONDecodeError) as exc:
+    except (QmdsError, OSError) as exc:
         print(f"qmds: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -39,31 +39,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .completion import complete_quat_gek, complete_real_gek
-from .errors import (
-    DegenerateAnchors,
-    DegenerateEdge,
-    OutOfRange,
-    QmdsError,
-    ShapeMismatch,
-)
+from .errors import (DegenerateAnchors, DegenerateEdge, OutOfRange, QmdsError,
+                     ShapeMismatch)
 from .gek import build_quat_gek, build_real_gek
 from .measurement import SCENARIOS, NoiseConfig, missing_mask, synthesize
-from .network import (
-    DEGENERATE_LENGTH,
-    NetworkGeometry,
-    StructureMatrices,
-    _integer,
-    _points,
-    _real,
-    structure_matrices,
-    true_parameters,
-)
-from .solvers import (
-    Estimate,
-    _QUAT_SOLVERS,
-    _stage_two_kernel,
-    smds,
-)
+from .network import (DEGENERATE_LENGTH, NetworkGeometry, StructureMatrices, _integer,
+                      _points, _real, _shown, structure_matrices, true_parameters)
+from .solvers import _QUAT_SOLVERS, Estimate, _stage_two_kernel, smds
 
 __all__ = [
     "ExperimentConfig",
@@ -117,7 +99,7 @@ CONVERGENCE_COLUMNS = (
 
 def _sequence(name: str, values) -> tuple:
     if isinstance(values, (str, bytes)) or not isinstance(values, abc.Iterable):
-        raise ShapeMismatch(f"{name} must be a list, got {values!r}")
+        raise ShapeMismatch(f"{name} must be a list, got {_shown(values)}")
     return tuple(values)
 
 
@@ -302,10 +284,10 @@ class _Instance:
     time.
     """
 
-    def __init__(self, config, scenario, sigma_d, epsilon, trial_index):
+    def __init__(self, config, scenario, noise: NoiseConfig, trial_index):
         self.config = config
         self.structure = structure_matrices(len(config.anchors), config.n_targets)
-        self.key = (scenario, sigma_d, epsilon, trial_index)
+        self.scenario, self.noise, self.trial_index = scenario, noise, trial_index
         self._built: dict[str, object] = {}  # name -> value or its error
         self._ms: dict[str, float] = {}
 
@@ -327,15 +309,15 @@ class _Instance:
         return self._piece("data", self._draw)
 
     def _draw(self):
-        scenario, sigma_d, epsilon, trial_index = self.key
+        noise = self.noise
         ss = np.random.SeedSequence((
-            self.config.master_seed, SCENARIOS.index(scenario) + 1,
-            int(round(sigma_d * 1e6)), int(round(epsilon * 1e6)), trial_index,
+            self.config.master_seed, SCENARIOS.index(self.scenario) + 1,
+            int(round(noise.sigma_d * 1e6)), int(round(noise.epsilon_deg * 1e6)),
+            self.trial_index,
         ))
         geo_rng, meas_rng = map(np.random.default_rng, ss.spawn(2))
         geometry, params = _sample_geometry(self.config, self.structure, geo_rng)
-        noise = NoiseConfig(sigma_d=sigma_d, epsilon_deg=epsilon)
-        ms = synthesize(params, noise, scenario, meas_rng)
+        ms = synthesize(params, noise, self.scenario, meas_rng)
         fraction, mask = self.config.missing_fraction, None
         if fraction > 0:  # the mask stream is the key's third child either way
             mask = missing_mask(ms.m, fraction, np.random.default_rng(ss.spawn(1)[0]))
@@ -351,7 +333,7 @@ class _Instance:
         algorithms on the stage-two kernel built from the smds fix."""
         geometry, ms, mask = self.data()
         anchors = geometry.anchors
-        if algorithm == "smds" or self.key[0] == "I":
+        if algorithm == "smds" or self.scenario == "I":
             kr, sweeps = self._piece("real", _real_kernel, self.raw_real(), mask)
             est = self._piece("smds", smds, kr, anchors, self.structure)
             if algorithm == "smds":
@@ -368,7 +350,8 @@ class _Instance:
         return est, sweeps, path
 
     def run(self, algorithm: str) -> TrialResult:
-        scenario, sigma_d, epsilon, trial_index = self.key
+        ident = (self.scenario, algorithm, self.noise.sigma_d,
+                 self.noise.epsilon_deg, self.trial_index)
         try:
             est, sweeps, path = self._estimate(algorithm)
             targets = self.data()[0].targets
@@ -383,15 +366,11 @@ class _Instance:
                 if not math.isfinite(x):
                     raise OutOfRange(f"estimate is not finite: sweep {i} xi = {x}")
         except _TRIAL_ERRORS as exc:
-            return TrialResult(
-                scenario, algorithm, sigma_d, epsilon, trial_index,
-                xi=float("nan"), iterations=0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return TrialResult(*ident, xi=float("nan"), iterations=0,
+                               error=f"{type(exc).__name__}: {exc}")
         timed = self.config.timing == "wall"
         return TrialResult(
-            scenario, algorithm, sigma_d, epsilon, trial_index, xi=xi,
-            iterations=sweeps + int(est.diagnostics.get("tau", 0)),
+            *ident, xi=xi, iterations=sweeps + int(est.diagnostics.get("tau", 0)),
             wall_ms=sum(self._ms[name] for name in path) if timed else None,
             sweep_xi=sweep_xi,
         )
@@ -406,13 +385,14 @@ def run_trial(config: ExperimentConfig, scenario: str, sigma_d: float,
     solves it, so the records are paired by construction. The key excludes
     the algorithm, so a config naming fewer algorithms gives each of them
     the same record. A key no seed can be built from (an unknown scenario, a
-    bad noise level or trial index) raises `OutOfRange` before any draw.
+    noise level `NoiseConfig` refuses, a bad trial index) raises `OutOfRange`
+    before any draw; the one `NoiseConfig` built here is the instance's.
     """
     if scenario not in SCENARIOS:
         raise OutOfRange(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    NoiseConfig(sigma_d=sigma_d, epsilon_deg=epsilon)
+    noise = NoiseConfig(sigma_d=sigma_d, epsilon_deg=epsilon)
     _integer("trial_index", trial_index, 0)
-    instance = _Instance(config, scenario, sigma_d, epsilon, trial_index)
+    instance = _Instance(config, scenario, noise, trial_index)
     return {a: instance.run(a) for a in config.algorithms}
 
 
@@ -433,18 +413,15 @@ def _aggregate_cell(
         "missing_fraction": config.missing_fraction,
         "trials_ok": len(good),
         "trials_failed": len(results) - len(good),
+        **dict.fromkeys(("mean_xi_m", "std_xi_m", "mean_iterations", "mean_wall_ms")),
     }
     if good:
         xis = np.array([r.xi for r in good])
         row["mean_xi_m"] = float(xis.mean())
         row["std_xi_m"] = float(xis.std(ddof=1)) if len(good) > 1 else 0.0
         row["mean_iterations"] = float(np.mean([r.iterations for r in good]))
-    else:
-        row["mean_xi_m"] = None
-        row["std_xi_m"] = None
-        row["mean_iterations"] = None
-    timed = config.timing == "wall" and good
-    row["mean_wall_ms"] = float(np.mean([r.wall_ms for r in good])) if timed else None
+        if config.timing == "wall":
+            row["mean_wall_ms"] = float(np.mean([r.wall_ms for r in good]))
     return row
 
 
@@ -485,21 +462,20 @@ def run_convergence(config: ExperimentConfig) -> list[dict[str, object]]:
     tau_max = config.tau_max
     iterative = replace(config, algorithms=("mrciter",))
     rows: list[dict[str, object]] = []
-    for sigma_d in config.sigma_d_grid:
-        for epsilon in config.epsilon_grid:
-            results = [run_trial(iterative, "II", sigma_d, epsilon, t)["mrciter"]
-                       for t in range(config.trials)]
-            per_tau = np.array([r.sweep_xi for r in results if r.ok])
-            n_ok = len(per_tau)
-            for tau in range(tau_max + 1):
-                rows.append({
-                    "sigma_d_m": sigma_d,
-                    "epsilon_deg": epsilon,
-                    "tau": tau,
-                    "trials_ok": n_ok,
-                    "trials_failed": config.trials - n_ok,
-                    "mean_xi_m": float(per_tau[:, tau].mean()) if n_ok else None,
-                })
+    for sigma_d, epsilon in product(config.sigma_d_grid, config.epsilon_grid):
+        results = [run_trial(iterative, "II", sigma_d, epsilon, t)["mrciter"]
+                   for t in range(config.trials)]
+        per_tau = np.array([r.sweep_xi for r in results if r.ok])
+        n_ok = len(per_tau)
+        for tau in range(tau_max + 1):
+            rows.append({
+                "sigma_d_m": sigma_d,
+                "epsilon_deg": epsilon,
+                "tau": tau,
+                "trials_ok": n_ok,
+                "trials_failed": config.trials - n_ok,
+                "mean_xi_m": float(per_tau[:, tau].mean()) if n_ok else None,
+            })
     return rows
 
 

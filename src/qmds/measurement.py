@@ -9,7 +9,10 @@ that definition to the concentration parameter by bisection on log rho,
 with the mass integrated by a 64-node Gauss-Legendre rule. The uniform
 density already holds 90% inside +-162 degrees, so epsilon must stay below
 that; the largest concentration searched, 1e8, puts the floor at about
-0.0094 degrees. Larger epsilon always means smaller rho.
+0.0094 degrees. Larger epsilon always means smaller rho. `NoiseConfig`
+checks both levels once (sigma_d^2 must be finite) and resolves rho once.
+`synthesize` has one draw path: the ranges, then every angle through
+`_sample_angle`, which copies exact angles (epsilon 0) without a draw.
 
 Two measurement scenarios exist. Scenario I carries distances and
 edge-to-edge angles only. Scenario II additionally measures each edge's
@@ -24,7 +27,8 @@ azimuths are left unwrapped since only their sines and cosines are consumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -57,21 +61,26 @@ _triu_indices = lru_cache(maxsize=16)(np.triu_indices)  # shared; only read
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Noise levels: ranging std in meters, angle spread in degrees."""
+    """Noise levels: ranging std in meters, angle spread in degrees.
+
+    The one check of both, kept as floats: sigma_d >= 0 with a finite square
+    (at most about 1.3e154 m), and epsilon 0 or in `epsilon_to_rho`'s range,
+    else `OutOfRange`. `rho` is resolved once; None means exact angles."""
 
     sigma_d: float = 0.0
     epsilon_deg: float = 0.0
+    rho: float | None = field(init=False, compare=False)
 
     def __post_init__(self):
-        if _real("sigma_d", self.sigma_d) < 0:
-            raise OutOfRange(f"sigma_d must be >= 0, got {self.sigma_d}")
-        if _real("epsilon_deg", self.epsilon_deg) != 0:
-            epsilon_to_rho(self.epsilon_deg)  # the one check of the valid range
-
-    @property
-    def rho(self) -> float | None:
-        """Concentration for the configured epsilon; None means exact angles."""
-        return epsilon_to_rho(self.epsilon_deg) if self.epsilon_deg else None
+        sigma_d = _real("sigma_d", self.sigma_d)
+        if sigma_d < 0 or not math.isfinite(sigma_d * sigma_d):
+            raise OutOfRange(f"sigma_d must be >= 0 with a finite square, "
+                             f"got {sigma_d}")
+        epsilon_deg = _real("epsilon_deg", self.epsilon_deg)
+        object.__setattr__(self, "sigma_d", sigma_d)
+        object.__setattr__(self, "epsilon_deg", epsilon_deg)
+        object.__setattr__(self, "rho", epsilon_to_rho(epsilon_deg) if epsilon_deg
+                           else None)
 
 
 def _vm_mass(eps_rad: float, rho: float) -> float:
@@ -135,10 +144,16 @@ def _sample_distance(d, sigma_d: float, rng: np.random.Generator):
     return rng.gamma(shape, var / d)
 
 
-def _sample_angle(theta, rho: float, rng: np.random.Generator):
-    """Additive von Mises angle error with concentration rho."""
+def _sample_angle(theta, rho: float | None, rng: np.random.Generator,
+                  fold: bool = False):
+    """theta plus an additive von Mises error of concentration rho, as a new
+    array, reflected into [0, pi] when `fold`. rho None means exact angles:
+    theta is copied, with no draw and no fold."""
     theta = np.asarray(theta, dtype=float)
-    return theta + rng.vonmises(0.0, rho, size=theta.shape)
+    if rho is None:
+        return theta.copy()
+    noisy = theta + rng.vonmises(0.0, rho, size=theta.shape)
+    return _reflect_elevation(noisy) if fold else noisy
 
 
 def _reflect_elevation(theta):
@@ -214,9 +229,10 @@ def synthesize(
     """Draw one noisy measurement set from exact edge parameters.
 
     Draw order is fixed so that a given seed always produces the same set:
-    the M ranges, the M(M-1)/2 pair angles, then in Scenario II the (3, M)
-    azimuths and the (3, M) elevations, each in row order. A (3, M) von Mises
-    draw takes the same stream as three draws of size M, one per row.
+    the M ranges, then through `_sample_angle` the M(M-1)/2 pair angles and
+    in Scenario II the (3, M) azimuths and (3, M) elevations, in row order.
+    A (3, M) von Mises draw takes the same stream as three of size M, one per
+    row. Exact angles (epsilon 0) are copied, and nothing is drawn for them.
 
     Zero-length edges are rejected: neither a range nor any angle is defined
     there. Edges with a merely degenerate plane projection are accepted; the
@@ -230,23 +246,16 @@ def synthesize(
         raise DegenerateEdge("cannot synthesize measurements on zero-length edges")
 
     d_tilde = _sample_distance(params.distances, config.sigma_d, rng)
-
     rho = config.rho
-    m = params.distances.shape[0]
+    iu = _triu_indices(params.distances.shape[0], 1)
     adoa = params.adoa.copy()
-    if rho is not None:
-        iu = _triu_indices(m, 1)
-        adoa[iu] += rng.vonmises(0.0, rho, size=iu[0].shape[0])
-        adoa.T[iu] = adoa[iu]
-
-    if scenario == "I":
-        return MeasurementSet(d_tilde, adoa)
-    if rho is None:
-        return MeasurementSet(d_tilde, adoa, params.azimuths.copy(),
-                              params.elevations.copy())
-    azimuths = _sample_angle(params.azimuths, rho, rng)
-    elevations = _reflect_elevation(_sample_angle(params.elevations, rho, rng))
-    return MeasurementSet(d_tilde, adoa, azimuths, elevations)
+    adoa[iu] = _sample_angle(adoa[iu], rho, rng)
+    adoa.T[iu] = adoa[iu]
+    angles = ()
+    if scenario == "II":
+        angles = (_sample_angle(params.azimuths, rho, rng),
+                  _sample_angle(params.elevations, rho, rng, fold=True))
+    return MeasurementSet(d_tilde, adoa, *angles)
 
 
 def missing_mask(m: int, fraction: float, rng: np.random.Generator) -> np.ndarray:

@@ -58,13 +58,23 @@ def _integer(name: str, value, low: int | None = None) -> int:
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or (low is not None and value < low)):
         bound = "" if low is None else f" >= {low}"
-        raise OutOfRange(f"{name} must be an integer{bound}, got {value!r}")
+        raise OutOfRange(f"{name} must be an integer{bound}, got {_shown(value)}")
     return int(value)
 
 
 def _check_entries(what: str, entries: int) -> None:  # before allocating
     if entries > _MAX_ENTRIES:
-        raise OutOfRange(f"{what} would hold {entries} entries, over {_MAX_ENTRIES}")
+        raise OutOfRange(f"{what} would hold {_shown(entries)} entries, "
+                         f"over {_MAX_ENTRIES}")
+
+
+def _shown(value) -> str:
+    """`repr(value)` for a message; an integer too long for Python to format
+    (past 4,300 digits by default) shows as its size, a power of ten."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}10**{math.log10(abs(value)):.1f}"
 
 
 def _real(name: str, value) -> float:
@@ -76,7 +86,7 @@ def _real(name: str, value) -> float:
             return real
     except OverflowError:  # float() of an int past the float range
         pass
-    raise OutOfRange(f"{name} must be a finite real number, got {value!r}")
+    raise OutOfRange(f"{name} must be a finite real number, got {_shown(value)}")
 
 
 def _array(name: str, x, kinds: str, shape: tuple) -> np.ndarray:

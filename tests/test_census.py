@@ -65,6 +65,10 @@ BAD_NUMBERS = {
     '"20"': "20", "None": None, "1j": 1j,
     # float() of an int past the float range raised an untyped OverflowError
     "10**400": 10**400,
+    # sigma_d^2 overflows: an OverflowError from the Gamma draw or the seed key
+    "1e200": 1e200, "1e303": 1e303,
+    # past 4,300 digits: a ValueError from formatting the message
+    "10**5000": 10**5000, "-10**5000": -10**5000,
 }
 
 

@@ -174,6 +174,36 @@ def test_oversized_config_value_fails_before_allocating(tmp_path, capsys, bad, m
     assert peak < 2**20 and not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    '{"sigma_d_grid": [1' + "0" * 4999 + "]}",
+    '{"sigma_d_grid": [1.0,',
+], ids=["5000-digit-sigma", "malformed"])
+def test_unreadable_config_json_fails_cleanly(tmp_path, capsys, text):
+    # json.load raised ValueError on an integer past 4,300 digits, which main
+    # did not catch: exit 1 and a traceback.
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qmds: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma_d", ["1e155", "1e200", "1e303"])
+def test_noise_level_with_an_overflowing_variance_fails_before_the_grid(
+        tmp_path, capsys, sigma_d):
+    # 1e200 raised OverflowError from the Gamma draw, 1e303 from the seed key.
+    out = tmp_path / "x.csv"
+    code = main(["run", "--sigma-d", sigma_d, "--epsilon", "20", "--trials", "1",
+                 "--scenario", "II", "--algorithms", "mrc", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qmds: sigma_d") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_missing_config_file_fails(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "absent.json")])
     assert code == 2

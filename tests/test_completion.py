@@ -222,7 +222,7 @@ DRIFT_TRIALS = (29, 95, 129)
 @pytest.mark.parametrize("trial", DRIFT_TRIALS)
 def test_real_completion_iterate_stays_symmetric(trial):
     cfg = ExperimentConfig(scenarios=("II",), missing_fraction=0.3, master_seed=9009)
-    instance = harness._Instance(cfg, "II", 2.0, 50.0, trial)
+    instance = harness._Instance(cfg, "II", NoiseConfig(2.0, 50.0), trial)
     _, ms, mask = instance.data()
     data, mask = apply_mask(build_real_gek(ms), mask)
     with warnings.catch_warnings():

@@ -258,7 +258,7 @@ def masked_default_instance():
     """Default config, Scenario II, sigma_d 2 m, eps 50 deg, 30% hidden,
     trial 0: the two kernels and the mask."""
     cfg = harness.ExperimentConfig(scenarios=("II",), missing_fraction=0.3)
-    _, ms, mask = harness._Instance(cfg, "II", 2.0, 50.0, 0).data()
+    _, ms, mask = harness._Instance(cfg, "II", NoiseConfig(2.0, 50.0), 0).data()
     return build_real_gek(ms), quat_gek_from_measurements(ms), mask
 
 
@@ -343,7 +343,7 @@ def test_non_square_kernel_rejected():
 def default_instance():
     """Default config, Scenario II, sigma_d 2 m, eps 50 deg, trial 0."""
     cfg = harness.ExperimentConfig(scenarios=("II",))
-    instance = harness._Instance(cfg, "II", 2.0, 50.0, 0)
+    instance = harness._Instance(cfg, "II", NoiseConfig(2.0, 50.0), 0)
     geometry, ms, _ = instance.data()
     return geometry, ms, instance.structure
 

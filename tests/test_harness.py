@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmds import errors, gek, harness
+from qmds import errors, gek, harness, measurement
 from qmds.completion import complete_quat_gek, complete_real_gek
 from qmds.errors import DegenerateAnchors, OutOfRange, RankDeficient, ShapeMismatch
 from qmds.harness import (
@@ -23,6 +23,7 @@ from qmds.harness import (
     run_trial,
     write_csv,
 )
+from qmds.measurement import NoiseConfig
 from qmds.solvers import Estimate, _stage_two_kernel, smds
 
 SMALL = dict(n_targets=6, trials=4)
@@ -101,6 +102,13 @@ def test_default_config_is_paper_setup():
 def test_config_rejects_bad_values(bad):
     with pytest.raises(OutOfRange):
         ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize("grid", [2.0, 10**5000], ids=["float", "5000-digit-int"])
+def test_config_rejects_a_scalar_grid(grid):
+    # The message formatted the 5,000-digit int, which raised ValueError.
+    with pytest.raises(ShapeMismatch, match="sigma_d_grid must be a list"):
+        ExperimentConfig(sigma_d_grid=grid)
 
 
 def test_config_rejects_coincident_anchors():
@@ -195,15 +203,45 @@ def test_trial_index_changes_draws():
     (("II", 1.0, 30.0, -3), "trial_index"),
     (("II", "1", 30.0, 0), "sigma_d"),
     (("II", 1.0, None, 0), "epsilon"),
+    (("II", 1e155, 20.0, 0), "sigma_d"),
+    (("II", 1e200, 20.0, 0), "sigma_d"),
+    (("II", 1e303, 20.0, 0), "sigma_d"),
 ], ids=["scenario", "nan-sigma", "negative-sigma", "inf-sigma", "nan-epsilon",
         "negative-epsilon", "fractional-index", "negative-index", "str-sigma",
-        "none-epsilon"])
+        "none-epsilon", "1e155-sigma", "1e200-sigma", "1e303-sigma"])
 def test_trial_rejects_a_key_no_seed_is_built_from(key, error):
     # These failed untyped while the seed key was built: SCENARIOS.index's
     # ValueError, int(round(nan)), int(round(inf)), or SeedSequence's
     # TypeError and ValueError; a str or None noise level raised TypeError.
+    # A sigma_d whose square overflows raised OverflowError from the Gamma
+    # draw (1e155, 1e200) or from the seed key (1e303).
     with pytest.raises(OutOfRange, match=error):
         run_trial(small_config(), *key)
+
+
+def test_largest_accepted_sigma_gives_typed_records():
+    # 1e154 m squares to 1e308, still finite: every record of both scenarios
+    # is a result or a typed failure, and no step warns.
+    cfg = ExperimentConfig()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scenario, trial in product(("I", "II"), range(4)):
+            records = run_trial(cfg, scenario, 1e154, 20.0, trial)
+            assert list(records) == list(harness.ALGORITHMS)
+            for r in records.values():
+                assert r.ok or r.error.split(":")[0] in (*errors.__all__,
+                                                         "LinAlgError")
+
+
+def test_a_trial_builds_one_noise_config_and_resolves_rho_once(monkeypatch):
+    cfg = small_config()  # which checks its grid through NoiseConfig
+    built = counting(monkeypatch, "NoiseConfig")
+    resolved = []
+    original = measurement.epsilon_to_rho
+    monkeypatch.setattr(measurement, "epsilon_to_rho",
+                        lambda eps: resolved.append(eps) or original(eps))
+    run_trial(cfg, "II", 2.0, 30.0, 0)
+    assert built == ["NoiseConfig"] and resolved == [30.0]
 
 
 def test_trial_timing_column():
@@ -644,7 +682,7 @@ def test_every_library_kernel_is_hermitian_to_the_bit(cfg):
     # stops at the first piece that raises a typed error, unless that error
     # is the Hermitian contract itself.
     (scenario,), (sigma_d,), (epsilon,) = cfg.scenarios, cfg.sigma_d_grid, cfg.epsilon_grid
-    instance = harness._Instance(cfg, scenario, sigma_d, epsilon, 0)
+    instance = harness._Instance(cfg, scenario, NoiseConfig(sigma_d, epsilon), 0)
     structure = instance.structure
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", errors.NonConvergenceWarning)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -169,6 +172,43 @@ def test_noise_config_validation():
     assert NoiseConfig(epsilon_deg=25.0).rho == pytest.approx(epsilon_to_rho(25.0))
 
 
+def test_noise_config_refuses_a_variance_that_overflows():
+    # sigma_d^2 must be a finite float: 1e154 squares to 1e308, 1e155 to inf,
+    # which reached the Gamma draw or the harness's seed key untyped.
+    assert NoiseConfig(sigma_d=1e154).sigma_d == 1e154
+    for bad in (1e155, 1e200, 1e303, 10**200):
+        with pytest.raises(OutOfRange, match="finite square"):
+            NoiseConfig(sigma_d=bad)
+
+
+def test_noise_config_resolves_its_levels_once(monkeypatch):
+    resolved = []
+    monkeypatch.setattr(measurement, "epsilon_to_rho",
+                        lambda eps: resolved.append(eps) or epsilon_to_rho(eps))
+    noise = NoiseConfig(2, 25)
+    assert (noise.sigma_d, noise.epsilon_deg, noise.rho) == (2.0, 25.0,
+                                                             epsilon_to_rho(25.0))
+    assert type(noise.sigma_d) is float and type(noise.epsilon_deg) is float
+    rng = np.random.default_rng(92)
+    synthesize(sample_params(rng), noise, "II", rng)
+    assert resolved == [25.0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: NoiseConfig(sigma_d=10**5000),
+    lambda: NoiseConfig(sigma_d=-10**5000),
+    lambda: NoiseConfig(epsilon_deg=10**5000),
+    lambda: epsilon_to_rho(10**5000),
+    lambda: missing_mask(10**5000, 0.3, np.random.default_rng(0)),
+    lambda: missing_mask(-10**5000, 0.3, np.random.default_rng(0)),
+], ids=["sigma", "negative-sigma", "epsilon", "rho", "mask", "negative-mask"])
+def test_an_integer_past_the_digit_limit_is_named_by_its_size(call):
+    # Python formats no int past 4,300 digits: each message raised that
+    # ValueError in place of OutOfRange.
+    with pytest.raises(OutOfRange, match=r"10\*\*(5000|10000)\.0"):
+        call()
+
+
 # ---- measurement synthesis ----
 
 
@@ -328,6 +368,45 @@ def test_measured_elevations_stay_in_range():
     rng = np.random.default_rng(83)
     ms = synthesize(sample_params(rng), NoiseConfig(0.0, 120.0), "II", rng)
     assert np.all(ms.elevations >= 0) and np.all(ms.elevations <= np.pi)
+
+
+def test_exact_angles_are_copied_without_a_draw():
+    rng = np.random.default_rng(90)
+    state = rng.bit_generator.state
+    theta = np.array([-0.5, 1.0, 4.0])
+    exact = _sample_angle(theta, None, rng, fold=True)
+    np.testing.assert_array_equal(exact, theta)  # neither drawn nor folded
+    assert not np.shares_memory(exact, theta)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("scenario", ["I", "II"])
+def test_exact_angles_draw_nothing_after_the_ranges(scenario):
+    params = sample_params(np.random.default_rng(91))
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    ms = synthesize(params, NoiseConfig(2.0, 0.0), scenario, rng)
+    d = params.distances
+    np.testing.assert_array_equal(ms.distances, ref.gamma(d**2 / 4.0, 4.0 / d))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    np.testing.assert_array_equal(ms.adoa, params.adoa)
+    if scenario == "II":
+        np.testing.assert_array_equal(ms.azimuths, params.azimuths)
+        np.testing.assert_array_equal(ms.elevations, params.elevations)
+
+
+def test_synthesize_has_one_exit_and_one_angle_draw():
+    # Every scenario and noise level leaves synthesize by one return, and
+    # every von Mises draw is made in _sample_angle.
+    tree = ast.parse(Path(measurement.__file__).read_text())
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    returns = [n for n in ast.walk(functions["synthesize"]) if isinstance(n, ast.Return)]
+    assert len(returns) == 1
+
+    def vonmises_calls(node):
+        return sum(isinstance(n, ast.Call) and ast.unparse(n.func).endswith(".vonmises")
+                   for n in ast.walk(node))
+
+    assert vonmises_calls(tree) == vonmises_calls(functions["_sample_angle"]) == 1
 
 
 def test_invalid_scenario_rejected():

@@ -143,6 +143,14 @@ def test_structure_size_ceiling():
             structure_matrices(*counts)
 
 
+@pytest.mark.parametrize("counts", [(10**5000, 15), (5, 10**5000)])
+def test_structure_names_a_count_past_the_digit_limit_by_its_size(counts):
+    # Python formats no int past 4,300 digits; the size-ceiling message did,
+    # and raised that ValueError in place of OutOfRange.
+    with pytest.raises(OutOfRange, match=r"would hold 10\*\*\d+\.\d entries"):
+        structure_matrices(*counts)
+
+
 def test_structure_is_shared_and_frozen():
     st = structure_matrices(5, 15)
     assert structure_matrices(5, 15) is st
