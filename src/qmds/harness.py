@@ -11,13 +11,14 @@ The algorithm never enters the key: `run_trial`, the one place an instance
 is built, builds one per key holding the geometry, measurements, mask,
 kernels and the smds estimate, each built once, and every configured
 algorithm solves that same instance, so comparisons across algorithms are
-paired by construction. `run_grid` calls it for every trial of every cell;
-`run_convergence` calls it for the iterative solver alone and averages the
-per-sweep errors of its records. An instance draws only from its own
-streams, so neither the order trials are evaluated in nor the order rows are
-emitted in changes a value, and the CSV is byte-identical for a fixed config
-and seed. Wall-clock timing is off by default because its column is the one
-nondeterministic quantity.
+paired by construction. One loop, `_cells`, calls it for every trial of
+each distinct (scenario, sigma_d, epsilon) cell: `run_grid` folds it per
+algorithm, `run_convergence` averages the per-sweep errors of its scenario
+II `mrciter` cells, and both emit rows in grid order, repeats included. An
+instance draws only from its own streams, so neither the order trials are
+evaluated in nor the order rows are emitted in changes a value, and the CSV
+is byte-identical for a fixed config and seed. Wall-clock timing is off by
+default because its column is the one nondeterministic quantity.
 
 A failed trial (any library or LAPACK error on a solvable-looking instance,
 e.g. a rank-collapsed kernel at extreme noise, a geometry draw that finds no
@@ -43,8 +44,9 @@ from .errors import (DegenerateAnchors, DegenerateEdge, OutOfRange, QmdsError,
                      ShapeMismatch)
 from .gek import build_quat_gek, build_real_gek
 from .measurement import SCENARIOS, NoiseConfig, missing_mask, synthesize
-from .network import (DEGENERATE_LENGTH, NetworkGeometry, StructureMatrices, _integer,
-                      _points, _real, _shown, structure_matrices, true_parameters)
+from .network import (DEGENERATE_LENGTH, NetworkGeometry, StructureMatrices,
+                      _check_entries, _integer, _points, _real, _shown,
+                      structure_matrices, true_parameters)
 from .solvers import _QUAT_SOLVERS, Estimate, _stage_two_kernel, smds
 
 __all__ = [
@@ -118,7 +120,8 @@ class ExperimentConfig:
     "wall"; leave it off when byte-identical output matters. A field of the
     wrong type is rejected with a typed error: `ShapeMismatch` for a scalar
     where a list belongs, `OutOfRange` for a non-integral count or a
-    non-finite number.
+    non-finite number; also `OutOfRange` for `tau_max` sweeps past the size
+    ceiling, or a room or anchors giving an edge whose square overflows.
     """
 
     room: tuple[float, float, float] = DEFAULT_ROOM
@@ -144,11 +147,19 @@ class ExperimentConfig:
         for name, low in (("n_targets", 1), ("trials", 1), ("tau_max", 0),
                           ("master_seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
-        structure_matrices(len(pts), self.n_targets)  # the ceilings, before the pairs
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if np.linalg.norm(pts[i] - pts[j]) <= DEGENERATE_LENGTH:
-                    raise DegenerateAnchors(f"anchors {i} and {j} coincide")
+        structure = structure_matrices(len(pts), self.n_targets)  # the ceilings first
+        sweeps = (self.tau_max + 1) * len(structure.c)  # as the iterative solver counts
+        _check_entries("the sweeps' edge estimates", sweeps)
+        with np.errstate(over="ignore"):  # an overflow is refused below, not warned
+            pairs = structure.c[:structure.n_aa, :len(pts)] @ pts
+            farthest = np.maximum(abs(pts), abs(pts - room))  # to a target in the room
+            squares = np.square(np.vstack([pairs, farthest])).sum(axis=1)
+        if not np.isfinite(squares).all():
+            raise OutOfRange("room and anchors must give every edge a finite square")
+        if (close := np.flatnonzero(squares[:structure.n_aa]
+                                    <= DEGENERATE_LENGTH**2)).size:
+            i, j = np.flatnonzero(structure.c[close[0]])
+            raise DegenerateAnchors(f"anchors {i} and {j} coincide")
         object.__setattr__(self, "room", room)
         object.__setattr__(self, "anchors", tuple(map(tuple, pts.tolist())))
         sigmas = _reals("sigma_d_grid", self.sigma_d_grid)
@@ -425,57 +436,45 @@ def _aggregate_cell(
     return row
 
 
-def run_grid(config: ExperimentConfig) -> list[dict[str, object]]:
-    """Run every grid cell and return one aggregated row per cell.
+def _cells(config: ExperimentConfig):
+    """Each distinct (scenario, sigma_d, epsilon) cell in config order, with
+    its trials' records, one `run_trial` call each: positional, so that a
+    trace of run_trial can key its spans by trial."""
+    for cell in dict.fromkeys(product(config.scenarios, config.sigma_d_grid,
+                                      config.epsilon_grid)):
+        yield cell, [run_trial(config, *cell, t) for t in range(config.trials)]
 
-    Trials run in (scenario, sigma_d, epsilon, trial) order, one `run_trial`
-    call each. Rows come out in (scenario, algorithm, sigma_d, epsilon)
-    order as given by the config. Instances draw only from their own seed
-    streams, so neither order changes a value.
-    """
+
+def run_grid(config: ExperimentConfig) -> list[dict[str, object]]:
+    """One aggregated row per (scenario, algorithm, sigma_d, epsilon) cell,
+    in that order as the config gives it."""
     rows = {}
-    for scenario, sigma_d, epsilon in dict.fromkeys(
-        product(config.scenarios, config.sigma_d_grid, config.epsilon_grid)
-    ):
-        # positional, so that a trace of run_trial can key its spans by trial
-        trials = [run_trial(config, scenario, sigma_d, epsilon, t)
-                  for t in range(config.trials)]
+    for (scenario, sigma_d, epsilon), trials in _cells(config):
         for algorithm in config.algorithms:
             rows[scenario, algorithm, sigma_d, epsilon] = _aggregate_cell(
                 config, scenario, algorithm, sigma_d, epsilon,
-                [trial[algorithm] for trial in trials],
-            )
+                [trial[algorithm] for trial in trials])
     return [rows[cell] for cell in product(config.scenarios, config.algorithms,
                                            config.sigma_d_grid, config.epsilon_grid)]
 
 
 def run_convergence(config: ExperimentConfig) -> list[dict[str, object]]:
-    """Track the iterative solver's error over refinement sweeps.
-
-    Runs scenario II trials on the config's grid, each the `run_trial` of
-    the iterative solver alone, and averages the record's `sweep_xi`: xi
-    after every sweep 0..`config.tau_max` of a single solve. The solve is
-    the one a grid run's scenario II `mrciter` trial makes, on the same
-    kernel, completed first when `missing_fraction` hides entries. Returns
-    one row per (sigma_d, epsilon, tau).
-    """
-    tau_max = config.tau_max
-    iterative = replace(config, algorithms=("mrciter",))
-    rows: list[dict[str, object]] = []
+    """The grid's scenario II `mrciter` cells, one row per (sigma_d, epsilon,
+    tau): the mean over a cell's ok trials of `sweep_xi`, xi after sweep tau
+    of a single solve, for every tau in 0..`config.tau_max`."""
+    iterative = replace(config, scenarios=("II",), algorithms=("mrciter",))
+    sweeps = {}
+    for (_, sigma_d, epsilon), trials in _cells(iterative):
+        records = [trial["mrciter"] for trial in trials]
+        sweeps[sigma_d, epsilon] = np.array([r.sweep_xi for r in records if r.ok])
+    rows = []
     for sigma_d, epsilon in product(config.sigma_d_grid, config.epsilon_grid):
-        results = [run_trial(iterative, "II", sigma_d, epsilon, t)["mrciter"]
-                   for t in range(config.trials)]
-        per_tau = np.array([r.sweep_xi for r in results if r.ok])
+        per_tau = sweeps[sigma_d, epsilon]
         n_ok = len(per_tau)
-        for tau in range(tau_max + 1):
-            rows.append({
-                "sigma_d_m": sigma_d,
-                "epsilon_deg": epsilon,
-                "tau": tau,
-                "trials_ok": n_ok,
-                "trials_failed": config.trials - n_ok,
-                "mean_xi_m": float(per_tau[:, tau].mean()) if n_ok else None,
-            })
+        rows += [{"sigma_d_m": sigma_d, "epsilon_deg": epsilon, "tau": tau,
+                  "trials_ok": n_ok, "trials_failed": config.trials - n_ok,
+                  "mean_xi_m": float(per_tau[:, tau].mean()) if n_ok else None}
+                 for tau in range(config.tau_max + 1)]
     return rows
 
 

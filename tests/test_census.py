@@ -251,6 +251,7 @@ def test_bad_input_raises_a_typed_error_or_returns_finite_output(name, arg, bad)
     ("structure_matrices", "n_targets"),
     ("missing_mask", "m"),
     ("qd_mrc_smds_iterative", "tau_max"),
+    ("ExperimentConfig", "tau_max"),
 ])
 def test_a_huge_count_is_refused_before_any_allocation(name, arg):
     # Each once raised MemoryError from the allocation attempt itself.

@@ -157,7 +157,10 @@ def test_mistyped_config_value_fails_cleanly(tmp_path, capsys, bad):
     # M = 49,350 edges: true_parameters asked for an 18.1 GiB v @ v.T and
     # died with MemoryError, after a 44,850-pair anchor loop
     ({"anchors": [[i, 0.0, 0.0] for i in range(300)]}, "M x M edge kernel"),
-], ids=["400-digit-sigma", "300-anchors"])
+    # 10**8 + 1 sweeps of 85 edges: run failed every mrciter trial and exited
+    # 0; converge was killed while building 10**8 rows per cell
+    ({"tau_max": 10**8}, "the sweeps' edge estimates"),
+], ids=["400-digit-sigma", "300-anchors", "tau-max-1e8"])
 def test_oversized_config_value_fails_before_allocating(tmp_path, capsys, bad, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(bad))

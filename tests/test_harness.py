@@ -97,11 +97,19 @@ def test_default_config_is_paper_setup():
         dict(master_seed=-3),
         dict(epsilon_grid=(0.005,)),
         dict(epsilon_grid=()),
+        # An edge whose square overflows: the 1e160 room was accepted, and
+        # run_trial then warned in multiply; the 1e160 anchors warned in dot
+        # inside the config's own anchor-pair loop.
+        dict(room=(1e160, 1e160, 1e160)),
+        dict(anchors=1e160 * np.array(harness.DEFAULT_ANCHORS)),
+        dict(anchors=((1.7e308, 0.0, 0.0), (-1.7e308, 0.0, 0.0))),
     ],
 )
 def test_config_rejects_bad_values(bad):
-    with pytest.raises(OutOfRange):
-        ExperimentConfig(**bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange):
+            ExperimentConfig(**bad)
 
 
 @pytest.mark.parametrize("grid", [2.0, 10**5000], ids=["float", "5000-digit-int"])
@@ -112,8 +120,8 @@ def test_config_rejects_a_scalar_grid(grid):
 
 
 def test_config_rejects_coincident_anchors():
-    with pytest.raises(DegenerateAnchors):
-        ExperimentConfig(anchors=((0, 0, 0), (0, 0, 0), (1, 1, 1), (2, 0, 1)))
+    with pytest.raises(DegenerateAnchors, match="anchors 1 and 3 coincide"):
+        ExperimentConfig(anchors=((0, 0, 0), (1, 1, 1), (2, 0, 1), (1, 1, 1)))
 
 
 def test_masking_requires_scenario_two():
@@ -441,11 +449,14 @@ def calls_in(path: Path) -> list[tuple[str, tuple[str, ...], int]]:
 
 def test_only_run_trial_builds_an_instance():
     # One per-instance path: run_grid and run_convergence reach a seed key's
-    # instance through run_trial, and only the instance builds its pieces.
-    stray = []
+    # instance through run_trial, which one loop, _cells, calls; and only
+    # the instance builds its pieces.
+    stray, trial_calls = [], []
     for path in sorted(Path(harness.__file__).parent.glob("*.py")):
         for callee, scopes, line in calls_in(path):
             where = f"{path.name}:{line} in {'.'.join(scopes) or 'the module'}"
+            if callee.split(".")[-1] == "run_trial":
+                trial_calls.append((path.name, scopes))
             if (callee.split(".")[-1] == "_Instance"
                     and (path.name, scopes) != ("harness.py", ("run_trial",))):
                 stray.append(f"{where} builds an _Instance")
@@ -453,6 +464,21 @@ def test_only_run_trial_builds_an_instance():
                     and (path.name, scopes[:1]) != ("harness.py", ("_Instance",))):
                 stray.append(f"{where} calls _piece")
     assert not stray
+    assert trial_calls == [("harness.py", ("_cells",))]
+
+
+def test_a_repeated_grid_value_repeats_its_rows(monkeypatch):
+    # Rows follow the grid as given; a repeated cell's trials run once.
+    trials = counting(monkeypatch, "run_trial")
+    cfg = small_config(scenarios=("II",), algorithms=("mrciter",),
+                       sigma_d_grid=(2.0, 2.0), epsilon_grid=(30.0,), trials=2,
+                       tau_max=2)
+    rows = run_convergence(cfg)
+    assert len(trials) == 2
+    assert [r["tau"] for r in rows] == [0, 1, 2] * 2 and rows[:3] == rows[3:]
+    grid = run_grid(cfg)
+    assert len(trials) == 4
+    assert len(grid) == 2 and grid[0] == grid[1]
 
 
 def counting(monkeypatch, name):
