@@ -44,7 +44,6 @@ __all__ = [
     "build_real_gek",
     "build_quat_gek",
     "quat_gek_from_measurements",
-    "apply_mask",
 ]
 
 
@@ -121,7 +120,7 @@ def quat_gek_from_measurements(ms: MeasurementSet) -> QuatGek:
     return build_quat_gek(build_real_gek(ms), ms.plane_components())
 
 
-def apply_mask(gek: "RealGek | QuatGek", mask: np.ndarray):
+def apply_mask(gek: "RealGek | QuatGek", mask: np.ndarray):  # private; traced by name
     """The one masking step: `(k, mask)`, the kernel's entries zeroed where
     the mask hides them (an ndarray or a `QuaternionMatrix`, never a kernel
     type, so no solver takes it) and the mask as a new frozen bool array.

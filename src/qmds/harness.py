@@ -45,7 +45,7 @@ from .errors import (DegenerateAnchors, DegenerateEdge, OutOfRange, QmdsError,
 from .gek import build_quat_gek, build_real_gek
 from .measurement import SCENARIOS, NoiseConfig, missing_mask, synthesize
 from .network import (DEGENERATE_LENGTH, NetworkGeometry, StructureMatrices,
-                      _check_entries, _integer, _points, _real, _shown,
+                      _check_entries, _edge_squares, _integer, _points, _real, _shown,
                       structure_matrices, true_parameters)
 from .solvers import _QUAT_SOLVERS, Estimate, _stage_two_kernel, smds
 
@@ -121,7 +121,7 @@ class ExperimentConfig:
     wrong type is rejected with a typed error: `ShapeMismatch` for a scalar
     where a list belongs, `OutOfRange` for a non-integral count or a
     non-finite number; also `OutOfRange` for `tau_max` sweeps past the size
-    ceiling, or a room or anchors giving an edge whose square overflows.
+    ceiling, or a room or anchors giving an edge square or kernel norm past it.
     """
 
     room: tuple[float, float, float] = DEFAULT_ROOM
@@ -141,9 +141,7 @@ class ExperimentConfig:
         room = _reals("room", self.room)
         if len(room) != 3 or any(v <= 0 for v in room):
             raise OutOfRange(f"room must be three positive extents, got {self.room}")
-        pts = _points("anchors", self.anchors)
-        if not len(pts):
-            raise ShapeMismatch("need at least one anchor")
+        pts = _points("anchors", self.anchors)  # none: structure_matrices refuses
         for name, low in (("n_targets", 1), ("trials", 1), ("tau_max", 0),
                           ("master_seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
@@ -153,9 +151,10 @@ class ExperimentConfig:
         with np.errstate(over="ignore"):  # an overflow is refused below, not warned
             pairs = structure.c[:structure.n_aa, :len(pts)] @ pts
             farthest = np.maximum(abs(pts), abs(pts - room))  # to a target in the room
-            squares = np.square(np.vstack([pairs, farthest])).sum(axis=1)
-        if not np.isfinite(squares).all():
-            raise OutOfRange("room and anchors must give every edge a finite square")
+        squares = _edge_squares("room and anchors", np.vstack([pairs, farthest]))
+        bound = len(structure.c) * float(squares.max())  # bounds ||K||_F, exact ranges
+        if not math.isfinite(bound * bound):
+            raise OutOfRange("room and anchors must give the kernel a finite norm")
         if (close := np.flatnonzero(squares[:structure.n_aa]
                                     <= DEGENERATE_LENGTH**2)).size:
             i, j = np.flatnonzero(structure.c[close[0]])
@@ -407,14 +406,9 @@ def run_trial(config: ExperimentConfig, scenario: str, sigma_d: float,
     return {a: instance.run(a) for a in config.algorithms}
 
 
-def _aggregate_cell(
-    config: ExperimentConfig,
-    scenario: str,
-    algorithm: str,
-    sigma_d: float,
-    epsilon: float,
-    results: Sequence[TrialResult],
-) -> dict[str, object]:
+def _aggregate_cell(config: ExperimentConfig, scenario: str, algorithm: str,
+                    sigma_d: float, epsilon: float,
+                    results: Sequence[TrialResult]) -> dict[str, object]:
     good = [r for r in results if r.ok]
     row: dict[str, object] = {
         "scenario": scenario,

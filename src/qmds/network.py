@@ -117,6 +117,15 @@ def _points(name: str, x, rows: int | None = None, finite: bool = True) -> np.nd
     return arr.astype(float)
 
 
+def _edge_squares(what: str, v: np.ndarray) -> np.ndarray:
+    """The one overflow check of edge rows: their sums of squares, finite."""
+    with np.errstate(over="ignore"):  # an overflow is refused, not warned
+        squares = np.square(v).sum(axis=1)
+    if not np.isfinite(squares).all():
+        raise OutOfRange(f"{what} must give every edge a finite square")
+    return squares
+
+
 @dataclass(frozen=True)
 class NetworkGeometry:
     """Anchor and target positions in meters, (N_A, 3) and (N_T, 3), copied.
@@ -228,10 +237,10 @@ class TrueParameters:
 
 
 def true_parameters(geometry: NetworkGeometry) -> TrueParameters:
-    """Compute exact per-edge distances and angles from node positions."""
+    """Exact per-edge distances and angles (`OutOfRange` if a square overflows)."""
     structure = structure_matrices(geometry.n_anchors, geometry.n_targets)
     v = structure.c @ geometry.stacked  # edge vectors x_i - x_j, (M, 3)
-    d = np.linalg.norm(v, axis=1)
+    d = np.sqrt(_edge_squares("positions", v))
 
     first, second, *normal = v.T[_PLANE_AXES]
     azimuths = np.arctan2(second, first)

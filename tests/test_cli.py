@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -127,6 +128,18 @@ def test_room_without_generic_placement_still_writes_csv(tmp_path):
     assert all(row[5:8] == ["0", "2", ""] for row in rows)
 
 
+def test_largest_rooms_still_run(tmp_path):
+    # 1e75 m is under the kernel-norm bound, which refuses from about 7e75 m.
+    cfg, out = tmp_path / "room.json", tmp_path / "room.csv"
+    cfg.write_text(json.dumps({"room": [1e75] * 3}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", str(cfg), "--sigma-d", "1", "--epsilon", "10",
+                     "--trials", "1", "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 9
+
+
 def test_unknown_config_key_fails(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"trails": 5}))
@@ -160,7 +173,10 @@ def test_mistyped_config_value_fails_cleanly(tmp_path, capsys, bad):
     # 10**8 + 1 sweeps of 85 edges: run failed every mrciter trial and exited
     # 0; converge was killed while building 10**8 rows per cell
     ({"tau_max": 10**8}, "the sweeps' edge estimates"),
-], ids=["400-digit-sigma", "300-anchors", "tau-max-1e8"])
+    # every trial warned "overflow encountered in dot" in the power iteration
+    # and, without -W error, wrote rows that all counted as ok
+    ({"room": [1e100] * 3}, "room and anchors must give the kernel a finite norm"),
+], ids=["400-digit-sigma", "300-anchors", "tau-max-1e8", "1e100-room"])
 def test_oversized_config_value_fails_before_allocating(tmp_path, capsys, bad, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(bad))

@@ -63,6 +63,16 @@ def test_package_exports_are_declared_where_defined():
     assert qmds.__all__ == [name for module in LIBRARY for name in module.__all__]
 
 
+def test_placement_and_masking_helpers_are_private_but_traced_by_name():
+    # They left the surface under their names: the benchmark's tracer looks
+    # each up in its own module and never reads __all__.
+    assert len(qmds.__all__) == 47
+    for module, name in [(qmds.solvers, "anchored_inversion"),
+                         (qmds.solvers, "procrustes_align"), (qmds.gek, "apply_mask")]:
+        assert name not in qmds.__all__
+        assert callable(getattr(module, name))
+
+
 def test_every_public_callable_has_a_census_entry():
     # tests/test_census.py calls each public callable with bad inputs; a name
     # added to (or dropped from) the surface must add (or drop) its entry.

@@ -103,6 +103,12 @@ def test_default_config_is_paper_setup():
         dict(room=(1e160, 1e160, 1e160)),
         dict(anchors=1e160 * np.array(harness.DEFAULT_ANCHORS)),
         dict(anchors=((1.7e308, 0.0, 0.0), (-1.7e308, 0.0, 0.0))),
+        # Every edge has a finite square, but (M x the longest squared edge)^2,
+        # a bound on the kernel's squared norm, does not: each trial warned
+        # "overflow encountered in dot" in the power iteration.
+        dict(room=(1e77,) * 3),
+        dict(room=(1e100,) * 3),
+        dict(room=(1e153,) * 3),
     ],
 )
 def test_config_rejects_bad_values(bad):
@@ -117,6 +123,12 @@ def test_config_rejects_a_scalar_grid(grid):
     # The message formatted the 5,000-digit int, which raised ValueError.
     with pytest.raises(ShapeMismatch, match="sigma_d_grid must be a list"):
         ExperimentConfig(sigma_d_grid=grid)
+
+
+def test_config_needs_an_anchor():
+    # The network's own check, which the config runs before any edge check.
+    with pytest.raises(ShapeMismatch, match="n_anchors >= 1"):
+        ExperimentConfig(anchors=np.zeros((0, 3)))
 
 
 def test_config_rejects_coincident_anchors():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,16 @@ def test_edge_matrix_matches_direct_differences():
     x = geo.stacked
     for m, (i, j) in enumerate(edge_ends(st)):
         np.testing.assert_allclose(v[m], x[i] - x[j], atol=1e-12)
+
+
+def test_positions_whose_squared_edges_overflow_are_refused():
+    # 1e160 m coordinates warned "overflow encountered in multiply" from the
+    # distance norm, untyped under warnings-as-errors.
+    geo = NetworkGeometry(1e160 * np.eye(3), 1e160 * np.ones((2, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="positions must give every edge"):
+            true_parameters(geo)
 
 
 def test_coincident_nodes_give_zero_edges():
