@@ -1,8 +1,8 @@
 """A typed-input census of the public surface.
 
-Every callable in `qmds.__all__` has an entry in `CENSUS`: a valid call on
-one seeded Scenario II instance, and the names of the arguments a bad value
-replaces. An array argument takes each of `BAD_ARRAYS` and a number argument
+Every callable in `qmds.__all__` has an entry in `CENSUS`, and so does each
+internal step in `TRACED`: a valid call on one seeded Scenario II instance,
+and the names of the arguments a bad value replaces. An array argument takes each of `BAD_ARRAYS` and a number argument
 each of `BAD_NUMBERS`, one argument at a time, with every warning an error.
 Each case must return finite output or raise a `QmdsError`; an untyped
 exception, a warning, or a non-finite value in the result fails it.
@@ -59,6 +59,8 @@ BAD_ARRAYS = {
     "nested-list": lambda: ANCHORS.tolist(),
     # finite, but every anchor edge's square overflows
     "huge-5x3": lambda: ANCHORS * 1e160,
+    # every square is finite, but the kernel norm bound of a room config is not
+    "large-5x3": lambda: ANCHORS * 1e80,
 }
 
 BAD_NUMBERS = {
@@ -141,6 +143,7 @@ CENSUS = {
     "build_quat_gek": (lambda i: dict(kr=i["kr"], planes=i["ms"].plane_components()),
                        ("planes",), ()),
     "quat_gek_from_measurements": (lambda i: dict(ms=i["ms"]), (), ()),
+    "apply_mask": (lambda i: dict(gek=i["kr"], mask=i["mask"].copy()), ("mask",), ()),
     # completion
     "CompletionResult": (lambda i: dict(matrix=np.eye(2), iterations=3, converged=True,
                                         rel_change=0.0), (), ()),
@@ -163,6 +166,12 @@ CENSUS = {
                                              structure=i["structure"],
                                              algorithm="mrciter", tau_max=2),
                               ("anchors",), ("tau_max",)),
+    "anchored_inversion": (lambda i: dict(v_hat=i["params"].vectors.copy(),
+                                          anchors=ANCHORS.copy(),
+                                          structure=i["structure"]),
+                           (), ()),
+    "procrustes_align": (lambda i: dict(x_hat=i["geometry"].stacked,
+                                        anchors=ANCHORS.copy()), (), ()),
     # harness
     "ExperimentConfig": (lambda i: dict(room=np.array(DEFAULT_ROOM),
                                         anchors=ANCHORS.copy(), n_targets=15, trials=2,
@@ -182,6 +191,13 @@ CENSUS = {
     "run_convergence": (lambda i: dict(config=i["config"]), (), ()),
     "write_csv": (lambda i: dict(rows=[], path=os.devnull), (), ()),
 }
+
+# The internal steps the benchmark traces by name, by the module that defines
+# each. apply_mask still checks the mask its callers hand it; the placement
+# steps take the arrays `_solver_inputs` checked, so their entries name no
+# argument.
+TRACED = {"apply_mask": qmds.gek, "anchored_inversion": qmds.solvers,
+          "procrustes_align": qmds.solvers}
 
 CASES = [
     pytest.param(name, arg, bad, id=f"{name}-{arg}-{bad}")
@@ -217,10 +233,10 @@ def finite(value) -> bool:
 
 
 def call(name, **kwargs):
-    """Call the public `name` with every warning raised as an error."""
+    """Call the public or traced `name` with every warning raised as an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return getattr(qmds, name)(**kwargs)
+        return getattr(TRACED.get(name, qmds), name)(**kwargs)
 
 
 @pytest.mark.parametrize("name", list(CENSUS))

@@ -79,7 +79,8 @@ def test_every_public_callable_has_a_census_entry():
     import test_census
 
     public = {name for name in qmds.__all__ if callable(getattr(qmds, name))}
-    assert public == set(test_census.CENSUS)
+    assert set(test_census.TRACED) <= set(test_census.CENSUS)
+    assert public == set(test_census.CENSUS) - set(test_census.TRACED)
 
 
 def test_library_imports_no_scipy(tmp_path):
@@ -169,3 +170,33 @@ def test_names_the_benchmark_reads_resolve(spans):
     assert tracer.completion_calls == 2
     assert tracer.completion_sweeps == res.iterations + info["iterations"] > 0
     assert tracer.completion_converged == res.converged + info["converged"]
+
+
+@pytest.mark.parametrize("solve", ["smds", "qd_smds", "scenario_one_pipeline"])
+def test_each_placement_runs_through_the_traced_names(spans, solve):
+    # The placement steps left the surface under their names; a solve that
+    # placed through any other name would leave the benchmark's inversion and
+    # alignment series empty, with no error. Tracing changes no output.
+    rng = np.random.default_rng(11)
+    anchors = np.array(qmds.harness.DEFAULT_ANCHORS)
+    targets = rng.uniform(0.0, qmds.harness.DEFAULT_ROOM, size=(6, 3))
+    params = qmds.true_parameters(qmds.NetworkGeometry(anchors, targets))
+    structure = qmds.structure_matrices(len(anchors), len(targets))
+    if solve == "scenario_one_pipeline":  # smds, then qd_smds: two placements
+        args, placements = (qmds.synthesize(params, qmds.NoiseConfig(), "I", rng),), 2
+    else:
+        ms = qmds.synthesize(params, qmds.NoiseConfig(), "II", rng)
+        kernel = (qmds.build_real_gek if solve == "smds"
+                  else qmds.quat_gek_from_measurements)(ms)
+        args, placements = (kernel,), 1
+    untraced = getattr(qmds, solve)(*args, anchors, structure)
+
+    tracer = spans.Tracer()
+    restore = tracer.install()
+    try:
+        traced = getattr(qmds, solve)(*args, anchors, structure)
+    finally:
+        restore()
+    assert tracer.calls["solvers.anchored_inversion"] == placements
+    assert tracer.calls["solvers.procrustes_align"] == placements
+    np.testing.assert_array_equal(traced.targets, untraced.targets)

@@ -109,6 +109,9 @@ def test_default_config_is_paper_setup():
         dict(room=(1e77,) * 3),
         dict(room=(1e100,) * 3),
         dict(room=(1e153,) * 3),
+        # the bound passes 1.8e308 between rooms of 7e75 and 8e75 m
+        dict(room=(8e75,) * 3),
+        dict(anchors=1e80 * np.array(harness.DEFAULT_ANCHORS)),
     ],
 )
 def test_config_rejects_bad_values(bad):

@@ -223,6 +223,17 @@ def test_positions_whose_squared_edges_overflow_are_refused():
             true_parameters(geo)
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e3, 1e150])
+def test_distances_keep_the_bits_of_the_norm(scale):
+    # true_parameters takes the square root of the same row sums that the
+    # overflow check forms; the distances were np.linalg.norm's, bit for bit.
+    rng = np.random.default_rng(160)
+    geo = NetworkGeometry(scale * rng.normal(size=(5, 3)), scale * rng.normal(size=(12, 3)))
+    v = structure_matrices(5, 12).c @ geo.stacked
+    np.testing.assert_array_equal(true_parameters(geo).distances,
+                                  np.linalg.norm(v, axis=1))
+
+
 def test_coincident_nodes_give_zero_edges():
     geo = NetworkGeometry(np.ones((3, 3)), np.ones((2, 3)))
     v = true_parameters(geo).vectors

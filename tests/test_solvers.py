@@ -585,13 +585,20 @@ def test_solver_input_contract(monkeypatch, case, solve):
     assert calls == []
 
 
-@pytest.mark.parametrize("solve", [smds, qd_smds])
+@pytest.mark.parametrize("solve", [smds, qd_smds, qd_mrc_smds, qd_mrc_smds_iterative,
+                                   scenario_one_pipeline])
 def test_a_solve_checks_its_points_once(monkeypatch, solve):
     # _solver_inputs is the solve path's one check: the placement steps take
-    # the float arrays it returns, unchecked.
+    # the float arrays it returns, unchecked. The Scenario I pipeline runs two
+    # solves, smds and then a quaternion one, so it checks twice.
     rng = np.random.default_rng(159)
-    geo, _, ms, st = exact_setup(rng, "II")
-    kernel = build_real_gek(ms) if solve is smds else quat_gek_from_measurements(ms)
+    if solve is scenario_one_pipeline:
+        geo, _, ms, st = exact_setup(rng, "I")
+        args, checks = (ms, geo.anchors, st), ["anchors"] * 2
+    else:
+        geo, _, ms, st = exact_setup(rng, "II")
+        kernel = build_real_gek(ms) if solve is smds else quat_gek_from_measurements(ms)
+        args, checks = (kernel, geo.anchors, st), ["anchors"]
     calls, points = [], solvers._points
 
     def counted(*args, **kwargs):
@@ -599,9 +606,24 @@ def test_a_solve_checks_its_points_once(monkeypatch, solve):
         return points(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "_points", counted)
-    est = solve(kernel, geo.anchors, st)
-    assert calls == ["anchors"]
+    est = solve(*args)
+    assert calls == checks
     assert xi(est.targets, geo.targets) < 1e-6
+
+
+@pytest.mark.parametrize("case", [c for c in BAD_INPUTS if c != "empty-kernel"])
+def test_scenario_one_pipeline_input_contract(monkeypatch, case):
+    # The pipeline builds its kernels from the measurement set, and stage
+    # one's smds refuses its anchors and structure before any eigen-solve;
+    # no placement step sees them.
+    error, pattern, make = BAD_INPUTS[case]
+    rng = np.random.default_rng(156)
+    geo, _, ms, st = exact_setup(rng, "I")
+    ms, anchors, structure = make(ms, geo.anchors, st)
+    calls = count_eigen_solves(monkeypatch)
+    with pytest.raises(error, match=pattern):
+        scenario_one_pipeline(ms, anchors, structure)
+    assert calls == []
 
 
 def test_qd_smds_rejects_a_zero_edge_network(monkeypatch):
