@@ -9,7 +9,6 @@ keys mirror ExperimentConfig; command-line flags override file values.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ from .harness import (
     ALGORITHMS,
     CONVERGENCE_COLUMNS,
     CSV_COLUMNS,
-    ExperimentConfig,
+    _CONFIG_FIELDS,
     config_from_mapping,
     run_convergence,
     run_grid,
@@ -96,9 +95,8 @@ def _load_mapping(path: str | None) -> dict:
 
 
 def _apply_overrides(mapping: dict, args: argparse.Namespace) -> dict:
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     mapping.update((name, value) for name, value in vars(args).items()
-                   if name in fields and value is not None)
+                   if name in _CONFIG_FIELDS and value is not None)
     if getattr(args, "scenario", None) is not None:
         mapping["scenarios"] = (args.scenario,)
     return mapping

@@ -406,15 +406,15 @@ def run_trial(config: ExperimentConfig, scenario: str, sigma_d: float,
     return {a: instance.run(a) for a in config.algorithms}
 
 
-def _aggregate_cell(config: ExperimentConfig, scenario: str, algorithm: str,
-                    sigma_d: float, epsilon: float,
+def _aggregate_cell(config: ExperimentConfig,
                     results: Sequence[TrialResult]) -> dict[str, object]:
-    good = [r for r in results if r.ok]
+    """One CSV row from a cell's records, which all carry its identity."""
+    good, first = [r for r in results if r.ok], results[0]
     row: dict[str, object] = {
-        "scenario": scenario,
-        "algorithm": algorithm,
-        "sigma_d_m": sigma_d,
-        "epsilon_deg": epsilon,
+        "scenario": first.scenario,
+        "algorithm": first.algorithm,
+        "sigma_d_m": first.sigma_d,
+        "epsilon_deg": first.epsilon,
         "missing_fraction": config.missing_fraction,
         "trials_ok": len(good),
         "trials_failed": len(results) - len(good),
@@ -446,8 +446,7 @@ def run_grid(config: ExperimentConfig) -> list[dict[str, object]]:
     for (scenario, sigma_d, epsilon), trials in _cells(config):
         for algorithm in config.algorithms:
             rows[scenario, algorithm, sigma_d, epsilon] = _aggregate_cell(
-                config, scenario, algorithm, sigma_d, epsilon,
-                [trial[algorithm] for trial in trials])
+                config, [trial[algorithm] for trial in trials])
     return [rows[cell] for cell in product(config.scenarios, config.algorithms,
                                            config.sigma_d_grid, config.epsilon_grid)]
 
@@ -455,7 +454,10 @@ def run_grid(config: ExperimentConfig) -> list[dict[str, object]]:
 def run_convergence(config: ExperimentConfig) -> list[dict[str, object]]:
     """The grid's scenario II `mrciter` cells, one row per (sigma_d, epsilon,
     tau): the mean over a cell's ok trials of `sweep_xi`, xi after sweep tau
-    of a single solve, for every tau in 0..`config.tau_max`."""
+    of a single solve, for every tau in 0..`config.tau_max`. Rows past the
+    size ceiling raise `OutOfRange` before any trial runs."""
+    n_rows = len(config.sigma_d_grid) * len(config.epsilon_grid) * (config.tau_max + 1)
+    _check_entries("the convergence rows", n_rows * len(CONVERGENCE_COLUMNS))
     iterative = replace(config, scenarios=("II",), algorithms=("mrciter",))
     sweeps = {}
     for (_, sigma_d, epsilon), trials in _cells(iterative):

@@ -239,7 +239,8 @@ class TrueParameters:
 def true_parameters(geometry: NetworkGeometry) -> TrueParameters:
     """Exact per-edge distances and angles (`OutOfRange` if a square overflows)."""
     structure = structure_matrices(geometry.n_anchors, geometry.n_targets)
-    v = structure.c @ geometry.stacked  # edge vectors x_i - x_j, (M, 3)
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned
+        v = structure.c @ geometry.stacked  # edge vectors x_i - x_j, (M, 3)
     d = np.sqrt(_edge_squares("positions", v))
 
     first, second, *normal = v.T[_PLANE_AXES]

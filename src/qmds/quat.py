@@ -63,6 +63,7 @@ def _qmul(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     return a @ u + (b @ u.conj())[:, ::-1] * (-1.0, 1.0)
 
 
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class QuaternionMatrix:
     """Frozen storage for a quaternion matrix as the pair (A, B).
 
@@ -71,30 +72,23 @@ class QuaternionMatrix:
     (`np.asarray`) and the caller's stays writeable. Both halves must be
     numeric (bool, integer, float or complex) and of one 2-D shape, else
     `ShapeMismatch`; a vector is an (m, 2) array [u1, u2], not a matrix.
+    Equality is identity.
     """
 
-    __slots__ = ("_a", "_b")
+    a: np.ndarray
+    b: np.ndarray
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        a = np.asarray(_array("a", np.asarray(a), "biufc", (None, None)), np.complex128)
-        b = np.asarray(_array("b", np.asarray(b), "biufc", a.shape), np.complex128)
+    def __post_init__(self):
+        a = np.asarray(_array("a", np.asarray(self.a), "biufc", (None, None)), complex)
+        b = np.asarray(_array("b", np.asarray(self.b), "biufc", a.shape), complex)
         a.setflags(write=False)
         b.setflags(write=False)
-        self._a, self._b = a, b
-
-    # ---- views ----
-
-    @property
-    def a(self) -> np.ndarray:
-        return self._a
-
-    @property
-    def b(self) -> np.ndarray:
-        return self._b
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self._a.shape
+        return self.a.shape
 
     def __repr__(self) -> str:
         return f"QuaternionMatrix(shape={self.shape})"

@@ -10,12 +10,12 @@ diagnostics dict):
   eigenpair gives the quaternion edge vector up to a right unit-quaternion
   factor, which is resolved against the known anchor-anchor edges before
   the real, i, and j components are read off as coordinates.
-* `qd_mrc_smds` is closed-form: the cross block of the quaternion kernel,
-  combined with the known anchor edge vector, estimates the anchor-target
-  edges directly, and averaging over the anchors yields target coordinates
+* `qd_mrc_smds_iterative` is closed-form: the cross block of the quaternion
+  kernel, combined with the known anchor edge vector, estimates the
+  anchor-target edges directly, fixed-point sweeps with the kernel's target
+  rows refine them, and averaging over the anchors yields target coordinates
   in absolute position with no eigensolve, inversion, or alignment.
-* `qd_mrc_smds_iterative` adds fixed-point sweeps with the kernel's target
-  rows before the same averaging step.
+  `qd_mrc_smds` is that refinement at tau = 0, with no sweep.
 
 Factorization-based solvers recover geometry only up to an orthogonal
 transform, and a pseudo-inverse step does not restore it, so the kernel
@@ -84,7 +84,8 @@ def _solver_inputs(gek: "RealGek | QuatGek", anchors: np.ndarray,
     if gek.m != (m := structure.c.shape[0]):
         raise ShapeMismatch(f"kernel size {gek.m} does not match structure's {m} edges")
     anchors = _points("anchors", anchors, n_a := structure.n_anchors)
-    v_known = structure.c[:structure.n_aa, :n_a] @ anchors
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned
+        v_known = structure.c[:structure.n_aa, :n_a] @ anchors
     _edge_squares("anchors", v_known)
     return anchors, v_known
 
@@ -238,8 +239,23 @@ def qd_smds(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices) -> E
     return Estimate(targets, diag)
 
 
-def _mrc_core(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices,
-              tau_max: int) -> Estimate:
+def qd_mrc_smds(kq: QuatGek, anchors: np.ndarray,
+                structure: StructureMatrices) -> Estimate:
+    """Closed-form target recovery: `qd_mrc_smds_iterative` at tau = 0."""
+    return qd_mrc_smds_iterative(kq, anchors, structure, 0)
+
+
+def qd_mrc_smds_iterative(kq: QuatGek, anchors: np.ndarray,
+                          structure: StructureMatrices, tau_max: int = 1) -> Estimate:
+    """Closed-form recovery with a fixed-point refinement of the edges.
+
+    `diagnostics["trajectory"]` is the read-only (tau_max + 1, N_T, 3) array
+    of target estimates after every sweep 0..tau_max. `tau_max` must be a
+    nonnegative integer (a numpy integer too, not a bool) within the size
+    ceiling, else `OutOfRange` before anything is allocated.
+    """
+    tau_max = _integer("tau_max", tau_max, 0)
+    _check_entries("the sweeps' edge estimates", (tau_max + 1) * structure.c.shape[0])
     anchors, v_known = _solver_inputs(kq, anchors, structure)
     # Views of K's target rows: K21 (anchor-anchor columns) and K3 (target
     # columns). K = K^H to the bit, so K21 = K12^H and K3 = K3^H exactly.
@@ -271,27 +287,6 @@ def _mrc_core(kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices,
     diag = {"tau": tau_max, "nu_residuals": residuals.tolist(),
             "trajectory": targets}
     return Estimate(targets[-1], diag)
-
-
-def qd_mrc_smds(
-    kq: QuatGek, anchors: np.ndarray, structure: StructureMatrices
-) -> Estimate:
-    """Closed-form target recovery from the kernel's cross block."""
-    return _mrc_core(kq, anchors, structure, tau_max=0)
-
-
-def qd_mrc_smds_iterative(kq: QuatGek, anchors: np.ndarray,
-                          structure: StructureMatrices, tau_max: int = 1) -> Estimate:
-    """Closed-form recovery with a fixed-point refinement of the edges.
-
-    `diagnostics["trajectory"]` is the read-only (tau_max + 1, N_T, 3) array
-    of target estimates after every sweep 0..tau_max. `tau_max` must be a
-    nonnegative integer (a numpy integer too, not a bool) within the size
-    ceiling, else `OutOfRange` before anything is allocated.
-    """
-    tau_max = _integer("tau_max", tau_max, 0)
-    _check_entries("the sweeps' edge estimates", (tau_max + 1) * structure.c.shape[0])
-    return _mrc_core(kq, anchors, structure, tau_max)
 
 
 # The quaternion-domain solvers (kq, anchors, structure, tau_max) by the codes

@@ -41,6 +41,12 @@ def _nan_anchor():
     return a
 
 
+def _opposite_anchors():
+    a = ANCHORS.copy()
+    a[:2, 0] = 1.7e308, -1.7e308
+    return a
+
+
 # Factories, so that a constructor that freezes its arrays gets fresh ones.
 BAD_ARRAYS = {
     "empty": lambda: np.array([]),
@@ -61,6 +67,8 @@ BAD_ARRAYS = {
     "huge-5x3": lambda: ANCHORS * 1e160,
     # every square is finite, but the kernel norm bound of a room config is not
     "large-5x3": lambda: ANCHORS * 1e80,
+    # finite, but the edge between anchors 0 and 1 overflows in the product
+    "opposite-5x3": _opposite_anchors,
 }
 
 BAD_NUMBERS = {
@@ -221,8 +229,6 @@ def finite(value) -> bool:
         return bool(np.isfinite(value))
     if isinstance(value, np.ndarray):
         return value.dtype.kind not in "fc" or bool(np.isfinite(value).all())
-    if isinstance(value, QuaternionMatrix):
-        return finite((value.a, value.b))
     if isinstance(value, dict):
         return all(map(finite, value.values()))
     if isinstance(value, (list, tuple)):

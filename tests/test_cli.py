@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from qmds import cli
+from qmds import cli, harness
 from qmds.cli import main
 
 FAST = [
@@ -164,26 +164,37 @@ def test_mistyped_config_value_fails_cleanly(tmp_path, capsys, bad):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad, message", [
+@pytest.mark.parametrize("command, bad, message", [
     # float() of the 400-digit int raised OverflowError, a traceback
-    ({"sigma_d_grid": [10**400]}, "sigma_d_grid must be a finite real number"),
+    ("run", {"sigma_d_grid": [10**400]}, "sigma_d_grid must be a finite real number"),
     # M = 49,350 edges: true_parameters asked for an 18.1 GiB v @ v.T and
     # died with MemoryError, after a 44,850-pair anchor loop
-    ({"anchors": [[i, 0.0, 0.0] for i in range(300)]}, "M x M edge kernel"),
+    ("run", {"anchors": [[i, 0.0, 0.0] for i in range(300)]}, "M x M edge kernel"),
     # 10**8 + 1 sweeps of 85 edges: run failed every mrciter trial and exited
     # 0; converge was killed while building 10**8 rows per cell
-    ({"tau_max": 10**8}, "the sweeps' edge estimates"),
+    ("run", {"tau_max": 10**8}, "the sweeps' edge estimates"),
     # every trial warned "overflow encountered in dot" in the power iteration
     # and, without -W error, wrote rows that all counted as ok
-    ({"room": [1e100] * 3}, "room and anchors must give the kernel a finite norm"),
-], ids=["400-digit-sigma", "300-anchors", "tau-max-1e8", "1e100-room"])
-def test_oversized_config_value_fails_before_allocating(tmp_path, capsys, bad, message):
+    ("run", {"room": [1e100] * 3},
+     "room and anchors must give the kernel a finite norm"),
+    # 8.5e6 sweep entries pass the sweeps' ceiling, but the default 100 cells
+    # give 10**7 rows of 6 columns: every trial ran first, then about 3.5 GB
+    # of row dicts
+    ("converge", {"trials": 1, "tau_max": 100_000}, "the convergence rows"),
+], ids=["400-digit-sigma", "300-anchors", "tau-max-1e8", "1e100-room",
+        "converge-tau-max-1e5"])
+def test_oversized_config_value_fails_before_allocating(tmp_path, capsys, monkeypatch,
+                                                        command, bad, message):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(bad))
     out = tmp_path / "x.csv"
     tracemalloc.start()
     try:
-        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        code = main([command, "--config", str(cfg), "--out", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -439,7 +439,7 @@ def test_grid_rows_equal_per_algorithm_trials(grid):
                 record = run_trial(one, scenario, sigma_d, epsilon, t)[a]
                 assert repr(shared[a]) == repr(record), (scenario, a, t)
                 alone.setdefault((scenario, a, sigma_d, epsilon), []).append(record)
-    expected = [_aggregate_cell(cfg, *cell, alone[cell])
+    expected = [_aggregate_cell(cfg, alone[cell])
                 for cell in product(cfg.scenarios, cfg.algorithms,
                                     cfg.sigma_d_grid, cfg.epsilon_grid)]
     assert run_grid(cfg) == expected

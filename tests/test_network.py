@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmds.errors import OutOfRange, ShapeMismatch
+from qmds.harness import DEFAULT_ANCHORS
 from qmds.network import (
     NetworkGeometry,
     StructureMatrices,
@@ -213,10 +214,23 @@ def test_edge_matrix_matches_direct_differences():
         np.testing.assert_allclose(v[m], x[i] - x[j], atol=1e-12)
 
 
-def test_positions_whose_squared_edges_overflow_are_refused():
+def _opposite_anchors():
+    """The default anchors with x = +1.7e308 on anchor 0 and -1.7e308 on
+    anchor 1: finite, but the edge between them is past the float range."""
+    anchors = np.array(DEFAULT_ANCHORS)
+    anchors[:2, 0] = 1.7e308, -1.7e308
+    return anchors
+
+
+@pytest.mark.parametrize("anchors, targets", [
+    (1e160 * np.eye(3), 1e160 * np.ones((2, 3))),
+    (_opposite_anchors(), np.ones((2, 3))),
+], ids=["1e160", "opposite-1.7e308"])
+def test_positions_whose_squared_edges_overflow_are_refused(anchors, targets):
     # 1e160 m coordinates warned "overflow encountered in multiply" from the
-    # distance norm, untyped under warnings-as-errors.
-    geo = NetworkGeometry(1e160 * np.eye(3), 1e160 * np.ones((2, 3)))
+    # distance norm, and coordinates of +-1.7e308 warned "overflow encountered
+    # in matmul" from the edge product, untyped under warnings-as-errors.
+    geo = NetworkGeometry(anchors, targets)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OutOfRange, match="positions must give every edge"):

@@ -153,21 +153,35 @@ def test_backing_arrays_read_only():
     q = real_qm(np.eye(2))
     with pytest.raises(ValueError):
         q.a[0, 0] = 5
+    for name in ("a", "b"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, np.eye(2))
+    assert not hasattr(q, "__dict__") and QuaternionMatrix.__slots__ == ("a", "b")
 
 
-def test_constructor_takes_ownership_of_complex128_halves():
+def test_quaternion_matrix_equality_is_identity_and_repr_is_its_shape():
+    q = real_qm(np.eye(2))
+    same = QuaternionMatrix(q.a, q.b)
+    assert q == q and q != same and hash(q) != hash(same)
+    assert repr(q) == "QuaternionMatrix(shape=(2, 2))"
+    assert repr(QuaternionMatrix(np.ones((3, 1)), np.ones((3, 1)))).endswith("(3, 1))")
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float32, np.float64,
+                                   np.complex64])
+def test_constructor_takes_ownership_of_complex128_halves(dtype):
     # complex128 halves are kept uncopied and frozen in place; any other
     # dtype is converted, and the caller's array is left writeable
     a, b = np.ones((3, 2), complex), np.zeros((3, 2), complex)
     q = QuaternionMatrix(a, b)
-    assert np.shares_memory(q.a, a) and np.shares_memory(q.b, b)
+    assert q.a is a and q.b is b
     assert not a.flags.writeable and not b.flags.writeable
-    r = np.ones((2, 2))
-    q = QuaternionMatrix(r, 1j * r)
+    r = np.ones((2, 2), dtype)
+    q = QuaternionMatrix(r, r)
     assert q.a.dtype == q.b.dtype == np.complex128
     assert not np.shares_memory(q.a, r) and r.flags.writeable
-    r[0, 0] = 5.0
-    assert q.a[0, 0] == 1.0
+    r[0, 0] = 0
+    assert q.a[0, 0] == q.b[0, 0] == 1.0
 
 
 # ---- complex adjoint ----

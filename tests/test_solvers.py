@@ -353,13 +353,22 @@ def test_mrc_ignores_diagonal_blocks():
 
 
 def test_mrc_iterative_tau_zero_matches_closed_form():
+    # qd_mrc_smds is the refinement at tau = 0: the same estimate and the
+    # same diagnostics, to the bit
     rng = np.random.default_rng(148)
     geo, params, _, st = exact_setup(rng, "II", n_targets=6)
     noisy = synthesize(params, NoiseConfig(2.0, 40.0), "II", rng)
     kq = quat_gek_from_measurements(noisy)
     a = qd_mrc_smds(kq, geo.anchors, st)
-    b = qd_mrc_smds_iterative(kq, geo.anchors, st, tau_max=0)
+    b = qd_mrc_smds_iterative(kq, geo.anchors, st, 0)
     assert np.array_equal(a.targets, b.targets)
+    assert a.diagnostics.keys() == b.diagnostics.keys() == {
+        "tau", "nu_residuals", "trajectory"}
+    assert a.diagnostics["tau"] == b.diagnostics["tau"] == 0
+    assert a.diagnostics["nu_residuals"] == b.diagnostics["nu_residuals"] == []
+    np.testing.assert_array_equal(a.diagnostics["trajectory"],
+                                  b.diagnostics["trajectory"])
+    assert a.diagnostics["trajectory"].shape == (1, 6, 3)
 
 
 def test_mrc_iterative_noiseless_fixed_point():
@@ -524,6 +533,14 @@ def _with_entry(anchors, value):
     return bad
 
 
+def _opposite(anchors):
+    """Anchors 0 and 1 at x = +1.7e308 and -1.7e308: the edge between them
+    is past the float range."""
+    bad = anchors.copy()
+    bad[:2, 0] = 1.7e308, -1.7e308
+    return bad
+
+
 # Each case breaks the solvers' input contract one way:
 # name -> (error, message pattern, (kernel, anchors, structure) -> bad inputs).
 BAD_INPUTS = {
@@ -546,6 +563,10 @@ BAD_INPUTS = {
     # the first squared length (smds) or the first norm (the others)
     "huge-anchors": (OutOfRange, "anchors must give every edge a finite square",
                      lambda k, a, st: (k, a * 1e160, st)),
+    # finite, but an anchor edge overflowed in the incidence product itself:
+    # a RuntimeWarning from matmul before the squares were taken
+    "opposite-anchors": (OutOfRange, "anchors must give every edge a finite square",
+                         lambda k, a, st: (k, _opposite(a), st)),
 }
 
 
