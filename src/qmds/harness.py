@@ -60,7 +60,7 @@ __all__ = [
     "write_csv",
 ]
 
-ALGORITHMS = ("smds", "qdsmds", "mrc", "mrciter")
+ALGORITHMS = ("smds", *_QUAT_SOLVERS)
 
 # Reference deployment: room footprint 30 x 30 m, height 10 m, anchors in the
 # four upper corners plus one floor corner, 15 targets placed uniformly.
@@ -215,7 +215,7 @@ class TrialResult:
     shared with other algorithms counts its one timing in full for each.
     `sweep_xi` holds xi after every refinement sweep 0..tau_max for the
     iterative solver and stays empty for the others. A failed trial carries
-    the error text and a NaN xi.
+    the error text and a NaN xi, an ok one a finite nonnegative xi and sweeps.
     """
 
     scenario: str
@@ -230,8 +230,11 @@ class TrialResult:
     sweep_xi: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.error is None and not (np.isfinite(self.xi) and self.xi >= 0):
-            raise OutOfRange(f"xi must be finite and nonnegative, got {self.xi}")
+        sweeps = ((f"sweep {i} xi", x) for i, x in enumerate(self.sweep_xi))
+        for name, x in (("xi", self.xi), *sweeps) if self.error is None else ():
+            if not (math.isfinite(x) and x >= 0):
+                what = "negative" if x < 0 else "not finite"
+                raise OutOfRange(f"estimate is {what}: {name} = {x}")
 
     @property
     def ok(self) -> bool:
@@ -364,26 +367,20 @@ class _Instance:
                  self.noise.epsilon_deg, self.trial_index)
         try:
             est, sweeps, path = self._estimate(algorithm)
-            targets = self.data()[0].targets
-            xi, sweep_xi = metric_xi(est.targets, targets), ()
+            targets, sweep_xi = self.data()[0].targets, ()
             if algorithm == "mrciter":  # metric_xi of every sweep's targets at once
                 misfit = est.diagnostics["trajectory"] - targets
                 per_sweep = np.linalg.norm(misfit, axis=(1, 2)) / self.config.n_targets
                 sweep_xi = tuple(per_sweep.tolist())
-            if not math.isfinite(xi):
-                raise OutOfRange(f"estimate is not finite: xi = {xi}")
-            for i, x in enumerate(sweep_xi):
-                if not math.isfinite(x):
-                    raise OutOfRange(f"estimate is not finite: sweep {i} xi = {x}")
+            timed = self.config.timing == "wall"
+            return TrialResult(  # which refuses a non-finite xi or sweep
+                *ident, xi=metric_xi(est.targets, targets),
+                iterations=sweeps + int(est.diagnostics.get("tau", 0)),
+                wall_ms=sum(self._ms[name] for name in path) if timed else None,
+                sweep_xi=sweep_xi)
         except _TRIAL_ERRORS as exc:
             return TrialResult(*ident, xi=float("nan"), iterations=0,
                                error=f"{type(exc).__name__}: {exc}")
-        timed = self.config.timing == "wall"
-        return TrialResult(
-            *ident, xi=xi, iterations=sweeps + int(est.diagnostics.get("tau", 0)),
-            wall_ms=sum(self._ms[name] for name in path) if timed else None,
-            sweep_xi=sweep_xi,
-        )
 
 
 def run_trial(config: ExperimentConfig, scenario: str, sigma_d: float,

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateEdge, OutOfRange, ShapeMismatch
 from .network import (DEGENERATE_LENGTH, TrueParameters, _array, _check_entries,
-                      _integer, _real)
+                      _edge_squares, _integer, _real)
 from .quat import _mirrors
 
 __all__ = [
@@ -171,10 +171,10 @@ class MeasurementSet:
     both None in Scenario I, with the row order of `TrueParameters`:
     azimuths in the xy, xz and yz planes, elevations from the +x, +y and +z
     axes. Any other shape, or a field that is not an ndarray of real numbers,
-    raises `ShapeMismatch`. Masks apply to the kernels built from a set, not
-    to the set. A pair-angle matrix not symmetric to the bit (`quat._mirrors`),
-    or any non-finite value, raises `OutOfRange`: the kernels rely on both.
-    The set owns its arrays and freezes them in place.
+    raises `ShapeMismatch`; masks apply to the kernels, not to the set. A
+    pair-angle matrix not symmetric to the bit (`quat._mirrors`), a non-finite
+    value or a distance whose square is not finite raises `OutOfRange`: the
+    kernels rely on all three. The set owns its arrays and freezes them.
     """
 
     distances: np.ndarray
@@ -196,6 +196,7 @@ class MeasurementSet:
             if not np.isfinite(arr).all():
                 raise OutOfRange(f"measured {name} must be finite")
             arr.setflags(write=False)
+        _edge_squares("measured distances", self.distances[:, None])
 
     @property
     def m(self) -> int:

@@ -52,13 +52,12 @@ _PLANE_AXES = np.array([[0, 0, 1], [1, 2, 2], [1, 0, 0], [2, 2, 1]])
 _MAX_ENTRIES = 2**24
 
 
-def _integer(name: str, value, low: int | None = None) -> int:
+def _integer(name: str, value, low: int) -> int:
     """The one count check: `value` as an int (a numpy integer is one; a bool
-    or float is not) of at least `low` when given, else `OutOfRange`."""
+    or float is not) of at least `low`, else `OutOfRange`."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or (low is not None and value < low)):
-        bound = "" if low is None else f" >= {low}"
-        raise OutOfRange(f"{name} must be an integer{bound}, got {_shown(value)}")
+            or value < low):
+        raise OutOfRange(f"{name} must be an integer >= {low}, got {_shown(value)}")
     return int(value)
 
 
@@ -176,10 +175,8 @@ class StructureMatrices:
     c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n_a = _integer("n_anchors", self.n_anchors)
-        n_t = _integer("n_targets", self.n_targets)
-        if n_a < 1 or n_t < 0:
-            raise ShapeMismatch("need n_anchors >= 1 and n_targets >= 0")
+        n_a = _integer("n_anchors", self.n_anchors, 1)
+        n_t = _integer("n_targets", self.n_targets, 0)
         m = n_a * (n_a - 1) // 2 + n_a * n_t
         _check_entries("incidence matrix", m * (n_a + n_t))
         _check_entries("M x M edge kernel", m * m)

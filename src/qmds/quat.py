@@ -63,7 +63,7 @@ def _qmul(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     return a @ u + (b @ u.conj())[:, ::-1] * (-1.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class QuaternionMatrix:
     """Frozen storage for a quaternion matrix as the pair (A, B).
 
@@ -75,6 +75,7 @@ class QuaternionMatrix:
     Equality is identity.
     """
 
+    __slots__ = ("a", "b")  # the slots flag breaks the frozen __setattr__ on 3.11
     a: np.ndarray
     b: np.ndarray
 

@@ -59,6 +59,18 @@ def test_real_kernel_is_edge_gram():
     np.testing.assert_allclose(k, params.vectors @ params.vectors.T, atol=1e-10)
 
 
+@pytest.mark.parametrize("build", [build_real_gek, quat_gek_from_measurements])
+def test_distances_with_overflowing_squares_are_refused(build):
+    # Kernel entries are products of two distances, so a set whose squares
+    # overflow must not reach the builders: they would warn in np.multiply.
+    _, ms = exact_measurements(np.random.default_rng(5))
+    angles = ms.adoa, ms.azimuths, ms.elevations
+    longest = np.sqrt(np.finfo(float).max) * 0.999  # about 1.34e154
+    build(MeasurementSet(ms.distances * (longest / ms.distances.max()), *angles))
+    with pytest.raises(OutOfRange, match="measured distances must give every edge"):
+        build(MeasurementSet(ms.distances * 1e160, *angles))
+
+
 def test_real_kernel_rank_three():
     rng = np.random.default_rng(92)
     _, ms = exact_measurements(rng, "I")

@@ -129,8 +129,8 @@ def test_config_rejects_a_scalar_grid(grid):
 
 
 def test_config_needs_an_anchor():
-    # The network's own check, which the config runs before any edge check.
-    with pytest.raises(ShapeMismatch, match="n_anchors >= 1"):
+    # The network's own count check, which the config runs before any edge check.
+    with pytest.raises(OutOfRange, match="n_anchors must be an integer >= 1, got 0"):
         ExperimentConfig(anchors=np.zeros((0, 3)))
 
 
@@ -627,6 +627,22 @@ def test_bad_solver_output_is_a_failed_trial(monkeypatch, solver, error):
     rows = run_grid(cfg)
     assert [(r["trials_ok"], r["trials_failed"]) for r in rows] == [(0, 2), (2, 0)]
     assert run_trial(cfg, "II", 1.0, 30.0, 0)["smds"].error == error
+
+
+@pytest.mark.parametrize("xi, sweep_xi, message", [
+    (0.5, (0.5, np.nan), "estimate is not finite: sweep 1 xi = nan"),
+    (np.inf, (np.nan,), "estimate is not finite: xi = inf"),
+    (-1.0, (), "estimate is negative: xi = -1.0"),
+    (0.5, (0.5, -np.inf), "estimate is negative: sweep 1 xi = -inf"),
+], ids=["nan-sweep", "inf-xi-first", "negative-xi", "negative-sweep"])
+def test_ok_record_holds_its_xi_and_sweeps_finite(xi, sweep_xi, message):
+    # The one finiteness check on the trial path: run() records this refusal.
+    ident = ("II", "mrciter", 1.0, 30.0, 0)
+    with pytest.raises(OutOfRange, match=f"^{message}$"):
+        harness.TrialResult(*ident, xi=xi, iterations=1, sweep_xi=sweep_xi)
+    failed = harness.TrialResult(*ident, xi=xi, iterations=1, sweep_xi=sweep_xi,
+                                 error=f"OutOfRange: {message}")
+    assert not failed.ok and failed.sweep_xi == sweep_xi
 
 
 def every_sweep(solver):

@@ -116,9 +116,10 @@ def test_structure_rows_follow_the_layout():
 
 
 def test_edge_set_rejects_empty():
-    with pytest.raises(ShapeMismatch):
+    # A count below its floor fails the one count check, as a bad count does.
+    with pytest.raises(OutOfRange, match="n_anchors must be an integer >= 1, got 0"):
         structure_matrices(0, 5)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(OutOfRange, match="n_targets must be an integer >= 0, got -1"):
         StructureMatrices(3, -1)
 
 
