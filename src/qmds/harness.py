@@ -33,7 +33,7 @@ import csv
 import math
 import time
 from collections import abc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -120,8 +120,9 @@ class ExperimentConfig:
     "wall"; leave it off when byte-identical output matters. A field of the
     wrong type is rejected with a typed error: `ShapeMismatch` for a scalar
     where a list belongs, `OutOfRange` for a non-integral count or a
-    non-finite number; also `OutOfRange` for `tau_max` sweeps past the size
-    ceiling, or a room or anchors giving an edge square or kernel norm past it.
+    non-finite number; also `OutOfRange` for `tau_max` sweeps or a cell's
+    `trials` records past the size ceiling, or a room or anchors giving an
+    edge square or kernel norm past it.
     """
 
     room: tuple[float, float, float] = DEFAULT_ROOM
@@ -177,6 +178,11 @@ class ExperimentConfig:
             raise OutOfRange(f"algorithms must be a nonempty subset of {ALGORITHMS}")
         object.__setattr__(self, "scenarios", scenarios)
         object.__setattr__(self, "algorithms", algorithms)
+        # A cell's records are all held until it folds, with an iterative
+        # solver's sweep errors.
+        sweep_xi = self.tau_max + 1 if "mrciter" in algorithms else 0
+        _check_entries("a cell's trial records", self.trials * (
+            len(algorithms) * len(fields(TrialResult)) + sweep_xi))
         if not 0 <= _real("missing_fraction", self.missing_fraction) < 1:
             raise OutOfRange("missing_fraction must lie in [0, 1)")
         if self.missing_fraction > 0 and "I" in scenarios:
@@ -456,19 +462,18 @@ def run_convergence(config: ExperimentConfig) -> list[dict[str, object]]:
     n_rows = len(config.sigma_d_grid) * len(config.epsilon_grid) * (config.tau_max + 1)
     _check_entries("the convergence rows", n_rows * len(CONVERGENCE_COLUMNS))
     iterative = replace(config, scenarios=("II",), algorithms=("mrciter",))
-    sweeps = {}
+    rows = {}
     for (_, sigma_d, epsilon), trials in _cells(iterative):
         records = [trial["mrciter"] for trial in trials]
-        sweeps[sigma_d, epsilon] = np.array([r.sweep_xi for r in records if r.ok])
-    rows = []
-    for sigma_d, epsilon in product(config.sigma_d_grid, config.epsilon_grid):
-        per_tau = sweeps[sigma_d, epsilon]
+        per_tau = np.array([r.sweep_xi for r in records if r.ok])
         n_ok = len(per_tau)
-        rows += [{"sigma_d_m": sigma_d, "epsilon_deg": epsilon, "tau": tau,
-                  "trials_ok": n_ok, "trials_failed": config.trials - n_ok,
-                  "mean_xi_m": float(per_tau[:, tau].mean()) if n_ok else None}
-                 for tau in range(config.tau_max + 1)]
-    return rows
+        rows[sigma_d, epsilon] = [
+            {"sigma_d_m": sigma_d, "epsilon_deg": epsilon, "tau": tau,
+             "trials_ok": n_ok, "trials_failed": config.trials - n_ok,
+             "mean_xi_m": float(per_tau[:, tau].mean()) if n_ok else None}
+            for tau in range(config.tau_max + 1)]
+    return [row for cell in product(config.sigma_d_grid, config.epsilon_grid)
+            for row in rows[cell]]
 
 
 def _format_cell(value: object) -> str:

@@ -214,11 +214,8 @@ class MeasurementSet:
         if not self.has_angles:
             raise ShapeMismatch("measurement set carries no angles; build the "
                                 "kernel from estimated edge vectors instead")
-        uv = np.empty((2, *self.azimuths.shape))
-        np.cos(self.azimuths, out=uv[0])
-        np.sin(self.azimuths, out=uv[1])
-        uv *= self.distances * np.sin(self.elevations[::-1])
-        return uv
+        return (np.stack((np.cos(self.azimuths), np.sin(self.azimuths)))
+                * (self.distances * np.sin(self.elevations[::-1])))
 
 
 def synthesize(

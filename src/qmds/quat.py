@@ -30,7 +30,6 @@ from .network import _array
 
 __all__ = [
     "QuaternionMatrix",
-    "QsvdResult",
     "complex_adjoint",
     "qsvd",
     "dominant_eigpair",
@@ -101,31 +100,14 @@ def complex_adjoint(q: QuaternionMatrix) -> np.ndarray:
     The map respects products, conjugate transposes, and Frobenius norms up
     to the doubling factor sqrt(2); each singular value of q shows up twice.
     """
-    a, b = q.a, q.b
-    m, n = a.shape
-    out = np.empty((2 * m, 2 * n), dtype=complex)  # np.block copies twice
-    out[:m, :n], out[:m, n:], out[m:, :n], out[m:, n:] = a, b, -b.conj(), a.conj()
-    return out
+    return np.block([[q.a, q.b], [-q.b.conj(), q.a.conj()]])
 
 
-@dataclass(frozen=True)
-class QsvdResult:
-    """Quaternion SVD factors: `u` (M x M), `singular_values`, `v` (N x N).
-
-    Singular values are real, nonnegative, nonincreasing, of length
-    min(M, N). All three fields are read-only.
-    """
-
-    u: QuaternionMatrix
-    singular_values: np.ndarray
-    v: QuaternionMatrix
-
-    def __post_init__(self):
-        self.singular_values.setflags(write=False)
-
-
-def qsvd(q: QuaternionMatrix) -> QsvdResult:
-    """Singular value decomposition of a quaternion matrix.
+def qsvd(q: QuaternionMatrix) -> tuple[QuaternionMatrix, np.ndarray, QuaternionMatrix]:
+    """Singular value decomposition q = u diag(s) v^H of a quaternion matrix,
+    as the tuple (u, s, v): u is M x M, v is N x N, and the singular values
+    s are real, nonnegative, nonincreasing, of length min(M, N). All three
+    are read-only.
 
     Computed through the complex adjoint: its 2 min(M, N) singular values
     come in equal pairs, and one column of each pair maps back to a
@@ -135,15 +117,12 @@ def qsvd(q: QuaternionMatrix) -> QsvdResult:
     u1 - conj(u2) j.
     """
     m, n = q.shape
-    qc = complex_adjoint(q)
-    uc, s, vh = np.linalg.svd(qc, full_matrices=True)
-    vc = np.conj(vh).T
-
-    u1, u2 = uc[:m], uc[m:]
-    v1, v2 = vc[:n], vc[n:]
-    uq = QuaternionMatrix(u1[:, ::2].copy(), -np.conj(u2)[:, ::2])
-    vq = QuaternionMatrix(v1[:, ::2].copy(), -np.conj(v2)[:, ::2])
-    return QsvdResult(uq, s[::2].copy(), vq)
+    uc, s, vh = np.linalg.svd(complex_adjoint(q), full_matrices=True)
+    vc = vh.conj().T
+    s = s[::2].copy()
+    s.setflags(write=False)
+    return (QuaternionMatrix(uc[:m, ::2].copy(), -uc[m:, ::2].conj()), s,
+            QuaternionMatrix(vc[:n, ::2].copy(), -vc[n:, ::2].conj()))
 
 
 def _certified_power(k: QuaternionMatrix) -> tuple[float, np.ndarray] | None:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from qmds.quat import QsvdResult, QuaternionMatrix
+from qmds.quat import QuaternionMatrix
 
 
 def hamilton(p, q):
@@ -79,10 +79,11 @@ def hermitian_part(q: QuaternionMatrix) -> QuaternionMatrix:
     return div(add(q, ctranspose(q)), 2)
 
 
-def reconstruct(res: QsvdResult) -> QuaternionMatrix:
-    """U_k Sigma_k V_k^H from the factors of a quaternion SVD, k = min(M, N)."""
-    k = len(res.singular_values)
-    uk = QuaternionMatrix(res.u.a[:, :k] * res.singular_values,
-                          res.u.b[:, :k] * res.singular_values)
-    vk = QuaternionMatrix(res.v.a[:, :k], res.v.b[:, :k])
+def reconstruct(usv: tuple) -> QuaternionMatrix:
+    """U_k Sigma_k V_k^H from the factors (u, s, v) of a quaternion SVD,
+    k = min(M, N)."""
+    u, s, v = usv
+    k = len(s)
+    uk = QuaternionMatrix(u.a[:, :k] * s, u.b[:, :k] * s)
+    vk = QuaternionMatrix(v.a[:, :k], v.b[:, :k])
     return matmul(uk, ctranspose(vk))

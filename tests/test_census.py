@@ -119,9 +119,8 @@ CENSUS = {
     # quat
     "QuaternionMatrix": (lambda i: dict(a=i["kq"].k.a.copy(), b=i["kq"].k.b.copy()),
                          ("a", "b"), ()),
-    "QsvdResult": (lambda i: _fields(i["qsvd"]), (), ()),
     "complex_adjoint": (lambda i: dict(q=i["kq"].k), (), ()),
-    "qsvd": (lambda i: dict(q=i["qsvd"].u), (), ()),
+    "qsvd": (lambda i: dict(q=i["qsvd"][0]), (), ()),
     "dominant_eigpair": (lambda i: dict(k=i["kq"].k), (), ()),
     # network
     "NetworkGeometry": (lambda i: dict(anchors=ANCHORS.copy(),
@@ -268,6 +267,7 @@ def test_bad_input_raises_a_typed_error_or_returns_finite_output(name, arg, bad)
     ("missing_mask", "m"),
     ("qd_mrc_smds_iterative", "tau_max"),
     ("ExperimentConfig", "tau_max"),
+    ("ExperimentConfig", "trials"),
 ])
 def test_a_huge_count_is_refused_before_any_allocation(name, arg):
     # Each once raised MemoryError from the allocation attempt itself.

@@ -181,8 +181,14 @@ def test_mistyped_config_value_fails_cleanly(tmp_path, capsys, bad):
     # give 10**7 rows of 6 columns: every trial ran first, then about 3.5 GB
     # of row dicts
     ("converge", {"trials": 1, "tau_max": 100_000}, "the convergence rows"),
+    # a cell kept about 1 KB of records per trial until memory ran out
+    ("run", {"trials": 10**9}, "a cell's trial records"),
+    # 10**6 smds records fit, but converge runs mrciter, whose records also
+    # hold tau_max + 1 sweep errors each
+    ("converge", {"algorithms": ["smds"], "trials": 10**6, "tau_max": 100},
+     "a cell's trial records"),
 ], ids=["400-digit-sigma", "300-anchors", "tau-max-1e8", "1e100-room",
-        "converge-tau-max-1e5"])
+        "converge-tau-max-1e5", "trials-1e9", "converge-trials-1e6"])
 def test_oversized_config_value_fails_before_allocating(tmp_path, capsys, monkeypatch,
                                                         command, bad, message):
     def no_trial(*args):
